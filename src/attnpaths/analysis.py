@@ -15,14 +15,14 @@ smaller model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .kernel import PathFeatureMatrix, kernel_blocks, kernel_task_alignment, total_kernel
 from .paths import enumerate_paths, flat_index, paths_through_head
 from .predictor import PredictorReport, evaluate_predictor
-from .solver import OrderParameterSet, SolverConfig, solve_saddle
+from .solver import SolverConfig, solve_or_gp, solve_saddle
 
 
 @dataclass
@@ -110,21 +110,13 @@ def gp_vs_renormalized(features: PathFeatureMatrix, y_train: np.ndarray,
     Each row records whether the optimizer actually ran, so the GP row can be
     audited as solver-free.
     """
-    from dataclasses import replace as _replace
-
     if 0.0 not in [float(a) for a in alphas]:
         raise ValueError("the alpha grid must include 0 (the GP limit)")
     rows = []
     y_arr = np.asarray(y_train, dtype=float)
     for a in alphas:
         a = float(a)
-        if a == 0.0:
-            params = OrderParameterSet.gp_solution(features.n_heads, features.depth, config.sigma2)
-            solver_used = False
-            trace = None
-        else:
-            params, trace = solve_saddle(features, y_arr, _replace(config, alpha=a))
-            solver_used = True
+        params, trace = solve_or_gp(features, y_arr, replace(config, alpha=a), solve=solve_saddle)
         report = evaluate_predictor(params.u1, features, y_arr, eval_idx, eval_labels,
                                     config.temperature)
         k_train = total_kernel(params.u1, features.train()).values
@@ -135,7 +127,7 @@ def gp_vs_renormalized(features: PathFeatureMatrix, y_train: np.ndarray,
             "accuracy": report.accuracy,
             "eigenvalues": evals,
             "overlaps": overlaps,
-            "solver_used": solver_used,
+            "solver_used": trace is not None,
             "converged": None if trace is None else trace.converged,
         })
     return rows

@@ -35,7 +35,7 @@ from .kernel import PathFeatureMatrix, compute_features, kernel_task_alignment, 
 from .model import Readout
 from .predictor import evaluate_predictor, temperature_sweep
 from .sampler import HmcConfig, empirical_order_parameter, empirical_predictor, hmc_sample
-from .solver import OrderParameterSet, SolverConfig, SolverFailure, solve_saddle
+from .solver import SolverConfig, SolverFailure, solve_or_gp, solve_saddle
 
 log = logging.getLogger("attnpaths")
 
@@ -69,10 +69,7 @@ DEFAULT_CONFIG = {
         "temperature": 0.01,
         "max_iter": 20000,
         "tolerance": 1e-7,
-        "warmup_iters": 10,
         "jitter": 1e-3,
-        "restarts": 1,
-        "learning_rates": None,
     },
     "sampler": {
         "n_chains": 10,
@@ -154,13 +151,10 @@ def _solver_config(config: dict, n_train: int) -> SolverConfig:
     alpha = s["alpha"]
     if alpha is None:
         alpha = n_train / config["model"]["n_hidden"]
-    kwargs = {}
-    if s["learning_rates"] is not None:
-        kwargs["learning_rates"] = tuple(s["learning_rates"])
     return SolverConfig(
         alpha=float(alpha), temperature=s["temperature"], sigma2=config["model"]["sigma2"],
-        max_iter=s["max_iter"], tolerance=s["tolerance"], warmup_iters=s["warmup_iters"],
-        jitter=s["jitter"], restarts=s["restarts"], seed=config["seed"], **kwargs,
+        max_iter=s["max_iter"], tolerance=s["tolerance"], jitter=s["jitter"],
+        seed=config["seed"],
     )
 
 
@@ -236,17 +230,13 @@ def cmd_pipeline(args) -> int:
     y_train = dataset.train_labels.astype(float)
     solver_config = _solver_config(config, dataset.n_train)
 
-    gp = config["solver"]["gp_limit"] or solver_config.alpha == 0.0
-    if gp:
-        log.info("GP limit requested; using the closed-form order parameters")
-        params = OrderParameterSet.gp_solution(features.n_heads, features.depth,
-                                               solver_config.sigma2)
-        trace = None
+    params, trace = solve_or_gp(features, y_train, solver_config, solve=solve_saddle,
+                                gp_limit=config["solver"]["gp_limit"])
+    if trace is None:
+        log.info("GP limit; using the closed-form order parameters")
     else:
-        log.info("solving the saddle point at alpha=%.4g", solver_config.alpha)
-        params, trace = solve_saddle(features, y_train, solver_config)
-        log.info("solver finished: converged=%s iterations=%d lr=%.4g",
-                 trace.converged, trace.n_iter, trace.learning_rate)
+        log.info("solver finished at alpha=%.4g: converged=%s iterations=%d evaluations=%d",
+                 solver_config.alpha, trace.converged, trace.n_iter, trace.n_eval)
 
     fileio.write_order_parameters(out / "u1.apku", params, digest)
     fileio.write_u1_csv(out / "u1.csv", params.u1, features.n_heads, features.depth, digest)
@@ -262,7 +252,7 @@ def cmd_pipeline(args) -> int:
     fileio.write_json(out / "predictor_summary.json", {
         "accuracy": report.accuracy, "temperature": report.temperature,
         "n_train": report.n_train, "n_eval": int(len(report.means)),
-        "alpha": solver_config.alpha, "solver_used": not gp,
+        "alpha": solver_config.alpha, "solver_used": trace is not None,
         "converged": None if trace is None else bool(trace.converged),
         "config_digest": digest,
     })
@@ -273,6 +263,9 @@ def cmd_pipeline(args) -> int:
     fileio.write_head_scores_csv(
         out / "head_scores.csv", head_scores(params.u1, features.n_heads, features.depth), digest)
     log.info("pipeline complete: accuracy=%.4f", report.accuracy)
+    if args.strict and trace is not None and not trace.converged:
+        raise SolverFailure(
+            f"strict mode: the saddle-point solve did not converge in {trace.n_iter} iterations")
     return 0
 
 
@@ -293,6 +286,10 @@ def cmd_sweep(args) -> int:
     })
     log.info("sweep complete: best T=%.4g accuracy=%.4f",
              result.best_temperature, result.best_accuracy)
+    unconverged = [row["temperature"] for row in result.rows if not row["converged"]]
+    if args.strict and unconverged:
+        raise SolverFailure(
+            f"strict mode: the saddle-point solve did not converge at T = {unconverged}")
     return 0
 
 

@@ -153,13 +153,22 @@ def total_kernel(u1: np.ndarray, features: PathFeatureMatrix) -> KernelMatrix:
 
 def kernel_blocks(u1: np.ndarray, features: PathFeatureMatrix,
                   eval_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(train x train, eval x train, eval diagonal) blocks of the total kernel."""
-    eval_idx = np.asarray(eval_idx, dtype=np.int64)
-    k_all = total_kernel(u1, features).values
+    """(train x train, eval x train, eval diagonal) blocks of the total kernel.
+
+    Only these blocks are computed, never the full kernel.  U is read through
+    its symmetric part, as total_kernel's symmetrized result reads it.
+    """
     p = features.n_train
     if p == 0:
         raise ValueError("feature matrix has an empty training block")
-    return k_all[:p, :p], k_all[np.ix_(eval_idx, np.arange(p))], k_all[eval_idx, eval_idx]
+    k_train = total_kernel(u1, features.train()).values
+    u = np.asarray(u1, dtype=float)
+    u = 0.5 * (u + u.T)
+    evals = features.values[:, :, np.asarray(eval_idx, dtype=np.int64)]
+    lifted = np.tensordot(u, features.values[:, :, :p], axes=(1, 0))
+    k_cross = np.einsum("aie,aim->em", evals, lifted, optimize=True) / features.norm_paths
+    k_diag = np.einsum("aie,ab,bie->e", evals, u, evals, optimize=True) / features.norm_paths
+    return k_train, k_cross, k_diag
 
 
 def kernel_task_alignment(k: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

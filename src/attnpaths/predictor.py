@@ -12,13 +12,13 @@ matches the label, with sign(0) counted as +1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
 
 from .kernel import PathFeatureMatrix, kernel_blocks
-from .solver import SolverConfig, SolverFailure, solve_saddle
+from .solver import SolverConfig, SolverFailure, solve_or_gp, solve_saddle
 
 # Grid from the temperature selection protocol: {a 10^-b} for a in
 # {1, 2.5, 5, 7.5}, b in {1, 2}, plus 1.0 and 1.5.
@@ -110,10 +110,6 @@ def temperature_sweep(features: PathFeatureMatrix, y_train: np.ndarray,
     fails are recorded with the error and skipped.  At alpha = 0 the GP closed
     form is used and no solver runs.
     """
-    from dataclasses import replace as _replace
-
-    from .solver import OrderParameterSet
-
     if len(grid) == 0:
         raise ValueError("temperature grid is empty")
     rows = []
@@ -121,19 +117,15 @@ def temperature_sweep(features: PathFeatureMatrix, y_train: np.ndarray,
     best_acc = -1.0
     for t in grid:
         try:
-            if config.alpha == 0.0:
-                params = OrderParameterSet.gp_solution(features.n_heads, features.depth, config.sigma2)
-                converged = True
-            else:
-                params, trace = solve_saddle(features, y_train, _replace(config, temperature=float(t)))
-                converged = trace.converged
+            params, trace = solve_or_gp(features, y_train, replace(config, temperature=float(t)),
+                                        solve=solve_saddle)
             report = evaluate_predictor(params.u1, features, y_train, val_idx, val_labels, float(t))
         except (SolverFailure, np.linalg.LinAlgError) as err:
             rows.append({"temperature": float(t), "accuracy": None, "converged": False,
                          "error": str(err)})
             continue
         rows.append({"temperature": float(t), "accuracy": report.accuracy,
-                     "converged": converged, "error": ""})
+                     "converged": trace is None or trace.converged, "error": ""})
         if report.accuracy > best_acc or (report.accuracy == best_acc and t > best_t):
             best_acc = report.accuracy
             best_t = float(t)

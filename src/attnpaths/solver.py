@@ -13,35 +13,27 @@ level's order parameter, alpha = P/N, and the energy
 built from the training-block total kernel K.  At alpha = 0 the unique minimum
 is the Gaussian-process point U^(l) = sigma^(2(L+2-l)) I.
 
-Minimization runs Adam on Cholesky factors U = F F^T with a softplus
+Minimization works on Cholesky factors U = F F^T with a softplus
 reparameterized diagonal, which keeps every iterate strictly positive
-definite.  Gradients are analytic; ln det and solves go through Cholesky
-factorizations, and no explicit inverse appears outside the small per-level
-matrices.  The learning rate is picked by a short warmup sweep over a fixed
-grid, keeping the rate with the lowest energy averaged over the warmup steps
-(lowest action when alpha = 0, where the energy is decoupled).
+definite.  The factors of all levels are flattened into one vector and handed,
+with the analytic gradient, to scipy's L-BFGS-B (limited-memory quasi-Newton;
+the action is smooth in these parameters).  Gradients are analytic; ln det
+and solves go through Cholesky factorizations, and no explicit inverse
+appears outside the small per-level matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
 from .kernel import PathFeatureMatrix, total_kernel
 
-DEFAULT_LEARNING_RATES = (
-    1e-4, 1e-3, 5e-3, 8e-3, 1e-2, 5e-2, 8e-2, 1e-1, 5e-1, 8e-1, 1.0, 5.0, 8.0,
-)
-
 
 class SolverFailure(RuntimeError):
-    """Raised when no learning rate yields a finite run or the action diverges."""
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
+    """Raised when no usable saddle point can be produced."""
 
 
 @dataclass
@@ -79,10 +71,7 @@ class SolverConfig:
     sigma2: float = 1.0
     max_iter: int = 20000
     tolerance: float = 1e-7
-    learning_rates: tuple = DEFAULT_LEARNING_RATES
-    warmup_iters: int = 10
     jitter: float = 1e-3
-    restarts: int = 1
     seed: int = 0
 
     def __post_init__(self):
@@ -92,23 +81,24 @@ class SolverConfig:
             raise ValueError(f"temperature must be > 0, got {self.temperature}")
         if self.sigma2 <= 0:
             raise ValueError(f"sigma2 must be > 0, got {self.sigma2}")
-        if self.restarts < 1 or self.max_iter < 1 or self.warmup_iters < 0:
-            raise ValueError("restarts >= 1, max_iter >= 1, warmup_iters >= 0 required")
-        if not self.learning_rates or any(r <= 0 for r in self.learning_rates):
-            raise ValueError("learning_rates must be a nonempty sequence of positive rates")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass
 class SolveTrace:
+    """One row per accepted iterate, the starting point first; n_iter rows in all.
+
+    n_eval counts action+gradient evaluations, line-search trial points included.
+    """
+
     actions: np.ndarray
     entropies: np.ndarray
     energies: np.ndarray
     grad_norms: np.ndarray
-    learning_rate: float
     converged: bool
     n_iter: int
-    restart: int = 0
-    sweep: list = field(default_factory=list)
+    n_eval: int
 
 
 def _chol(m: np.ndarray) -> np.ndarray:
@@ -281,74 +271,56 @@ def _init_raws(n_heads: int, depth: int, config: SolverConfig,
     return raws
 
 
-class _Adam:
-    """Plain Adam on a list of matrices; beta1=0.9, beta2=0.999, eps=1e-8."""
-
-    def __init__(self, shapes, lr):
-        self.lr = lr
-        self.t = 0
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
-
-    def step(self, params, grads):
-        self.t += 1
-        b1, b2, eps = 0.9, 0.999, 1e-8
-        c1 = 1.0 - b1**self.t
-        c2 = 1.0 - b2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + eps)
-
-
 def _grad_inf_norm(grads: list) -> float:
     return max(float(np.max(np.abs(g))) for g in grads)
 
 
-def _run_adam(raws_init: list, features: PathFeatureMatrix, y: np.ndarray,
-              config: SolverConfig, lr: float, n_iter: int, record: bool):
-    """Adam from the given raw factors; returns (raws, trace rows, converged)."""
-    raws = [r.copy() for r in raws_init]
-    adam = _Adam([r.shape for r in raws], lr)
-    rows = [] if record else None
-    crits = []
-    converged = False
-    n_done = 0
-    for _ in range(n_iter):
-        factors = _factors_from_raw(raws)
-        mats = [f @ f.T for f in factors]
-        try:
-            act, ent, ene, grads = _action_pieces(mats, features, y, config, want_grad=True)
-        except np.linalg.LinAlgError:
-            # factors blew up or collapsed past float precision: that is divergence
-            return raws, rows, crits, False, n_done, True
-        gmax = _grad_inf_norm(grads)
-        if not np.isfinite(act) or not np.isfinite(gmax):
-            return raws, rows, crits, False, n_done, True
-        if record:
-            rows.append((act, ent, ene, gmax))
-        crits.append(ene if config.alpha != 0.0 else act)
-        n_done += 1
-        if gmax <= config.tolerance * (1.0 + abs(act)):
-            converged = True
-            break
-        adam.step(raws, _raw_gradients(grads, raws, factors))
-    return raws, rows, crits, converged, n_done, False
+def _split(x: np.ndarray, sizes: list) -> list:
+    """The square per-level raw factors packed one after another in x."""
+    ends = np.cumsum([n * n for n in sizes])
+    return [x[end - n * n : end].reshape(n, n) for end, n in zip(ends, sizes)]
+
+
+def _evaluate(x: np.ndarray, sizes: list, features: PathFeatureMatrix, y: np.ndarray,
+              config: SolverConfig):
+    """The action at the flat raw factors x, or None where it is not finite.
+
+    Returns ((action, entropy, energy, U-space gradient inf-norm), U levels,
+    gradient with respect to x).
+    """
+    raws = _split(x, sizes)
+    factors = _factors_from_raw(raws)
+    mats = [f @ f.T for f in factors]
+    try:
+        act, ent, ene, grads = _action_pieces(mats, features, y, config, want_grad=True)
+    except np.linalg.LinAlgError:
+        # factors blew up or collapsed past float precision
+        return None
+    gmax = _grad_inf_norm(grads)
+    if not np.isfinite(act) or not np.isfinite(gmax):
+        return None
+    flat = np.concatenate([g.ravel() for g in _raw_gradients(grads, raws, factors)])
+    return (act, ent, ene, gmax), mats, flat
 
 
 def solve_saddle(features: PathFeatureMatrix, y: np.ndarray,
                  config: SolverConfig) -> tuple[OrderParameterSet, SolveTrace]:
     """Minimize the action; returns the order parameters and the full trace.
 
-    Starts at the GP fixed point plus a small seeded jitter on the raw factors,
-    sweeps the learning-rate grid for `warmup_iters` steps each, restarts from
-    the initialization with the winning rate, and stops when the action
-    gradient infinity norm falls below tolerance * (1 + |action|).  With
-    restarts > 1 the whole procedure repeats from fresh jitters and the lowest
-    final action wins.  Identical (features, y, config) reruns are bit-identical.
+    Starts at the GP fixed point plus a small seeded jitter on the raw factors
+    and runs one L-BFGS-B minimization over the flattened factors.  It stops
+    at the first iterate whose U-space action gradient infinity norm is at
+    most tolerance * (1 + |action|), after max_iter iterates, or when the line
+    search finds no lower action (a trial point where the action is not finite
+    counts as no lower action).  converged reports the gradient test at the
+    returned iterate, which is the last one accepted.  A starting point where
+    the action is not finite raises SolverFailure.  Identical (features, y,
+    config) reruns are bit-identical.
     """
+    # imported here: scipy.optimize adds about 0.4 s and 20 MB to every process
+    # that loads it, and the commands that never solve should not pay that
+    from scipy.optimize import minimize
+
     y = np.asarray(y, dtype=float)
     feats = features.train()
     if feats.n_examples < 1:
@@ -356,44 +328,64 @@ def solve_saddle(features: PathFeatureMatrix, y: np.ndarray,
     if y.shape != (feats.n_examples,):
         raise ValueError(f"labels must have shape ({feats.n_examples},), got {y.shape}")
 
-    rng = np.random.default_rng(config.seed)
-    best = None
-    for restart in range(config.restarts):
-        raws_init = _init_raws(features.n_heads, features.depth, config, rng)
+    raws = _init_raws(features.n_heads, features.depth, config, np.random.default_rng(config.seed))
+    sizes = [r.shape[0] for r in raws]
+    x0 = np.concatenate([r.ravel() for r in raws])
+    last = {"key": None, "point": None}
+    n_eval = 0
 
-        sweep = []
-        best_lr = None
-        best_crit = np.inf
-        for lr in config.learning_rates:
-            if config.warmup_iters == 0:
-                sweep.append((lr, np.nan))
-                best_lr = lr if best_lr is None else best_lr
-                continue
-            _, _, crits, _, _, diverged = _run_adam(
-                raws_init, feats, y, config, lr, config.warmup_iters, record=False)
-            crit = float(np.mean(crits)) if crits and not diverged else np.inf
-            sweep.append((lr, crit))
-            if crit < best_crit:
-                best_crit = crit
-                best_lr = lr
-        if best_lr is None or (config.warmup_iters > 0 and not np.isfinite(best_crit)):
-            raise SolverFailure("every learning rate in the grid diverged during warmup")
+    def at(x):
+        # the callback asks again for the point the line search just accepted
+        nonlocal n_eval
+        key = x.tobytes()
+        if key != last["key"]:
+            n_eval += 1
+            last.update(key=key, point=_evaluate(x, sizes, feats, y, config))
+        return last["point"]
 
-        raws, rows, _, converged, n_done, diverged = _run_adam(
-            raws_init, feats, y, config, best_lr, config.max_iter, record=True)
-        if diverged or not rows:
-            raise SolverFailure(f"action became non-finite at learning rate {best_lr}")
+    def objective(x):
+        point = at(x)
+        return (np.inf, np.zeros_like(x)) if point is None else (point[0][0], point[2])
 
-        factors = _factors_from_raw(raws)
-        mats = [f @ f.T for f in factors]
-        arr = np.array(rows)
-        trace = SolveTrace(
-            actions=arr[:, 0], entropies=arr[:, 1], energies=arr[:, 2],
-            grad_norms=arr[:, 3], learning_rate=float(best_lr),
-            converged=converged, n_iter=n_done, restart=restart, sweep=sweep,
-        )
-        final_action = float(arr[-1, 0])
-        if best is None or final_action < best[0]:
-            params = OrderParameterSet(matrices=mats, n_heads=features.n_heads, depth=features.depth)
-            best = (final_action, params, trace)
-    return best[1], best[2]
+    def converged(point):
+        act, _, _, gmax = point[0]
+        return gmax <= config.tolerance * (1.0 + abs(act))
+
+    accepted = [at(x0)]
+    if accepted[0] is None:
+        raise SolverFailure("the action is not finite at the starting point")
+
+    def accept(intermediate_result):
+        accepted.append(at(intermediate_result.x))
+        if converged(accepted[-1]) or len(accepted) >= config.max_iter:
+            raise StopIteration
+
+    if not converged(accepted[0]) and config.max_iter > 1:
+        # L-BFGS-B's own stopping tests are off; accept() applies the one above.
+        # A line search tries at most 20 points, so maxfun never binds first.
+        minimize(objective, x0, jac=True, method="L-BFGS-B", callback=accept,
+                 options={"maxiter": config.max_iter, "maxfun": 20 * config.max_iter,
+                          "ftol": 0.0, "gtol": 0.0})
+
+    rows = np.array([point[0] for point in accepted])
+    params = OrderParameterSet(matrices=accepted[-1][1], n_heads=features.n_heads,
+                               depth=features.depth)
+    trace = SolveTrace(
+        actions=rows[:, 0], entropies=rows[:, 1], energies=rows[:, 2], grad_norms=rows[:, 3],
+        converged=converged(accepted[-1]), n_iter=len(rows), n_eval=n_eval,
+    )
+    return params, trace
+
+
+def solve_or_gp(features: PathFeatureMatrix, y: np.ndarray, config: SolverConfig, *,
+                solve, gp_limit: bool = False):
+    """The order parameters a predictor reads, and the solve's trace.
+
+    At alpha = 0, or when gp_limit is set, the GP closed form stands in for the
+    solve and the trace is None.  Otherwise solve(features, y, config) runs;
+    callers pass the solve_saddle they import, so a patched or wrapped
+    solve_saddle in their module is the one that runs.
+    """
+    if gp_limit or config.alpha == 0.0:
+        return OrderParameterSet.gp_solution(features.n_heads, features.depth, config.sigma2), None
+    return solve(features, y, config)

@@ -145,6 +145,18 @@ def test_pipeline_threads_match_serial(tmp_path):
     assert (out1 / "features.apkf").read_bytes() == (out2 / "features.apkf").read_bytes()
 
 
+def test_strict_fails_on_unconverged_solve(tmp_path, capsys):
+    cfg, out = _gen(tmp_path, solver={"max_iter": 3}, temperature_grid=[0.1])
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "predictor_summary.json").read_text())
+    assert summary["solver_used"] is True and summary["converged"] is False
+    rc = main(["pipeline", "--config", str(cfg), "--out", str(out), "--force", "--strict"])
+    assert rc == 3
+    assert "did not converge" in capsys.readouterr().err
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--force"]) == 0
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--force", "--strict"]) == 3
+
+
 def test_sweep_end_to_end(tmp_path):
     cfg, out = _gen(tmp_path, temperature_grid=[0.1, 0.5])
     rc = main(["sweep", "--config", str(cfg), "--out", str(out)])

@@ -194,7 +194,7 @@ def test_write_u1_csv_labels(tmp_path):
 def test_trace_and_predictor_and_score_csvs(tmp_path):
     trace = SolveTrace(actions=np.array([3.0, 2.0]), entropies=np.array([1.0, 1.5]),
                        energies=np.array([2.0, 0.5]), grad_norms=np.array([0.1, 0.01]),
-                       learning_rate=0.1, converged=True, n_iter=2)
+                       converged=True, n_iter=2, n_eval=3)
     p = tmp_path / "trace.csv"
     fileio.write_trace_csv(p, trace, DIGEST)
     lines = p.read_text().splitlines()

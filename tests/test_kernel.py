@@ -124,6 +124,22 @@ def test_kernel_blocks_consistent_with_total():
         kernel_blocks(u1, empty, eval_idx)
 
 
+def test_kernel_blocks_match_total_kernel_for_nonsymmetric_u():
+    rng = np.random.default_rng(17)
+    feats = _random_features(rng, n_ex=9, n_train=4)
+    u1 = rng.standard_normal((4, 4))
+    k = total_kernel(u1, feats).values
+    eval_idx = np.array([8, 4, 6])
+    k_train, k_cross, k_diag = kernel_blocks(u1, feats, eval_idx)
+    scale = np.max(np.abs(k))
+    assert np.max(np.abs(k_train - k[:4, :4])) <= 1e-13 * scale
+    assert np.array_equal(k_train, k_train.T)
+    assert np.max(np.abs(k_cross - k[np.ix_(eval_idx, range(4))])) <= 1e-13 * scale
+    assert np.max(np.abs(k_diag - k[eval_idx, eval_idx])) <= 1e-13 * scale
+    with pytest.raises(ValueError):
+        kernel_blocks(np.eye(3), feats, eval_idx)
+
+
 def test_train_and_select_examples_views():
     rng = np.random.default_rng(8)
     feats = _random_features(rng, n_ex=6, n_train=4)

@@ -156,18 +156,20 @@ def test_temperature_sweep_runs_solver_at_positive_alpha():
     assert all(r["accuracy"] is not None for r in result.rows)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_temperature_sweep_all_failures_raise():
     rng = np.random.default_rng(9)
     feats = _features(rng, n_heads=2, depth=1, n_ex=8, n_train=5)
     y_train = rng.choice([-1.0, 1.0], size=5)
     val_idx = np.arange(5, 8)
     val_labels = rng.choice([-1, 1], size=3)
-    bad = SolverConfig(alpha=1.0, temperature=0.1, learning_rates=(1e200,), warmup_iters=5)
+    # NaN features make the action non-finite at every temperature
+    nan_feats = PathFeatureMatrix(values=np.full_like(feats.values, np.nan), n_train=5,
+                                  n_heads=2, depth=1)
+    config = SolverConfig(alpha=1.0, temperature=0.1)
     with pytest.raises(SolverFailure):
-        temperature_sweep(feats, y_train, val_idx, val_labels, bad, grid=(0.1,))
+        temperature_sweep(nan_feats, y_train, val_idx, val_labels, config, grid=(0.1,))
     with pytest.raises(ValueError):
-        temperature_sweep(feats, y_train, val_idx, val_labels, bad, grid=())
+        temperature_sweep(feats, y_train, val_idx, val_labels, config, grid=())
 
 
 def test_temperature_sweep_records_partial_failures(monkeypatch):
