@@ -28,6 +28,7 @@ from .kernel import (
     PathFeatureMatrix,
     KernelMatrix,
     compute_features,
+    path_features,
     path_pair_kernel,
     total_kernel,
     kernel_blocks,

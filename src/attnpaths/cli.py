@@ -278,7 +278,8 @@ def cmd_sweep(args) -> int:
     solver_config = _solver_config(config, dataset.n_train)
     result = temperature_sweep(
         features, dataset.train_labels.astype(float), dataset.test_indices,
-        dataset.test_labels, solver_config, grid=tuple(config["temperature_grid"]))
+        dataset.test_labels, solver_config, grid=tuple(config["temperature_grid"]),
+        gp_limit=config["solver"]["gp_limit"])
     fileio.write_sweep_csv(out / "sweep.csv", result, digest)
     fileio.write_json(out / "sweep_summary.json", {
         "best_temperature": result.best_temperature, "best_accuracy": result.best_accuracy,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .model import AttentionSpec, Readout, attention_stack_batch
-from .paths import enumerate_paths, path_from_flat
+from .paths import path_from_flat
 
 
 @dataclass
@@ -100,38 +100,44 @@ class KernelMatrix:
         return self.values.shape[0]
 
 
+def path_features(tokens: np.ndarray, omegas: np.ndarray, readout: Readout) -> np.ndarray:
+    """Features (H^L, width, P) of tokens (P, width, T) under omegas (P, L, H, T, T).
+
+    Chains are contracted right to left: the readout column goes through the
+    attention matrices as matrix-vector products, last layer first, so suffix
+    products land in canonical flat order; one tokens contraction ends them all.
+    """
+    n_ex, width, n_tokens = tokens.shape
+    depth, n_heads = omegas.shape[1:3]
+    # (P, T, suffixes); each layer multiplies the suffix count by H
+    vecs = np.broadcast_to(readout.column_weights(n_tokens)[None, :, None], (n_ex, n_tokens, 1))
+    for layer in reversed(range(depth)):
+        vecs = np.matmul(omegas[:, layer], vecs[:, None])   # (P, H, T, suffixes)
+        vecs = vecs.transpose(0, 2, 1, 3).reshape(n_ex, n_tokens, -1)
+    return np.matmul(tokens, vecs).transpose(2, 1, 0) / np.sqrt(width)
+
+
 def compute_features(tokens: np.ndarray, specs: list[list[AttentionSpec]], readout: Readout,
                      n_train: int, chunk: int = 256) -> PathFeatureMatrix:
     """Path features for every example; tokens has shape (P, width, T).
 
-    Per-path attention chains share prefix products: layer by layer, each
-    partial product spawns H children, which lands the rows in canonical flat
-    order.  Examples are processed in chunks to bound the intermediate
-    (H^l, chunk, width, T) storage.  Features are independent of all value
-    weights and of N by construction.
+    Examples are processed in chunks: each chunk's attention stack is built
+    and handed to path_features, which bounds the intermediate storage by the
+    chunk's (L, H, T, T) attention matrices.  Features are independent of all
+    value weights and of N by construction.
     """
     tokens = np.asarray(tokens, dtype=float)
     if tokens.ndim != 3:
         raise ValueError(f"tokens must be (P, width, T), got {tokens.shape}")
-    n_ex, width, n_tokens = tokens.shape
+    n_ex, width, _ = tokens.shape
     depth = len(specs)
     n_heads = len(specs[0])
-    n_paths = n_heads**depth
-    col_w = readout.column_weights(n_tokens)
 
-    values = np.empty((n_paths, width, n_ex))
+    values = np.empty((n_heads**depth, width, n_ex))
     for start in range(0, n_ex, chunk):
         block = tokens[start : start + chunk]
         omegas = attention_stack_batch(block, specs)
-        mats = [block]
-        for layer in range(depth - 1):
-            mats = [np.matmul(m, omegas[:, layer, h]) for m in mats for h in range(n_heads)]
-        for i, m in enumerate(mats):
-            for h in range(n_heads):
-                final = np.matmul(m, omegas[:, depth - 1, h])
-                # (chunk, width, T) @ (T,) readout -> (chunk, width)
-                values[i * n_heads + h, :, start : start + block.shape[0]] = (final @ col_w).T
-    values /= np.sqrt(width)
+        values[:, :, start : start + block.shape[0]] = path_features(block, omegas, readout)
     return PathFeatureMatrix(values=values, n_train=n_train, n_heads=n_heads, depth=depth)
 
 

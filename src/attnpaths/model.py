@@ -170,15 +170,20 @@ class NetworkWeights:
 
     @classmethod
     def unflatten(cls, vec: np.ndarray, n_hidden: int, width: int, depth: int, n_heads: int) -> "NetworkWeights":
-        n0 = n_hidden * width
-        nv = depth * n_heads * n_hidden * n_hidden
-        if vec.shape != (n0 + nv + n_hidden,):
-            raise ValueError(f"flat vector has wrong length {vec.shape}")
-        return cls(
-            v0=vec[:n0].reshape(n_hidden, width),
-            values=vec[n0:n0 + nv].reshape(depth, n_heads, n_hidden, n_hidden),
-            readout=vec[n0 + nv:],
-        )
+        return cls(*weight_parts(vec, n_hidden, width, depth, n_heads))
+
+
+def weight_parts(vec: np.ndarray, n_hidden: int, width: int, depth: int, n_heads: int):
+    """(v0, values, readout) views into flat weight vectors, in flatten's order;
+    leading axes of vec are kept, e.g. values of stacked draws are (S, L, H, N, N)."""
+    n0 = n_hidden * width
+    nv = depth * n_heads * n_hidden * n_hidden
+    if vec.shape[-1] != n0 + nv + n_hidden:
+        raise ValueError(f"flat vector has wrong length {vec.shape}")
+    lead = vec.shape[:-1]
+    return (vec[..., :n0].reshape(*lead, n_hidden, width),
+            vec[..., n0:n0 + nv].reshape(*lead, depth, n_heads, n_hidden, n_hidden),
+            vec[..., n0 + nv:])
 
 
 def _softmax_columns(logits: np.ndarray) -> np.ndarray:

@@ -103,12 +103,13 @@ class SweepResult:
 def temperature_sweep(features: PathFeatureMatrix, y_train: np.ndarray,
                       val_idx: np.ndarray, val_labels: np.ndarray,
                       config: SolverConfig,
-                      grid: tuple = DEFAULT_TEMPERATURE_GRID) -> SweepResult:
+                      grid: tuple = DEFAULT_TEMPERATURE_GRID,
+                      gp_limit: bool = False) -> SweepResult:
     """Solve the saddle at every temperature on the grid and score validation accuracy.
 
     Ties break toward the larger temperature.  Grid points where the solver
-    fails are recorded with the error and skipped.  At alpha = 0 the GP closed
-    form is used and no solver runs.
+    fails are recorded with the error and skipped.  At alpha = 0, or with
+    gp_limit, the GP closed form is used and no solver runs.
     """
     if len(grid) == 0:
         raise ValueError("temperature grid is empty")
@@ -118,7 +119,7 @@ def temperature_sweep(features: PathFeatureMatrix, y_train: np.ndarray,
     for t in grid:
         try:
             params, trace = solve_or_gp(features, y_train, replace(config, temperature=float(t)),
-                                        solve=solve_saddle)
+                                        solve=solve_saddle, gp_limit=gp_limit)
             report = evaluate_predictor(params.u1, features, y_train, val_idx, val_labels, float(t))
         except (SolverFailure, np.linalg.LinAlgError) as err:
             rows.append({"temperature": float(t), "accuracy": None, "converged": False,

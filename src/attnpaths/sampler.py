@@ -5,8 +5,14 @@ The Gibbs posterior over all weights Theta = (V0, {V_lh}, a) is
     log p(Theta) = -(1/2T) sum_mu (f(x_mu; Theta) - y_mu)^2 - (1/2 sigma^2) |Theta|^2
 
 up to a constant; attention matrices are fixed by the (frozen) logit specs, so
-only the linear-value path is sampled.  Gradients are analytic via layer-wise
-backpropagation.  The sampler is plain fixed-length leapfrog HMC with identity
+only the linear-value path is sampled, and the output is exactly linear in
+the path features Phi (kernel.path_features), computed once per training set:
+
+    f = (H^L N)^(-1/2) sum_pi (Veff_pi @ V0) . Phi_pi
+
+The log posterior and its analytic gradient run in this path space, through
+a product tree over layers for the effective rows Veff, never through the
+layerwise network.  The sampler is plain fixed-length leapfrog HMC with identity
 mass and dual-averaging step-size adaptation during warmup (target acceptance
 0.8); a proposal whose energy error exceeds the divergence threshold is
 rejected and counted.  Chains run independently from spawned seed substreams,
@@ -23,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AttentionSpec, NetworkWeights, Readout, attention_stack_batch
+from .kernel import compute_features, path_features
+from .model import AttentionSpec, Readout, attention_stack_batch, weight_parts
 
 
 @dataclass(frozen=True)
@@ -57,67 +64,48 @@ class HmcConfig:
             raise ValueError(f"target_accept must lie in (0, 1), got {self.target_accept}")
 
 
-def _forward_batch(weights: NetworkWeights, tokens: np.ndarray, omegas: np.ndarray,
-                   readout: Readout):
-    """Outputs f (P,) plus the per-layer activations needed for backprop."""
-    n = weights.n_hidden
-    n_heads = weights.n_heads
-    scale = 1.0 / np.sqrt(n * n_heads)
-    x = np.einsum("nw,pwt->pnt", weights.v0, tokens, optimize=True) / np.sqrt(weights.width)
-    attended = []
-    for layer in range(weights.depth):
-        xo = np.einsum("pns,phst->phnt", x, omegas[:, layer], optimize=True)
-        attended.append(xo)
-        x = scale * np.einsum("hmn,phnt->pmt", weights.values[layer], xo, optimize=True)
-    col_w = readout.column_weights(tokens.shape[2])
-    z = x @ col_w
-    f = z @ weights.readout / np.sqrt(n)
-    return f, z, attended, col_w
+def _row_tree(readout: np.ndarray, values: np.ndarray) -> list:
+    """Levels of the effective-row product tree; level k is a @ V_L @ ... @ V_{L-k+1}
+    for every head suffix, (..., H^k, N) in canonical order, so the last level is
+    N^(L/2) Veff.  readout is (..., N) and values (..., L, H, N, N)."""
+    levels = [readout[..., None, :]]
+    for layer in reversed(range(values.shape[-4])):
+        nxt = np.matmul(levels[-1][..., None, :, :], values[..., layer, :, :, :])
+        levels.append(nxt.reshape(*nxt.shape[:-3], -1, nxt.shape[-1]))
+    return levels
 
 
-def _backward_batch(weights: NetworkWeights, tokens: np.ndarray, omegas: np.ndarray,
-                    r: np.ndarray, z: np.ndarray, attended: list,
-                    col_w: np.ndarray) -> NetworkWeights:
-    """Gradient of sum_mu r_mu f_mu with respect to every weight."""
-    n = weights.n_hidden
-    n_heads = weights.n_heads
-    scale = 1.0 / np.sqrt(n * n_heads)
-    grad_a = (r @ z) / np.sqrt(n)
-    g = (r[:, None, None] * weights.readout[None, :, None] * col_w[None, None, :]) / np.sqrt(n)
-    grad_values = np.empty_like(weights.values)
-    for layer in reversed(range(weights.depth)):
-        grad_values[layer] = scale * np.einsum(
-            "pmt,phnt->hmn", g, attended[layer], optimize=True)
-        g = scale * np.einsum(
-            "hmn,pmt,phst->pns", weights.values[layer], g, omegas[:, layer], optimize=True)
-    grad_v0 = np.einsum("pnt,pwt->nw", g, tokens, optimize=True) / np.sqrt(weights.width)
-    return NetworkWeights(v0=grad_v0, values=grad_values, readout=grad_a)
+def log_posterior(q: np.ndarray, shape: tuple, phi: np.ndarray | None, labels: np.ndarray,
+                  temperature: float, sigma2: float = 1.0):
+    """Gibbs log posterior (up to a constant) and its gradient, on flat weights.
 
-
-def log_posterior(weights: NetworkWeights, tokens: np.ndarray, omegas: np.ndarray,
-                  labels: np.ndarray, readout: Readout, temperature: float,
-                  sigma2: float = 1.0, prior_only: bool = False):
-    """Gibbs log posterior (up to a constant) and its gradient in weight space."""
-    logp = 0.0
-    if prior_only:
-        grad = NetworkWeights(
-            v0=np.zeros_like(weights.v0),
-            values=np.zeros_like(weights.values),
-            readout=np.zeros_like(weights.readout),
-        )
-    else:
-        labels = np.asarray(labels, dtype=float)
-        f, z, attended, col_w = _forward_batch(weights, tokens, omegas, readout)
-        resid = f - labels
-        logp += -0.5 * float(resid @ resid) / temperature
-        grad = _backward_batch(weights, tokens, omegas, -resid / temperature, z, attended, col_w)
-    logp += -0.5 * (
-        float(np.sum(weights.v0**2)) + float(np.sum(weights.values**2))
-        + float(np.sum(weights.readout**2))
-    ) / sigma2
-    grad.v0 -= weights.v0 / sigma2
-    grad.values -= weights.values / sigma2
-    grad.readout -= weights.readout / sigma2
+    shape is (n_hidden, width, depth, n_heads) of the flattened weights q.
+    phi holds the training path features flattened to (H^L * width, P); with
+    phi None the likelihood is off and only the Gaussian prior remains.
+    """
+    v0, values, readout = weight_parts(q, *shape)
+    # summed part by part, in a fixed order: warmup's step-size adaptation
+    # amplifies a last-bit change in the potential into a different chain
+    logp = -0.5 * (float(np.sum(v0**2)) + float(np.sum(values**2))
+                   + float(np.sum(readout**2))) / sigma2
+    grad = -q / sigma2
+    if phi is None:
+        return logp, grad
+    n, width, depth, n_heads = shape
+    levels = _row_tree(readout, values)
+    scale = (n_heads**depth * n ** (depth + 1)) ** -0.5
+    resid = scale * ((levels[-1] @ v0).ravel() @ phi) - labels
+    logp -= 0.5 * float(resid @ resid) / temperature
+    # d logp / d(rows @ v0), then back through v0 and the tree
+    d_m = (-scale / temperature) * (phi @ resid).reshape(-1, width)
+    g_v0, g_values, g_readout = weight_parts(grad, *shape)
+    g_v0 += levels[-1].T @ d_m
+    d_rows = d_m @ v0.T
+    for layer in range(depth):
+        d3 = d_rows.reshape(n_heads, -1, n)
+        g_values[layer] += levels[depth - 1 - layer].T @ d3
+        d_rows = np.matmul(d3, values[layer].transpose(0, 2, 1)).sum(axis=0)
+    g_readout += d_rows[0]
     return logp, grad
 
 
@@ -236,18 +224,19 @@ class PosteriorSamples:
     def n_kept(self) -> int:
         return self.samples.shape[0]
 
-    def weights(self, i: int) -> NetworkWeights:
-        return NetworkWeights.unflatten(self.samples[i], self.n_hidden, self.width,
-                                        self.depth, self.n_heads)
+    def parts(self):
+        """(v0, values, readout) of every kept draw, stacked along a leading axis."""
+        return weight_parts(self.samples, self.n_hidden, self.width, self.depth, self.n_heads)
 
 
 def hmc_sample(tokens: np.ndarray, labels: np.ndarray, specs: list[list[AttentionSpec]],
                readout: Readout, config: HmcConfig) -> PosteriorSamples:
     """Sample the weight posterior on the given training set.
 
-    tokens: (P, width, T).  Attention matrices are computed once from the
-    specs and stay fixed; with prior_only the likelihood is switched off
-    (the infinite-temperature limit) and tokens are only used for shapes.
+    tokens: (P, width, T).  Attention matrices and path features are computed
+    once from the specs and stay fixed; with prior_only the likelihood is
+    switched off (the infinite-temperature limit), no attention or features
+    are computed, and tokens are only used for shapes.
     """
     tokens = np.asarray(tokens, dtype=float)
     labels = np.asarray(labels, dtype=float)
@@ -255,13 +244,14 @@ def hmc_sample(tokens: np.ndarray, labels: np.ndarray, specs: list[list[Attentio
     n_heads = len(specs[0])
     width = tokens.shape[1]
     n = config.n_hidden
-    omegas = attention_stack_batch(tokens, specs)
+    shape = (n, width, depth, n_heads)
+    phi = None
+    if not config.prior_only:
+        omegas = attention_stack_batch(tokens, specs)
+        phi = path_features(tokens, omegas, readout).reshape(-1, len(tokens))
 
     def logp_and_grad(q):
-        w = NetworkWeights.unflatten(q, n, width, depth, n_heads)
-        lp, g = log_posterior(w, tokens, omegas, labels, readout,
-                              config.temperature, config.sigma2, config.prior_only)
-        return lp, g.flatten()
+        return log_posterior(q, shape, phi, labels, config.temperature, config.sigma2)
 
     dim = n * width + depth * n_heads * n * n + n
     root = np.random.default_rng(config.seed)
@@ -279,22 +269,11 @@ def hmc_sample(tokens: np.ndarray, labels: np.ndarray, specs: list[list[Attentio
     )
 
 
-def _effective_rows(weights: NetworkWeights) -> np.ndarray:
-    """All H^L effective weight rows Veff_pi, canonical order; shape (H^L, N)."""
-    rows = weights.readout[None, :]
-    for layer in reversed(range(weights.depth)):
-        rows = np.einsum("ok,hkn->hon", rows, weights.values[layer],
-                         optimize=True).reshape(-1, weights.n_hidden)
-    return rows / weights.n_hidden ** (weights.depth / 2.0)
-
-
 def empirical_order_parameter(samples: PosteriorSamples, return_samples: bool = False):
     """U_est[pi, pi'] = (1/N) mean over samples of Veff_pi . Veff_pi'."""
-    n_paths = samples.n_heads**samples.depth
-    per = np.empty((samples.n_kept, n_paths, n_paths))
-    for i in range(samples.n_kept):
-        rows = _effective_rows(samples.weights(i))
-        per[i] = rows @ rows.T / samples.n_hidden
+    _, values, readout = samples.parts()
+    rows = _row_tree(readout, values)[-1]
+    per = rows @ rows.transpose(0, 2, 1) / samples.n_hidden ** (samples.depth + 1)
     u_est = per.mean(axis=0)
     if return_samples:
         return u_est, per
@@ -303,11 +282,10 @@ def empirical_order_parameter(samples: PosteriorSamples, return_samples: bool = 
 
 def empirical_predictor(samples: PosteriorSamples, tokens: np.ndarray,
                         specs: list[list[AttentionSpec]], readout: Readout):
-    """Posterior mean and variance of the output on new examples, from samples."""
-    tokens = np.asarray(tokens, dtype=float)
-    omegas = attention_stack_batch(tokens, specs)
-    outs = np.empty((samples.n_kept, tokens.shape[0]))
-    for i in range(samples.n_kept):
-        f, _, _, _ = _forward_batch(samples.weights(i), tokens, omegas, readout)
-        outs[i] = f
+    """Posterior mean and variance of the output on new examples, all draws at once."""
+    phi = compute_features(tokens, specs, readout, 0).values.reshape(-1, len(tokens))
+    v0, values, a = samples.parts()
+    m = _row_tree(a, values)[-1] @ v0
+    scale = (samples.n_heads**samples.depth * samples.n_hidden ** (samples.depth + 1)) ** -0.5
+    outs = scale * (m.reshape(samples.n_kept, -1) @ phi)
     return outs.mean(axis=0), outs.var(axis=0)

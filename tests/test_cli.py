@@ -167,6 +167,18 @@ def test_sweep_end_to_end(tmp_path):
     assert len(lines) == 4  # digest + header + two grid rows
 
 
+def test_sweep_gp_limit_skips_solver(tmp_path, monkeypatch):
+    import attnpaths.predictor as predictor_mod
+    solves = []
+    real = predictor_mod.solve_saddle
+    monkeypatch.setattr(predictor_mod, "solve_saddle",
+                        lambda *a, **k: solves.append(1) or real(*a, **k))
+    cfg, out = _gen(tmp_path, solver={"gp_limit": True}, temperature_grid=[0.1, 0.5])
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert solves == []
+    assert len((out / "sweep.csv").read_text().splitlines()) == 4
+
+
 def test_sample_end_to_end(tmp_path):
     cfg, out = _gen(tmp_path, sampler={
         "n_chains": 2, "n_warmup": 20, "n_samples": 20, "thin": 5,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from attnpaths.kernel import (
     PathFeatureMatrix,
@@ -46,6 +48,26 @@ def test_compute_features_matches_per_example_chains():
         for i, path in enumerate(paths):
             xi = attentioned_input(tokens[mu], omegas, path, readout)
             assert np.allclose(feats.values[i, :, mu], xi / np.sqrt(width), atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_heads=st.integers(1, 3), depth=st.integers(1, 3), width=st.integers(1, 6),
+       n_tokens=st.integers(1, 5), n_ex=st.integers(1, 6), chunk=st.integers(1, 4),
+       t_star=st.integers(0, 4) | st.none(), seed=st.integers(0, 2**32 - 1))
+def test_compute_features_matches_attentioned_input_property(
+        n_heads, depth, width, n_tokens, n_ex, chunk, t_star, seed):
+    rng = np.random.default_rng(seed)
+    specs = _random_specs(rng, depth, n_heads, width)
+    tokens = rng.standard_normal((n_ex, width, n_tokens))
+    readout = Readout.average() if t_star is None else Readout.token(t_star % n_tokens)
+    feats = compute_features(tokens, specs, readout, n_train=n_ex, chunk=chunk)
+    assert feats.values.shape == (n_heads**depth, width, n_ex)
+    for mu in range(n_ex):
+        omegas = attention_stack(tokens[mu], specs)
+        for i, path in enumerate(enumerate_paths(n_heads, depth)):
+            xi = attentioned_input(tokens[mu], omegas, path, readout)
+            scale = 1e-12 * (1 + np.max(np.abs(xi)))
+            assert np.allclose(feats.values[i, :, mu], xi / np.sqrt(width), rtol=0, atol=scale)
 
 
 def test_compute_features_chunking_invariance():

@@ -1,19 +1,22 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from attnpaths.kernel import path_features
 from attnpaths.model import (
     AttentionSpec,
     NetworkWeights,
     Readout,
     attention_stack_batch,
+    forward_layerwise,
     network_output,
 )
 from attnpaths.paths import enumerate_paths
 from attnpaths.sampler import (
     HmcConfig,
     PosteriorSamples,
-    _effective_rows,
-    _forward_batch,
+    _row_tree,
     empirical_order_parameter,
     empirical_predictor,
     hmc_sample,
@@ -23,70 +26,68 @@ from attnpaths.sampler import (
 )
 
 
-def _setup(rng, n_ex=3, width=4, n_tokens=3, depth=2, n_heads=2, n_hidden=2):
+def _setup(rng, n_ex=3, width=4, n_tokens=3, depth=2, n_heads=2, n_hidden=2,
+           readout=Readout.token(1)):
     tokens = rng.standard_normal((n_ex, width, n_tokens))
     specs = [[AttentionSpec.direct(rng.standard_normal((width, width)), 1.0)
               for _ in range(n_heads)] for _ in range(depth)]
     omegas = attention_stack_batch(tokens, specs)
     labels = rng.choice([-1.0, 1.0], size=n_ex)
     weights = NetworkWeights.sample_prior(n_hidden, width, depth, n_heads, rng=rng)
-    readout = Readout.token(1)
-    return tokens, specs, omegas, labels, weights, readout
+    phi = path_features(tokens, omegas, readout).reshape(-1, n_ex)
+    shape = (n_hidden, width, depth, n_heads)
+    return tokens, omegas, labels, weights, phi, shape
 
 
-def test_forward_batch_matches_model_output():
-    rng = np.random.default_rng(0)
-    tokens, _, omegas, _, weights, readout = _setup(rng)
-    f, _, _, _ = _forward_batch(weights, tokens, omegas, readout)
-    for mu in range(tokens.shape[0]):
-        want = network_output(tokens[mu], weights, omegas[mu], readout)
-        assert abs(f[mu] - want) <= 1e-10 * (1 + abs(want))
+def _prior_term(weights, sigma2):
+    return -0.5 * float(np.sum(weights.flatten() ** 2)) / sigma2
+
+
+READOUTS = (Readout.token(1), Readout.average())
 
 
 def test_log_posterior_value():
+    # one training example at a time, so each path-space output is checked
+    # against the layerwise recursion on its own
     rng = np.random.default_rng(1)
-    tokens, _, omegas, labels, weights, readout = _setup(rng)
     t, sigma2 = 0.1, 1.5
-    logp, _ = log_posterior(weights, tokens, omegas, labels, readout, t, sigma2)
-    f = np.array([network_output(tokens[mu], weights, omegas[mu], readout)
-                  for mu in range(3)])
-    want = -0.5 * np.sum((f - labels) ** 2) / t - 0.5 * (
-        np.sum(weights.v0**2) + np.sum(weights.values**2) + np.sum(weights.readout**2)
-    ) / sigma2
-    assert abs(logp - want) <= 1e-10 * (1 + abs(want))
+    for readout in READOUTS:
+        tokens, omegas, labels, weights, phi, shape = _setup(rng, n_ex=5, readout=readout)
+        for mu in range(5):
+            logp, _ = log_posterior(weights.flatten(), shape, phi[:, mu:mu + 1],
+                                    labels[mu:mu + 1], t, sigma2)
+            f = forward_layerwise(tokens[mu], weights, omegas[mu], readout)
+            want = -0.5 * (f - labels[mu]) ** 2 / t + _prior_term(weights, sigma2)
+            assert abs(logp - want) <= 1e-10 * (1 + abs(want))
 
 
 def test_log_posterior_gradient_finite_differences():
     rng = np.random.default_rng(2)
-    tokens, _, omegas, labels, weights, readout = _setup(rng)
-    t, sigma2 = 0.2, 0.8
-
-    def lp(vec):
-        w = NetworkWeights.unflatten(vec, 2, 4, 2, 2)
-        val, _ = log_posterior(w, tokens, omegas, labels, readout, t, sigma2)
-        return val
-
-    q = weights.flatten()
-    _, grad = log_posterior(weights, tokens, omegas, labels, readout, t, sigma2)
-    g = grad.flatten()
-    eps = 1e-6
-    for i in rng.choice(len(q), size=25, replace=False):
-        up, dn = q.copy(), q.copy()
-        up[i] += eps
-        dn[i] -= eps
-        fd = (lp(up) - lp(dn)) / (2 * eps)
-        assert abs(fd - g[i]) <= 1e-5 * (1 + abs(g[i]))
+    t, sigma2, eps = 0.2, 0.8, 1e-6
+    for (n_heads, depth), readout in itertools.product(
+            [(1, 1), (2, 2), (3, 2), (2, 3)], READOUTS):
+        _, _, labels, weights, phi, shape = _setup(
+            rng, n_ex=4, n_heads=n_heads, depth=depth, n_hidden=3, readout=readout)
+        q = weights.flatten()
+        _, g = log_posterior(q, shape, phi, labels, t, sigma2)
+        assert g.shape == q.shape
+        for i in range(len(q)):
+            up, dn = q.copy(), q.copy()
+            up[i] += eps
+            dn[i] -= eps
+            fd = (log_posterior(up, shape, phi, labels, t, sigma2)[0]
+                  - log_posterior(dn, shape, phi, labels, t, sigma2)[0]) / (2 * eps)
+            assert abs(fd - g[i]) <= 1e-5 * (1 + abs(g[i])), (n_heads, depth, readout, i)
 
 
 def test_log_posterior_prior_only():
     rng = np.random.default_rng(3)
-    tokens, _, omegas, labels, weights, readout = _setup(rng)
+    q = rng.standard_normal(2 * 4 + 2 * 2 * 2 * 2 + 2)
     sigma2 = 2.0
-    logp, grad = log_posterior(weights, tokens, omegas, labels, readout,
-                               temperature=0.1, sigma2=sigma2, prior_only=True)
-    q = weights.flatten()
+    logp, grad = log_posterior(q, (2, 4, 2, 2), None, np.ones(3), temperature=0.1,
+                               sigma2=sigma2)
     assert abs(logp + 0.5 * np.sum(q**2) / sigma2) <= 1e-12 * (1 + np.sum(q**2))
-    assert np.allclose(grad.flatten(), -q / sigma2, atol=1e-14)
+    assert np.allclose(grad, -q / sigma2, atol=1e-14)
 
 
 def test_leapfrog_energy_error_scales_with_step():
@@ -187,9 +188,16 @@ def test_divergences_counted_and_position_held():
     assert np.all(result.samples == q0)
 
 
+def _task(rng, n_ex, width=4, n_tokens=3, depth=2, n_heads=2):
+    tokens = rng.standard_normal((n_ex, width, n_tokens))
+    specs = [[AttentionSpec.direct(rng.standard_normal((width, width)), 1.0)
+              for _ in range(n_heads)] for _ in range(depth)]
+    return tokens, specs, rng.choice([-1.0, 1.0], size=n_ex), Readout.token(1)
+
+
 def test_hmc_sample_bookkeeping():
     rng = np.random.default_rng(6)
-    tokens, specs, _, labels, _, readout = _setup(rng, n_ex=4)
+    tokens, specs, labels, readout = _task(rng, n_ex=4)
     config = HmcConfig(n_hidden=2, temperature=0.5, n_chains=3, n_warmup=20,
                        n_samples=30, thin=10, seed=4)
     post = hmc_sample(tokens, labels, specs, readout, config)
@@ -200,8 +208,8 @@ def test_hmc_sample_bookkeeping():
     assert post.divergences.shape == (3,)
     assert post.step_sizes.shape == (3,)
     assert post.potentials.shape == (9,)
-    w = post.weights(0)
-    assert w.n_hidden == 2 and w.width == 4 and w.depth == 2 and w.n_heads == 2
+    v0, values, a = post.parts()
+    assert v0.shape == (9, 2, 4) and values.shape == (9, 2, 2, 2, 2) and a.shape == (9, 2)
     # rerun is bit-identical
     again = hmc_sample(tokens, labels, specs, readout, config)
     assert np.array_equal(post.samples, again.samples)
@@ -209,7 +217,7 @@ def test_hmc_sample_bookkeeping():
 
 def test_hmc_sample_prior_only_moments():
     rng = np.random.default_rng(7)
-    tokens, specs, _, labels, _, readout = _setup(rng, n_ex=2, n_hidden=3)
+    tokens, specs, labels, readout = _task(rng, n_ex=2)
     config = HmcConfig(n_hidden=3, temperature=0.01, sigma2=1.0, n_chains=4,
                        n_warmup=100, n_samples=500, thin=2, prior_only=True, seed=5)
     post = hmc_sample(tokens, labels, specs, readout, config)
@@ -232,11 +240,15 @@ def _manual_samples(rng, n_draws=3, n_hidden=3, width=4, depth=2, n_heads=2):
 def test_effective_rows_match_path_products():
     from attnpaths.model import effective_weights
     rng = np.random.default_rng(8)
-    draws, _ = _manual_samples(rng, n_draws=1)
-    w = draws[0]
-    rows = _effective_rows(w)
-    for i, path in enumerate(enumerate_paths(w.n_heads, w.depth)):
-        assert np.allclose(rows[i], effective_weights(w, path), atol=1e-12)
+    draws, post = _manual_samples(rng)
+    _, values, readout = post.parts()
+    batched = _row_tree(readout, values)[-1]
+    assert batched.shape == (3, 4, 3)
+    for w, stacked in zip(draws, batched):
+        rows = _row_tree(w.readout, w.values)[-1] / w.n_hidden ** (w.depth / 2.0)
+        assert np.allclose(_row_tree(w.readout, w.values)[-1], stacked, atol=1e-12)
+        for i, path in enumerate(enumerate_paths(w.n_heads, w.depth)):
+            assert np.allclose(rows[i], effective_weights(w, path), atol=1e-12)
 
 
 def test_empirical_order_parameter_oracle():
