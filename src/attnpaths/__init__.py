@@ -17,8 +17,6 @@ from .model import (
     AttentionSpec,
     Readout,
     NetworkWeights,
-    attention_matrix,
-    attention_stack,
     attentioned_input,
     effective_weights,
     network_output,
@@ -26,10 +24,8 @@ from .model import (
 )
 from .kernel import (
     PathFeatureMatrix,
-    KernelMatrix,
     compute_features,
     path_features,
-    path_pair_kernel,
     total_kernel,
     kernel_blocks,
     kernel_task_alignment,
@@ -58,11 +54,9 @@ from .analysis import (
     HeadScoreTable,
     head_scores,
     prune_heads,
-    gp_vs_renormalized,
 )
 from .data import (
     HmcTaskConfig,
-    OneShotConfig,
     SequenceDataset,
     state_vectors,
     sample_hidden_chain,
@@ -70,7 +64,6 @@ from .data import (
     build_good_heads,
     build_random_head,
     build_hmc_attention,
-    build_one_shot_sequences,
 )
 from .sampler import (
     HmcConfig,

@@ -1,4 +1,4 @@
-"""Order-parameter diagnostics: head scores, pruning, GP-vs-renormalized tables.
+"""Order-parameter diagnostics: head scores and pruning.
 
 The layer-l head score sums |U^(1)| over ordered path pairs that both pass
 through the head,
@@ -15,14 +15,13 @@ smaller model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import PathFeatureMatrix, kernel_blocks, kernel_task_alignment, total_kernel
+from .kernel import PathFeatureMatrix
 from .paths import enumerate_paths, flat_index, paths_through_head
 from .predictor import PredictorReport, evaluate_predictor
-from .solver import SolverConfig, solve_or_gp, solve_saddle
 
 
 @dataclass
@@ -100,34 +99,3 @@ def prune_heads(u1: np.ndarray, features: PathFeatureMatrix, y_train: np.ndarray
     })
     return evaluate_predictor(sub_u1, sub_features, y_train, eval_idx, eval_labels,
                               temperature, metadata=meta)
-
-
-def gp_vs_renormalized(features: PathFeatureMatrix, y_train: np.ndarray,
-                       eval_idx: np.ndarray, eval_labels: np.ndarray,
-                       config: SolverConfig, alphas: list) -> list:
-    """Accuracy and kernel-task alignment per alpha; alpha = 0 is closed form.
-
-    Each row records whether the optimizer actually ran, so the GP row can be
-    audited as solver-free.
-    """
-    if 0.0 not in [float(a) for a in alphas]:
-        raise ValueError("the alpha grid must include 0 (the GP limit)")
-    rows = []
-    y_arr = np.asarray(y_train, dtype=float)
-    for a in alphas:
-        a = float(a)
-        params, trace = solve_or_gp(features, y_arr, replace(config, alpha=a), solve=solve_saddle)
-        report = evaluate_predictor(params.u1, features, y_arr, eval_idx, eval_labels,
-                                    config.temperature)
-        k_train = total_kernel(params.u1, features.train()).values
-        evals, overlaps = kernel_task_alignment(k_train, y_arr)
-        rows.append({
-            "alpha": a,
-            "u1": params.u1,
-            "accuracy": report.accuracy,
-            "eigenvalues": evals,
-            "overlaps": overlaps,
-            "solver_used": trace is not None,
-            "converged": None if trace is None else trace.converged,
-        })
-    return rows

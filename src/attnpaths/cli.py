@@ -5,15 +5,15 @@ Subcommands wrap the library stages file-to-file:
     gen-data   task config -> dataset.apkd + attention.apkw
     pipeline   dataset + attention -> features, solved U, predictor, alignment, head scores
     sweep      temperature grid -> per-temperature accuracy table
-    sample     dataset + attention -> HMC posterior, empirical U and predictor
+    sample     dataset + attention -> HMC posterior, empirical U (u_est.csv) and predictor
     verify     recompute the config digest and check every artifact in a run directory
 
 Shared flags: --config PATH, --seed INT, --out DIR, --force, --strict,
 --threads INT.  The resolved configuration is written next to the outputs and
 its sha256 digest is embedded in every artifact; reruns with identical config
 and seed produce byte-identical files.  The APK_LOG environment variable sets
-the log level.  Exit codes: 0 success, 2 config error, 3 numeric failure,
-4 I/O error.
+the log level.  Exit codes: 0 success, 2 config error (an attention file whose
+token width differs from the dataset's is one), 3 numeric failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .analysis import head_scores
 from .data import HmcTaskConfig, build_hmc_attention, gen_hmc_dataset
 from .kernel import PathFeatureMatrix, compute_features, kernel_task_alignment, total_kernel
 from .model import Readout
-from .predictor import evaluate_predictor, temperature_sweep
+from .predictor import DEFAULT_TEMPERATURE_GRID, evaluate_predictor, temperature_sweep
 from .sampler import HmcConfig, empirical_order_parameter, empirical_predictor, hmc_sample
 from .solver import SolverConfig, SolverFailure, solve_or_gp, solve_saddle
 
@@ -82,7 +82,7 @@ DEFAULT_CONFIG = {
         "prior_only": False,
         "n_eval_examples": None,
     },
-    "temperature_grid": [0.01, 0.025, 0.05, 0.075, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5],
+    "temperature_grid": list(DEFAULT_TEMPERATURE_GRID),
 }
 
 
@@ -257,7 +257,7 @@ def cmd_pipeline(args) -> int:
         "config_digest": digest,
     })
 
-    k_train = total_kernel(params.u1, features.train()).values
+    k_train = total_kernel(params.u1, features.train())
     evals, overlaps = kernel_task_alignment(k_train, y_train)
     fileio.write_alignment_csv(out / "alignment.csv", evals, overlaps, digest)
     fileio.write_head_scores_csv(
@@ -296,8 +296,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_sample(args) -> int:
     config = _load_config(args)
-    outputs = ["u_est.csv", "u_est.apkk", "chains.csv", "predictor_empirical.csv",
-               "sample_summary.json"]
+    outputs = ["u_est.csv", "chains.csv", "predictor_empirical.csv", "sample_summary.json"]
     out, digest = _prepare_out(args, config, outputs)
     dataset, specs = _load_inputs(out, config)
     readout = _readout(config)
@@ -315,8 +314,6 @@ def cmd_sample(args) -> int:
 
     u_est = empirical_order_parameter(samples)
     fileio.write_u1_csv(out / "u_est.csv", u_est, samples.n_heads, samples.depth, digest)
-    fileio.write_kernel(out / "u_est.apkk", u_est, samples.n_heads, samples.depth,
-                        samples.width, digest)
     fileio.write_csv(out / "chains.csv", digest,
                       ["chain", "acceptance", "divergences", "step_size"],
                       [[i, float(a), int(d), float(e)] for i, (a, d, e) in
@@ -364,7 +361,6 @@ def cmd_verify(args) -> int:
         ".apkd": lambda p: fileio.read_dataset(p)[1],
         ".apkw": lambda p: fileio.read_attention_specs(p)[1],
         ".apkf": lambda p: fileio.read_features(p)[1],
-        ".apkk": lambda p: fileio.read_kernel(p)[2],
         ".apku": lambda p: fileio.read_order_parameters(p)[1],
         ".csv": fileio.read_csv_digest,
     }

@@ -1,4 +1,4 @@
-"""Task generators: the hidden-chain classification task and one-shot episodes.
+"""Task generator: the hidden-chain classification task and its attention heads.
 
 Hidden-chain task.  Each example is a binary Markov chain q_1..q_T with
 transition matrix [[1-p, p], [p, 1-p]]; class +1 uses p = 0.3 (sticky), class
@@ -26,7 +26,7 @@ entries 1/sqrt(N0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,7 +79,6 @@ class SequenceDataset:
     n_train: int
     feature_width: int
     seed: int
-    config: object = None
 
     def __post_init__(self):
         self.tokens = np.asarray(self.tokens, dtype=float)
@@ -186,8 +185,7 @@ def gen_hmc_dataset(config: HmcTaskConfig, seed: int) -> SequenceDataset:
         labels.append(lab[perm])
     return SequenceDataset(
         tokens=np.concatenate(blocks), labels=np.concatenate(labels),
-        n_train=config.n_train, feature_width=config.feature_width,
-        seed=seed, config=config,
+        n_train=config.n_train, feature_width=config.feature_width, seed=seed,
     )
 
 
@@ -245,85 +243,3 @@ def build_hmc_attention(config: HmcTaskConfig, n_heads: int, depth: int,
                                          rng, config.beta))
         specs.append(row)
     return specs
-
-
-@dataclass(frozen=True)
-class OneShotConfig:
-    feature_width: int
-    n_patches: int
-    seed: int = 0
-    pe_base: float = 10000.0
-
-    def __post_init__(self):
-        if self.feature_width < 2 or self.n_patches < 1:
-            raise ValueError("need feature_width >= 2 and n_patches >= 1")
-
-
-def _sinusoidal_encoding(n_positions: int, width: int, base: float) -> np.ndarray:
-    pe = np.zeros((n_positions, width))
-    pos = np.arange(n_positions)[:, None]
-    i = np.arange(0, width, 2)[None, :]
-    angles = pos / base ** (i / width)
-    pe[:, 0::2] = np.sin(angles)
-    pe[:, 1::2] = np.cos(angles[:, : pe[:, 1::2].shape[1]])
-    return pe
-
-
-def one_shot_label_vectors(config: OneShotConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The fixed (v+, v-, v?) label vectors, seeded from the config."""
-    rng = np.random.default_rng(config.seed)
-    return tuple(rng.standard_normal(config.feature_width) for _ in range(3))
-
-
-def build_one_shot_sequences(patches: np.ndarray, classes: np.ndarray,
-                             config: OneShotConfig,
-                             assignments: np.ndarray | None = None) -> SequenceDataset:
-    """Episodes of three images: two labeled context images and a query.
-
-    patches: (E, 3, p, N0) pre-extracted patch tensors; classes: (E, 3) class
-    ids with classes[:, 0] != classes[:, 1] and the query matching one of them.
-    Label vectors are added to every patch of the image (v+ or v- for the
-    context pair, v? for the query), an additive sinusoidal positional code
-    runs over all 3p token positions, and the episode label is the symbol
-    assigned to the image the query matches.  `assignments` (True means image
-    0 carries +) defaults to seeded coin flips; swapping an episode's
-    assignment flips its label.
-    """
-    patches = np.asarray(patches, dtype=float)
-    classes = np.asarray(classes)
-    if patches.ndim != 4 or patches.shape[1] != 3 or patches.shape[3] != config.feature_width:
-        raise ValueError(f"patches must be (E, 3, p, {config.feature_width}), got {patches.shape}")
-    if patches.shape[2] != config.n_patches:
-        raise ValueError(f"expected {config.n_patches} patches per image, got {patches.shape[2]}")
-    if classes.shape != patches.shape[:2]:
-        raise ValueError("classes must be (E, 3)")
-    if np.any(classes[:, 0] == classes[:, 1]):
-        raise ValueError("the two context images must come from distinct classes")
-    match0 = classes[:, 2] == classes[:, 0]
-    if not np.all(match0 | (classes[:, 2] == classes[:, 1])):
-        raise ValueError("the query image must match one of the context classes")
-
-    n_ep, _, p, n0 = patches.shape
-    rng = np.random.default_rng(config.seed + 1)
-    if assignments is None:
-        assignments = rng.random(n_ep) < 0.5
-    assignments = np.asarray(assignments, dtype=bool)
-    if assignments.shape != (n_ep,):
-        raise ValueError(f"assignments must have shape ({n_ep},)")
-
-    v_plus, v_minus, v_query = one_shot_label_vectors(config)
-    pe = _sinusoidal_encoding(3 * p, n0, config.pe_base)
-
-    tokens = np.empty((n_ep, n0, 3 * p))
-    for e in range(n_ep):
-        first, second = (v_plus, v_minus) if assignments[e] else (v_minus, v_plus)
-        seq = np.concatenate([
-            patches[e, 0] + first,
-            patches[e, 1] + second,
-            patches[e, 2] + v_query,
-        ]) + pe
-        tokens[e] = seq.T
-    plus_on_match0 = np.where(assignments, 1, -1)
-    labels = np.where(match0, plus_on_match0, -plus_on_match0).astype(np.int8)
-    return SequenceDataset(tokens=tokens, labels=labels, n_train=n_ep,
-                           feature_width=n0, seed=config.seed, config=config)

@@ -7,7 +7,6 @@ row-major float64 payloads:
     APKD  datasets          (feature width, token width, T, P, n_train, seed)
     APKW  attention specs   (L, H, form tag, token width, qk dim)
     APKF  path features     (H, L, width, P, n_train, norm, path flats)
-    APKK  kernels           (H, L, width, n)
     APKU  order parameters  (H, L, level count, sides)
 
 CSV exports start with a `# config_digest=<hex>` comment line, then a header
@@ -164,21 +163,6 @@ def read_features(path):
         values = _read_array(fh, (n_paths, width, n_ex), str(path))
     return PathFeatureMatrix(values=values, n_train=int(n_train), n_heads=int(n_heads),
                              depth=int(depth), path_flats=flats, norm_paths=int(norm)), digest
-
-
-def write_kernel(path, values: np.ndarray, n_heads: int, depth: int, width: int,
-                 digest: str = ZERO_DIGEST) -> None:
-    values = np.asarray(values, dtype=np.float64)
-    with open(path, "wb") as fh:
-        fh.write(_pack_header(b"APKK", [n_heads, depth, width, values.shape[0]], digest))
-        fh.write(np.ascontiguousarray(values).tobytes())
-
-
-def read_kernel(path):
-    with open(path, "rb") as fh:
-        (n_heads, depth, width, n), digest = _read_header(fh, b"APKK", 4, str(path))
-        values = _read_array(fh, (n, n), str(path))
-    return values, {"n_heads": int(n_heads), "depth": int(depth), "width": int(width)}, digest
 
 
 def write_order_parameters(path, params: OrderParameterSet, digest: str = ZERO_DIGEST) -> None:

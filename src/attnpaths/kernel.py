@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .model import AttentionSpec, Readout, attention_stack_batch
-from .paths import path_from_flat
 
 
 @dataclass
@@ -65,15 +64,9 @@ class PathFeatureMatrix:
     def n_examples(self) -> int:
         return self.values.shape[2]
 
-    def paths(self) -> list[tuple[int, ...]]:
-        return [path_from_flat(int(i), self.n_heads, self.depth) for i in self.path_flats]
-
     def train(self) -> "PathFeatureMatrix":
         """The training block as its own feature matrix (a view)."""
         return replace(self, values=self.values[:, :, : self.n_train], n_train=self.n_train)
-
-    def select_examples(self, idx: np.ndarray, n_train: int = 0) -> "PathFeatureMatrix":
-        return replace(self, values=self.values[:, :, idx], n_train=n_train)
 
     def restrict_paths(self, keep_flats: np.ndarray, renormalize: bool = False) -> "PathFeatureMatrix":
         """Keep only the given paths.  The kernel denominator is preserved unless
@@ -86,18 +79,6 @@ class PathFeatureMatrix:
         rows = np.array([pos[int(f)] for f in keep_flats], dtype=np.int64)
         norm = len(keep_flats) if renormalize else self.norm_paths
         return replace(self, values=self.values[rows], path_flats=keep_flats, norm_paths=norm)
-
-
-@dataclass
-class KernelMatrix:
-    """A kernel over examples, with the order parameter that produced it."""
-
-    values: np.ndarray
-    provenance: dict
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
 
 
 def path_features(tokens: np.ndarray, omegas: np.ndarray, readout: Readout) -> np.ndarray:
@@ -141,20 +122,14 @@ def compute_features(tokens: np.ndarray, specs: list[list[AttentionSpec]], reado
     return PathFeatureMatrix(values=values, n_train=n_train, n_heads=n_heads, depth=depth)
 
 
-def path_pair_kernel(features: PathFeatureMatrix, row_a: int, row_b: int) -> np.ndarray:
-    """C_{pi pi'}[mu, nu] = phi_pi^mu . phi_pi'^nu for one pair of feature rows."""
-    return features.values[row_a].T @ features.values[row_b]
-
-
-def total_kernel(u1: np.ndarray, features: PathFeatureMatrix) -> KernelMatrix:
+def total_kernel(u1: np.ndarray, features: PathFeatureMatrix) -> np.ndarray:
     """K = (1/norm_paths) sum_{ab} U[a, b] Phi[a].T @ Phi[b] over all examples."""
     u1 = np.asarray(u1, dtype=float)
     if u1.shape != (features.n_paths, features.n_paths):
         raise ValueError(f"order parameter shape {u1.shape} does not match {features.n_paths} paths")
     lifted = np.tensordot(u1, features.values, axes=(1, 0))
     k = np.einsum("aim,ain->mn", features.values, lifted, optimize=True) / features.norm_paths
-    k = 0.5 * (k + k.T)
-    return KernelMatrix(values=k, provenance={"u1": u1.copy(), "norm_paths": features.norm_paths})
+    return 0.5 * (k + k.T)
 
 
 def kernel_blocks(u1: np.ndarray, features: PathFeatureMatrix,
@@ -167,7 +142,7 @@ def kernel_blocks(u1: np.ndarray, features: PathFeatureMatrix,
     p = features.n_train
     if p == 0:
         raise ValueError("feature matrix has an empty training block")
-    k_train = total_kernel(u1, features.train()).values
+    k_train = total_kernel(u1, features.train())
     u = np.asarray(u1, dtype=float)
     u = 0.5 * (u + u.T)
     evals = features.values[:, :, np.asarray(eval_idx, dtype=np.int64)]

@@ -25,7 +25,7 @@ at t*.  Both routes are implemented; they agree to floating-point accuracy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -193,43 +193,26 @@ def _softmax_columns(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-2, keepdims=True)
 
 
-def attention_matrix(x0: np.ndarray, spec: AttentionSpec) -> np.ndarray:
-    """Omega[s, t] for one head on one sequence x0 of shape (width, T)."""
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim != 2:
-        raise ValueError(f"sequence must be (width, T), got shape {x0.shape}")
-    if x0.shape[0] != spec.width:
-        raise ValueError(f"token width {x0.shape[0]} does not match spec width {spec.width}")
-    logits = x0.T @ spec.logit_matrix() @ x0
-    return _softmax_columns(logits)
-
-
-def attention_stack(x0: np.ndarray, specs: list[list[AttentionSpec]]) -> np.ndarray:
-    """All attention matrices for one sequence, shape (L, H, T, T)."""
-    n_tokens = x0.shape[1]
-    depth = len(specs)
-    n_heads = len(specs[0])
-    omegas = np.empty((depth, n_heads, n_tokens, n_tokens))
-    for layer, row in enumerate(specs):
-        if len(row) != n_heads:
-            raise ValueError("every layer must have the same number of heads")
-        for head, spec in enumerate(row):
-            omegas[layer, head] = attention_matrix(x0, spec)
-    return omegas
-
-
 def attention_stack_batch(tokens: np.ndarray, specs: list[list[AttentionSpec]]) -> np.ndarray:
     """Attention matrices for a batch, tokens (P, width, T) -> (P, L, H, T, T).
 
-    Logits are batched as x^T M x per example; heads are independent.
+    Logits are batched as x^T M x per example; heads are independent.  Tokens
+    and specs may come from files, so their shapes are checked here.
     """
     tokens = np.asarray(tokens, dtype=float)
-    n_ex, _, n_tokens = tokens.shape
+    if tokens.ndim != 3:
+        raise ValueError(f"tokens must be (P, width, T), got shape {tokens.shape}")
+    n_ex, width, n_tokens = tokens.shape
     depth = len(specs)
     n_heads = len(specs[0])
     omegas = np.empty((n_ex, depth, n_heads, n_tokens, n_tokens))
     for layer, row in enumerate(specs):
+        if len(row) != n_heads:
+            raise ValueError("every layer must have the same number of heads")
         for head, spec in enumerate(row):
+            if spec.width != width:
+                raise ValueError(f"token width {width} does not match the width {spec.width} "
+                                 f"of layer {layer + 1} head {head + 1}")
             m = spec.logit_matrix()
             logits = np.einsum("pws,wv,pvt->pst", tokens, m, tokens, optimize=True)
             omegas[:, layer, head] = _softmax_columns(logits)

@@ -15,8 +15,10 @@ a product tree over layers for the effective rows Veff, never through the
 layerwise network.  The sampler is plain fixed-length leapfrog HMC with identity
 mass and dual-averaging step-size adaptation during warmup (target acceptance
 0.8); a proposal whose energy error exceeds the divergence threshold is
-rejected and counted.  Chains run independently from spawned seed substreams,
-initialized at prior draws.
+rejected and counted.  Chains run independently, initialized at prior draws.
+Streams are spawned from one root seed: the first n_chains substreams drive
+the chains (momenta and accept tests), the next n_chains draw the initial
+points, so no chain's momenta repeat its own starting point.
 
 The sampled order parameter is the empirical second moment of the per-path
 effective weights, U_est[pi, pi'] = (1/N) < Veff_pi . Veff_pi' >_samples,
@@ -32,6 +34,9 @@ import numpy as np
 from .kernel import compute_features, path_features
 from .model import AttentionSpec, Readout, attention_stack_batch, weight_parts
 
+TARGET_ACCEPT = 0.8
+MAX_ENERGY_ERROR = 1000.0
+
 
 @dataclass(frozen=True)
 class HmcConfig:
@@ -44,8 +49,6 @@ class HmcConfig:
     thin: int = 10
     n_leapfrog: int = 32
     step_size: float = 0.01
-    target_accept: float = 0.8
-    max_energy_error: float = 1000.0
     prior_only: bool = False
     seed: int = 0
 
@@ -60,8 +63,6 @@ class HmcConfig:
             raise ValueError("invalid sampler sizes")
         if self.step_size <= 0:
             raise ValueError(f"step_size must be > 0, got {self.step_size}")
-        if not 0 < self.target_accept < 1:
-            raise ValueError(f"target_accept must lie in (0, 1), got {self.target_accept}")
 
 
 def _row_tree(readout: np.ndarray, values: np.ndarray) -> list:
@@ -172,7 +173,7 @@ def _run_chain(logp_and_grad, q0: np.ndarray, config: HmcConfig,
             u_new = potential(q_new)
             h_new = u_new + 0.5 * float(p_new @ p_new)
         delta = h_new - h0
-        diverged = not np.isfinite(delta) or delta > config.max_energy_error
+        diverged = not np.isfinite(delta) or delta > MAX_ENERGY_ERROR
         accept_prob = 0.0 if diverged else min(1.0, float(np.exp(-delta)))
         if diverged:
             n_diverge += 1
@@ -183,7 +184,7 @@ def _run_chain(logp_and_grad, q0: np.ndarray, config: HmcConfig,
                 n_accept += 1
         if warming:
             m = it
-            h_bar = (1.0 - 1.0 / (m + t0)) * h_bar + (config.target_accept - accept_prob) / (m + t0)
+            h_bar = (1.0 - 1.0 / (m + t0)) * h_bar + (TARGET_ACCEPT - accept_prob) / (m + t0)
             log_eps = mu - np.sqrt(m) / gamma * h_bar
             eta = m**-kappa
             log_eps_bar = eta * log_eps + (1.0 - eta) * log_eps_bar
@@ -255,6 +256,7 @@ def hmc_sample(tokens: np.ndarray, labels: np.ndarray, specs: list[list[Attentio
 
     dim = n * width + depth * n_heads * n * n + n
     root = np.random.default_rng(config.seed)
+    root.spawn(config.n_chains)  # the chain streams, which run_hmc spawns again
     init_rngs = root.spawn(config.n_chains)
     q0s = [np.sqrt(config.sigma2) * r.standard_normal(dim) for r in init_rngs]
     results = run_hmc(logp_and_grad, q0s, config)

@@ -147,7 +147,7 @@ def energy_term(u1: np.ndarray, features: PathFeatureMatrix, y: np.ndarray,
         raise ValueError(f"labels must have shape ({p},), got {y.shape}")
     if temperature <= 0:
         raise ValueError(f"temperature must be > 0, got {temperature}")
-    k = total_kernel(u1, features).values
+    k = total_kernel(u1, features)
     c = _chol(k + temperature * np.eye(p))
     alpha_vec = sla.cho_solve((c, True), y, check_finite=False)
     return (_chol_logdet(c) + float(y @ alpha_vec)) / p
@@ -196,7 +196,7 @@ def _action_pieces(mats: list, features: PathFeatureMatrix, y: np.ndarray,
             grads[i + 1] += _block_trace(full, n_heads_lift)
 
     p = features.n_examples
-    k = total_kernel(mats[0], features).values
+    k = total_kernel(mats[0], features)
     c_m = _chol(k + config.temperature * np.eye(p))
     alpha_vec = sla.cho_solve((c_m, True), y, check_finite=False)
     energy = (_chol_logdet(c_m) + float(y @ alpha_vec)) / p

@@ -19,7 +19,7 @@ from attnpaths.model import (
     AttentionSpec,
     NetworkWeights,
     Readout,
-    attention_stack,
+    attention_stack_batch,
     forward_layerwise,
     network_output,
 )
@@ -138,7 +138,7 @@ def test_criterion_03_path_layer_equivalence():
         specs = [[AttentionSpec.direct(rng.standard_normal((width, width)), 1.0)
                   for _ in range(n_heads)] for _ in range(depth)]
         x0 = rng.standard_normal((width, n_tokens))
-        omegas = attention_stack(x0, specs)
+        omegas = attention_stack_batch(x0[None], specs)[0]
         weights = NetworkWeights.sample_prior(n_hidden, width, depth, n_heads, rng=rng)
         readout = Readout.token(int(rng.integers(0, n_tokens)))
         a = network_output(x0, weights, omegas, readout)
@@ -200,7 +200,7 @@ def test_criterion_07_kernel_ridge_oracle():
         u1 = _spd(rng, 4)
         y = rng.choice([-1.0, 1.0], size=20)
         t = 0.1
-        k = total_kernel(u1, feats).values
+        k = total_kernel(u1, feats)
         means = predictor_mean(k[:20, :20], k[20:, :20], y, t)
         ridge = k[20:, :20] @ np.linalg.solve(k[:20, :20] + t * np.eye(20), y)
         worst = max(worst, float(np.max(np.abs(means - ridge))
@@ -267,10 +267,10 @@ def test_criterion_10_psd_and_alignment_invariants(hmc_instance, solved_instance
     y = ds.train_labels.astype(float)
     worst_eig = 0.0
     for u1 in (params.u1, np.eye(4)):
-        k = total_kernel(u1, feats.train()).values
+        k = total_kernel(u1, feats.train())
         evals = np.linalg.eigvalsh(k)
         worst_eig = max(worst_eig, float(-evals.min() / max(1e-300, evals.max())))
-    k_solved = total_kernel(params.u1, feats.train()).values
+    k_solved = total_kernel(params.u1, feats.train())
     _, overlaps = kernel_task_alignment(k_solved, y)
     parseval = float(abs((overlaps**2).sum() - 1.0))
     ok = worst_eig <= 1e-8 and parseval <= 1e-8

@@ -3,7 +3,6 @@ import pytest
 
 from attnpaths.analysis import (
     HeadScoreTable,
-    gp_vs_renormalized,
     head_scores,
     prune_heads,
     surviving_paths,
@@ -11,7 +10,6 @@ from attnpaths.analysis import (
 from attnpaths.kernel import PathFeatureMatrix
 from attnpaths.paths import enumerate_paths, flat_index
 from attnpaths.predictor import evaluate_predictor
-from attnpaths.solver import SolverConfig
 
 
 def _features(rng, n_heads=2, depth=2, width=4, n_ex=9, n_train=6):
@@ -162,26 +160,3 @@ def test_prune_single_surviving_path():
     k = 2.0 * (phi.T @ phi)
     want = k[6:, :6] @ np.linalg.solve(k[:6, :6] + 0.1 * np.eye(6), y_train)
     assert np.allclose(report.means, want, atol=1e-10)
-
-
-def test_gp_vs_renormalized_rows():
-    rng = np.random.default_rng(6)
-    feats = _features(rng, n_heads=2, depth=1, n_ex=8, n_train=5)
-    y_train = rng.choice([-1.0, 1.0], size=5)
-    eval_idx = np.arange(5, 8)
-    eval_labels = rng.choice([-1, 1], size=3)
-    config = SolverConfig(alpha=0.0, temperature=0.1, max_iter=3000)
-    rows = gp_vs_renormalized(feats, y_train, eval_idx, eval_labels, config,
-                              alphas=[0.0, 2.0])
-    assert [r["alpha"] for r in rows] == [0.0, 2.0]
-    gp_row, solved_row = rows
-    assert gp_row["solver_used"] is False and gp_row["converged"] is None
-    assert np.array_equal(gp_row["u1"], np.eye(2))
-    assert solved_row["solver_used"] is True
-    assert solved_row["converged"] is not None
-    for row in rows:
-        assert 0.0 <= row["accuracy"] <= 1.0
-        assert abs((row["overlaps"] ** 2).sum() - 1.0) <= 1e-8
-        assert len(row["eigenvalues"]) == 5
-    with pytest.raises(ValueError):
-        gp_vs_renormalized(feats, y_train, eval_idx, eval_labels, config, alphas=[1.0])

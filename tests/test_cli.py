@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -186,14 +187,14 @@ def test_sample_end_to_end(tmp_path):
     })
     rc = main(["sample", "--config", str(cfg), "--out", str(out)])
     assert rc == 0
-    for name in ["u_est.csv", "u_est.apkk", "chains.csv", "predictor_empirical.csv",
-                 "sample_summary.json"]:
+    for name in ["u_est.csv", "chains.csv", "predictor_empirical.csv", "sample_summary.json"]:
         assert (out / name).exists(), name
     summary = json.loads((out / "sample_summary.json").read_text())
     assert summary["n_kept"] == 2 * 4
     assert len(summary["acceptance"]) == 2
-    values, meta, _ = fileio.read_kernel(out / "u_est.apkk")
-    assert values.shape == (4, 4)
+    with open(out / "u_est.csv") as fh:
+        rows = list(csv.reader(fh))[2:]  # after the digest line and the header
+    assert [len(row) - 1 for row in rows] == [4, 4, 4, 4]
     lines = (out / "predictor_empirical.csv").read_text().splitlines()
     assert len(lines) == 5  # digest + header + three eval examples
 
@@ -226,6 +227,15 @@ def test_pipeline_requires_test_examples(tmp_path, capsys):
     rc = main(["pipeline", "--config", str(cfg), "--out", str(out)])
     assert rc == 2
     assert "test examples" in capsys.readouterr().err
+
+
+def test_pipeline_rejects_attention_of_another_token_width(tmp_path, capsys):
+    _, other = _gen(tmp_path, out="other", task={"feature_width": 10})
+    cfg, out = _gen(tmp_path, attention={"source": "file",
+                                         "path": str(other / "attention.apkw")})
+    rc = main(["pipeline", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert "token width 18 does not match the width 16" in capsys.readouterr().err
 
 
 def test_missing_input_files(tmp_path, capsys):

@@ -3,18 +3,15 @@ import pytest
 
 from attnpaths.data import (
     HmcTaskConfig,
-    OneShotConfig,
     SequenceDataset,
     build_good_heads,
     build_hmc_attention,
-    build_one_shot_sequences,
     build_random_head,
     gen_hmc_dataset,
-    one_shot_label_vectors,
     sample_hidden_chain,
     state_vectors,
 )
-from attnpaths.model import attention_matrix
+from attnpaths.model import attention_stack_batch
 
 
 def _small_config(**overrides):
@@ -181,7 +178,7 @@ def test_good_layer2_attends_uniformly():
     cfg = _small_config()
     ds = gen_hmc_dataset(cfg, seed=10)
     _, layer2 = build_good_heads(cfg.feature_width, cfg.chain_length, cfg.beta)
-    omega = attention_matrix(ds.tokens[0], layer2)
+    omega = attention_stack_batch(ds.tokens[:1], [[layer2]])[0, 0, 0]
     assert np.allclose(omega, 1.0 / cfg.n_tokens, atol=1e-12)
 
 
@@ -193,7 +190,7 @@ def test_good_layer1_noiseless_attention():
     layer1, _ = build_good_heads(cfg.feature_width, cfg.chain_length, cfg.beta)
     v_plus, _ = state_vectors(cfg.feature_width)
     n0, t = cfg.feature_width, cfg.chain_length
-    omega = attention_matrix(ds.tokens[0], layer1)
+    omega = attention_stack_batch(ds.tokens[:1], [[layer1]])[0, 0, 0]
     states = (ds.tokens[0, :n0, 1:].T @ v_plus / n0 < 1.0).astype(int)
     for q in range(1, t):  # query position q holds chain step q-1
         same = states[q - 1] == states[q]
@@ -229,83 +226,3 @@ def test_build_hmc_attention_layout():
     assert not np.array_equal(specs[0][1].w, other[0][1].w)
     with pytest.raises(ValueError):
         build_hmc_attention(cfg, n_heads=2, depth=3, seed=0)
-
-
-def _episode_inputs(rng, n_ep=6, n_patches=4, width=12, n_classes=5):
-    patches = rng.standard_normal((n_ep, 3, n_patches, width))
-    classes = np.empty((n_ep, 3), dtype=int)
-    for e in range(n_ep):
-        a, b = rng.choice(n_classes, size=2, replace=False)
-        classes[e] = (a, b, a if rng.random() < 0.5 else b)
-    return patches, classes
-
-
-def test_one_shot_label_vectors_seeded():
-    cfg = OneShotConfig(feature_width=12, n_patches=4, seed=2)
-    v1 = one_shot_label_vectors(cfg)
-    v2 = one_shot_label_vectors(cfg)
-    for a, b in zip(v1, v2):
-        assert np.array_equal(a, b)
-    assert len(v1) == 3
-    other = one_shot_label_vectors(OneShotConfig(feature_width=12, n_patches=4, seed=3))
-    assert not np.array_equal(v1[0], other[0])
-
-
-def test_one_shot_sequences_layout_and_labels():
-    rng = np.random.default_rng(15)
-    cfg = OneShotConfig(feature_width=12, n_patches=4, seed=2)
-    patches, classes = _episode_inputs(rng)
-    ds = build_one_shot_sequences(patches, classes, cfg)
-    assert ds.tokens.shape == (6, 12, 12)  # 3 * n_patches token positions
-    assert ds.n_train == 6
-    assert set(np.unique(ds.labels)) <= {-1, 1}
-    # label is + exactly when the matched image carries v+
-    assignments = np.ones(6, dtype=bool)  # image 0 always +
-    ds_fixed = build_one_shot_sequences(patches, classes, cfg, assignments=assignments)
-    match0 = classes[:, 2] == classes[:, 0]
-    assert np.array_equal(ds_fixed.labels == 1, match0)
-    # flipping every assignment flips every label
-    ds_flip = build_one_shot_sequences(patches, classes, cfg, assignments=~assignments)
-    assert np.array_equal(ds_flip.labels, -ds_fixed.labels)
-
-
-def test_one_shot_token_contents():
-    rng = np.random.default_rng(16)
-    cfg = OneShotConfig(feature_width=12, n_patches=4, seed=2)
-    patches, classes = _episode_inputs(rng, n_ep=3)
-    assignments = np.array([True, False, True])
-    ds = build_one_shot_sequences(patches, classes, cfg, assignments=assignments)
-    v_plus, v_minus, v_query = one_shot_label_vectors(cfg)
-    # the positional code is shared, so differencing two token columns of the
-    # same position across label assignments isolates the label vectors
-    e = 0
-    tok = ds.tokens[e]
-    # query block carries patches + v? + pe; subtract a rebuilt sequence
-    from attnpaths.data import _sinusoidal_encoding
-    pe = _sinusoidal_encoding(12, 12, cfg.pe_base)
-    want = np.concatenate([
-        patches[e, 0] + v_plus, patches[e, 1] + v_minus, patches[e, 2] + v_query,
-    ]) + pe
-    assert np.allclose(tok, want.T, atol=1e-12)
-
-
-def test_one_shot_validation():
-    rng = np.random.default_rng(17)
-    cfg = OneShotConfig(feature_width=12, n_patches=4, seed=2)
-    patches, classes = _episode_inputs(rng)
-    bad = classes.copy()
-    bad[0, 1] = bad[0, 0]
-    with pytest.raises(ValueError):
-        build_one_shot_sequences(patches, bad, cfg)
-    stray = classes.copy()
-    stray[0, 2] = 99
-    with pytest.raises(ValueError):
-        build_one_shot_sequences(patches, stray, cfg)
-    with pytest.raises(ValueError):
-        build_one_shot_sequences(patches[:, :, :, :6], classes, cfg)
-    with pytest.raises(ValueError):
-        build_one_shot_sequences(patches[:, :, :2], classes, cfg)
-    with pytest.raises(ValueError):
-        build_one_shot_sequences(patches, classes, cfg, assignments=np.ones(3, dtype=bool))
-    with pytest.raises(ValueError):
-        OneShotConfig(feature_width=1, n_patches=4)

@@ -100,17 +100,6 @@ def test_features_round_trip(tmp_path):
     assert back.n_train == 3 and back.n_heads == 2 and back.depth == 2
 
 
-def test_kernel_round_trip(tmp_path):
-    rng = np.random.default_rng(4)
-    k = rng.standard_normal((5, 5))
-    p = tmp_path / "k.apkk"
-    fileio.write_kernel(p, k, n_heads=2, depth=2, width=7, digest=DIGEST)
-    values, meta, digest = fileio.read_kernel(p)
-    assert digest == DIGEST
-    assert np.array_equal(values, k)
-    assert meta == {"n_heads": 2, "depth": 2, "width": 7}
-
-
 def test_order_parameters_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     mats = []

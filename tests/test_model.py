@@ -6,8 +6,6 @@ from attnpaths.model import (
     NetworkWeights,
     Readout,
     _softmax_columns,
-    attention_matrix,
-    attention_stack,
     attention_stack_batch,
     attentioned_input,
     effective_weights,
@@ -58,10 +56,10 @@ def test_two_token_logit_gap():
     # zero W gives uniform columns; a logit gap of ln 3 gives (0.75, 0.25)
     width = 2
     x0 = np.eye(2)
-    uniform = attention_matrix(x0, AttentionSpec.direct(np.zeros((width, width)), 1.0))
+    uniform = attention_stack_batch(x0[None], [[AttentionSpec.direct(np.zeros((width, width)), 1.0)]])
     assert np.allclose(uniform, 0.5)
     w = np.diag([np.log(3.0), 0.0])
-    omega = attention_matrix(x0, AttentionSpec.direct(w, 1.0))
+    omega = attention_stack_batch(x0[None], [[AttentionSpec.direct(w, 1.0)]])[0, 0, 0]
     # column 0: logits (ln 3, 0) over the attended index
     assert np.allclose(omega[:, 0], [0.75, 0.25], atol=1e-12)
     assert np.allclose(omega[:, 1], [0.5, 0.5], atol=1e-12)
@@ -96,29 +94,39 @@ def test_qk_direct_equivalence():
     rng = np.random.default_rng(2)
     q = rng.standard_normal((4, 6))
     k = rng.standard_normal((4, 6))
-    x0 = rng.standard_normal((6, 5))
+    tokens = rng.standard_normal((2, 6, 5))
     qk = AttentionSpec.from_qk(q, k)
     direct = AttentionSpec.direct((k.T @ q) / (6 * np.sqrt(4)), 1.0)
-    assert np.allclose(attention_matrix(x0, qk), attention_matrix(x0, direct), atol=1e-12)
+    assert np.allclose(attention_stack_batch(tokens, [[qk]]),
+                       attention_stack_batch(tokens, [[direct]]), atol=1e-12)
 
 
 def test_attention_matrix_validation():
     spec = AttentionSpec.direct(np.eye(3), 1.0)
-    with pytest.raises(ValueError):
-        attention_matrix(np.zeros((4, 2)), spec)
-    with pytest.raises(ValueError):
-        attention_matrix(np.zeros(3), spec)
+    with pytest.raises(ValueError, match="token width 4 does not match the width 3"):
+        attention_stack_batch(np.zeros((1, 4, 2)), [[spec]])
+    with pytest.raises(ValueError, match="width 3 of layer 2 head 1"):
+        attention_stack_batch(np.zeros((1, 4, 2)), [[AttentionSpec.direct(np.eye(4), 1.0)], [spec]])
+    with pytest.raises(ValueError, match="tokens must be"):
+        attention_stack_batch(np.zeros((3, 2)), [[spec]])
+    with pytest.raises(ValueError, match="same number of heads"):
+        attention_stack_batch(np.zeros((1, 3, 2)), [[spec, spec], [spec]])
 
 
 def test_attention_stack_batch_matches_single():
+    # each example's matrices follow the definition: logit[s, t] = x_s @ M @ x_t,
+    # softmax over the attended index s
     rng = np.random.default_rng(3)
     specs = _random_specs(rng, depth=2, n_heads=3, width=4, form="qk")
     tokens = rng.standard_normal((6, 4, 5))
     batch = attention_stack_batch(tokens, specs)
     assert batch.shape == (6, 2, 3, 5, 5)
     for p in range(6):
-        single = attention_stack(tokens[p], specs)
-        assert np.allclose(batch[p], single, atol=1e-12)
+        x0 = tokens[p]
+        for layer, row in enumerate(specs):
+            for head, spec in enumerate(row):
+                e = np.exp(x0.T @ spec.logit_matrix() @ x0)
+                assert np.allclose(batch[p, layer, head], e / e.sum(axis=0), atol=1e-12)
     # every column of every attention matrix is a distribution
     assert np.allclose(batch.sum(axis=-2), 1.0, atol=1e-12)
     assert np.all(batch >= 0)
@@ -141,7 +149,7 @@ def test_attentioned_input_oracle():
     rng = np.random.default_rng(4)
     specs = _random_specs(rng, depth=3, n_heads=2, width=4)
     x0 = rng.standard_normal((4, 5))
-    omegas = attention_stack(x0, specs)
+    omegas = attention_stack_batch(x0[None], specs)[0]
     readout = Readout.token(1)
     path = (1, 0, 1)
     got = attentioned_input(x0, omegas, path, readout)
@@ -171,7 +179,7 @@ def test_path_sum_equals_layerwise():
         n_tokens = int(rng.integers(2, 5))
         specs = _random_specs(rng, depth, n_heads, width)
         x0 = rng.standard_normal((width, n_tokens))
-        omegas = attention_stack(x0, specs)
+        omegas = attention_stack_batch(x0[None], specs)[0]
         weights = NetworkWeights.sample_prior(n_hidden, width, depth, n_heads, rng=rng)
         readout = Readout.token(int(rng.integers(0, n_tokens)))
         a = network_output(x0, weights, omegas, readout)
@@ -185,7 +193,7 @@ def test_network_output_explicit_two_layer():
     width, n_hidden, n_tokens = 3, 2, 4
     specs = _random_specs(rng, 2, 2, width)
     x0 = rng.standard_normal((width, n_tokens))
-    omegas = attention_stack(x0, specs)
+    omegas = attention_stack_batch(x0[None], specs)[0]
     weights = NetworkWeights.sample_prior(n_hidden, width, 2, 2, rng=rng)
     readout = Readout.token(0)
     total = 0.0

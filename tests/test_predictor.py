@@ -110,7 +110,7 @@ def test_evaluate_predictor_matches_manual_blocks():
     t = 0.1
     report = evaluate_predictor(u1, feats, y_train, eval_idx, eval_labels, t,
                                 metadata={"tag": 7})
-    k = total_kernel(u1, feats).values
+    k = total_kernel(u1, feats)
     want_means = predictor_mean(k[:6, :6], k[6:, :6], y_train, t)
     want_vars = predictor_variance(k[:6, :6], k[6:, :6], np.diag(k)[6:], t)
     assert np.allclose(report.means, want_means, atol=1e-12)

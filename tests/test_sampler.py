@@ -215,6 +215,26 @@ def test_hmc_sample_bookkeeping():
     assert np.array_equal(post.samples, again.samples)
 
 
+def test_hmc_sample_momenta_do_not_repeat_initial_points(monkeypatch):
+    # the initial points and the chains' momenta come from distinct substreams
+    import attnpaths.sampler as sampler_mod
+
+    calls = []
+
+    def recording_leapfrog(grad_neg_logp, q, p, step_size, n_steps):
+        calls.append((q.copy(), p.copy()))
+        return leapfrog(grad_neg_logp, q, p, step_size, n_steps)
+
+    monkeypatch.setattr(sampler_mod, "leapfrog", recording_leapfrog)
+    rng = np.random.default_rng(11)
+    tokens, specs, labels, readout = _task(rng, n_ex=2)
+    config = HmcConfig(n_hidden=2, n_chains=2, n_warmup=0, n_samples=1, thin=1,
+                       prior_only=True, seed=3)
+    hmc_sample(tokens, labels, specs, readout, config)
+    q, p = calls[0]
+    assert not np.allclose(q, p)
+
+
 def test_hmc_sample_prior_only_moments():
     rng = np.random.default_rng(7)
     tokens, specs, labels, readout = _task(rng, n_ex=2)
@@ -298,5 +318,3 @@ def test_hmc_config_validation():
         HmcConfig(n_hidden=2, n_warmup=-1)
     with pytest.raises(ValueError):
         HmcConfig(n_hidden=2, step_size=0.0)
-    with pytest.raises(ValueError):
-        HmcConfig(n_hidden=2, target_accept=1.0)

@@ -68,7 +68,7 @@ def test_energy_term_explicit_inverse_oracle():
     y = _labels(rng, 6)
     u1 = _spd(rng, 4)
     t = 0.07
-    k = total_kernel(u1, feats).values
+    k = total_kernel(u1, feats)
     m = k + t * np.eye(6)
     want = (np.linalg.slogdet(m)[1] + y @ np.linalg.solve(m, y)) / 6
     got = energy_term(u1, feats, y, t)
@@ -316,9 +316,7 @@ def test_solve_nonfinite_action_raises_solver_failure(monkeypatch):
     import attnpaths.solver as solver_mod
 
     def nan_kernel(u1, features):
-        k = total_kernel(u1, features)
-        k.values[:] = np.nan
-        return k
+        return np.full_like(total_kernel(u1, features), np.nan)
 
     monkeypatch.setattr(solver_mod, "total_kernel", nan_kernel)
     with pytest.raises(SolverFailure):
