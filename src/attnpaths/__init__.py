@@ -26,6 +26,7 @@ from .kernel import (
     PathFeatureMatrix,
     compute_features,
     path_features,
+    path_pair_gram,
     total_kernel,
     kernel_blocks,
     kernel_task_alignment,

@@ -32,7 +32,7 @@ from . import fileio
 from .analysis import head_scores
 from .data import HmcTaskConfig, build_hmc_attention, gen_hmc_dataset
 from .kernel import PathFeatureMatrix, compute_features, kernel_task_alignment, total_kernel
-from .model import Readout
+from .model import Readout, check_specs
 from .predictor import DEFAULT_TEMPERATURE_GRID, evaluate_predictor, temperature_sweep
 from .sampler import HmcConfig, empirical_order_parameter, empirical_predictor, hmc_sample
 from .solver import SolverConfig, SolverFailure, solve_or_gp, solve_saddle
@@ -204,6 +204,7 @@ def cmd_gen_data(args) -> int:
         specs = build_hmc_attention(task, model["n_heads"], model["depth"], config["seed"])
     elif attn["source"] == "file":
         specs, _ = fileio.read_attention_specs(attn["path"])
+        check_specs(specs, dataset.token_width)
     else:
         raise ValueError(f"unknown attention source {attn['source']!r}")
     fileio.write_attention_specs(out / config["files"]["attention"], specs, digest)

@@ -6,8 +6,12 @@ the Bayesian predictor under a path-pair order parameter U is
 
     K = (1/H^L) sum_{pi, pi'} U[pi, pi'] Phi[pi].T @ Phi[pi']
 
-assembled by einsum from the stacked features.  The H^(2L) individual pair
-kernels are never materialized; memory stays O(H^L * width * P).
+assembled by einsum from the stacked features.  total_kernel and
+kernel_blocks never materialize the H^(2L) individual pair kernels; their
+memory stays O(H^L * width * P).  path_pair_gram does materialize them, for
+the training block only: H^(2L) * P^2 doubles, which the solver builds once
+per solve and only below its memory bound.  It is the one function here that
+loads scipy.
 """
 
 from __future__ import annotations
@@ -130,6 +134,25 @@ def total_kernel(u1: np.ndarray, features: PathFeatureMatrix) -> np.ndarray:
     lifted = np.tensordot(u1, features.values, axes=(1, 0))
     k = np.einsum("aim,ain->mn", features.values, lifted, optimize=True) / features.norm_paths
     return 0.5 * (k + k.T)
+
+
+def path_pair_gram(features: PathFeatureMatrix) -> np.ndarray:
+    """C[a, b] = Phi[a].T @ Phi[b] / norm_paths over the training block, shape (A, A, P, P).
+
+    One GEMM over the stacked training features; the total training kernel
+    under U is then sum_{ab} U[a, b] C[a, b].  Costs A^2 P^2 doubles for A paths.
+    The GEMM runs in scipy's BLAS, the runtime of the solve that reads C: a
+    numpy GEMM would leave numpy's OpenBLAS threads spinning, competing with
+    scipy's, well into the solve.
+    """
+    from scipy.linalg.blas import dgemm
+
+    n_paths, width, p = features.n_paths, features.width, features.n_train
+    phi = features.values[:, :, :p].transpose(1, 0, 2).reshape(width, n_paths * p)
+    # phi.T is Fortran-ordered, so dgemm reads it in place; the product is
+    # symmetric, so its C-ordered transpose is the Gram too
+    gram = dgemm(1.0 / features.norm_paths, phi.T, phi.T, trans_b=True).T
+    return np.ascontiguousarray(gram.reshape(n_paths, p, n_paths, p).transpose(0, 2, 1, 3))
 
 
 def kernel_blocks(u1: np.ndarray, features: PathFeatureMatrix,

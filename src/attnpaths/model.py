@@ -193,6 +193,18 @@ def _softmax_columns(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-2, keepdims=True)
 
 
+def check_specs(specs: list[list[AttentionSpec]], width: int) -> None:
+    """Raise ValueError unless every layer has the same head count and every
+    head reads tokens of this width; the message names both widths."""
+    for layer, row in enumerate(specs):
+        if len(row) != len(specs[0]):
+            raise ValueError("every layer must have the same number of heads")
+        for head, spec in enumerate(row):
+            if spec.width != width:
+                raise ValueError(f"token width {width} does not match the width {spec.width} "
+                                 f"of layer {layer + 1} head {head + 1}")
+
+
 def attention_stack_batch(tokens: np.ndarray, specs: list[list[AttentionSpec]]) -> np.ndarray:
     """Attention matrices for a batch, tokens (P, width, T) -> (P, L, H, T, T).
 
@@ -203,16 +215,10 @@ def attention_stack_batch(tokens: np.ndarray, specs: list[list[AttentionSpec]]) 
     if tokens.ndim != 3:
         raise ValueError(f"tokens must be (P, width, T), got shape {tokens.shape}")
     n_ex, width, n_tokens = tokens.shape
-    depth = len(specs)
-    n_heads = len(specs[0])
-    omegas = np.empty((n_ex, depth, n_heads, n_tokens, n_tokens))
+    check_specs(specs, width)
+    omegas = np.empty((n_ex, len(specs), len(specs[0]), n_tokens, n_tokens))
     for layer, row in enumerate(specs):
-        if len(row) != n_heads:
-            raise ValueError("every layer must have the same number of heads")
         for head, spec in enumerate(row):
-            if spec.width != width:
-                raise ValueError(f"token width {width} does not match the width {spec.width} "
-                                 f"of layer {layer + 1} head {head + 1}")
             m = spec.logit_matrix()
             logits = np.einsum("pws,wv,pvt->pst", tokens, m, tokens, optimize=True)
             omegas[:, layer, head] = _softmax_columns(logits)

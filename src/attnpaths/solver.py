@@ -20,6 +20,18 @@ with the analytic gradient, to scipy's L-BFGS-B (limited-memory quasi-Newton;
 the action is smooth in these parameters).  Gradients are analytic; ln det
 and solves go through Cholesky factorizations, and no explicit inverse
 appears outside the small per-level matrices.
+
+The solve loop runs in one BLAS runtime.  numpy and scipy each ship their
+own OpenBLAS with its own thread pool, and L-BFGS-B already runs in scipy's,
+so two pools taking turns on every evaluation cost more than the evaluation
+itself.  solve_saddle therefore builds the path-pair Gram once, with one GEMM
+in scipy's BLAS; each evaluation then forms the training kernel and dE/dU1 by
+plain einsum over it, which calls no BLAS, and factors K + T I with
+scipy.linalg.  Above GRAM_MAX_DOUBLES the Gram is not built and evaluations
+contract the features directly, as action and action_gradient always do (one
+evaluation never repays the Gram).  scipy is imported only inside the action
+and the solve; energy_term and everything outside the action use numpy, so
+commands that never solve never load scipy.
 """
 
 from __future__ import annotations
@@ -27,9 +39,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
-from .kernel import PathFeatureMatrix, total_kernel
+from .kernel import PathFeatureMatrix, path_pair_gram, total_kernel
+
+# Largest path-pair Gram (H^(2L) * P^2 doubles, 64 MiB) a solve builds; above
+# it each evaluation contracts the O(H^L * width * P) features instead.
+GRAM_MAX_DOUBLES = 2**23
 
 
 class SolverFailure(RuntimeError):
@@ -110,8 +125,13 @@ def _chol_logdet(c: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(c))))
 
 
+def _chol_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(c c^T)^-1 b for a lower Cholesky factor c, in numpy."""
+    return np.linalg.solve(c.T, np.linalg.solve(c, b))
+
+
 def _chol_inv(c: np.ndarray) -> np.ndarray:
-    inv = sla.cho_solve((c, True), np.eye(c.shape[0]), check_finite=False)
+    inv = _chol_solve(c, np.eye(c.shape[0]))
     return 0.5 * (inv + inv.T)
 
 
@@ -149,8 +169,7 @@ def energy_term(u1: np.ndarray, features: PathFeatureMatrix, y: np.ndarray,
         raise ValueError(f"temperature must be > 0, got {temperature}")
     k = total_kernel(u1, features)
     c = _chol(k + temperature * np.eye(p))
-    alpha_vec = sla.cho_solve((c, True), y, check_finite=False)
-    return (_chol_logdet(c) + float(y @ alpha_vec)) / p
+    return (_chol_logdet(c) + float(y @ _chol_solve(c, y))) / p
 
 
 def _block_trace(m: np.ndarray, n_blocks: int) -> np.ndarray:
@@ -163,13 +182,17 @@ def _block_trace(m: np.ndarray, n_blocks: int) -> np.ndarray:
 
 
 def _action_pieces(mats: list, features: PathFeatureMatrix, y: np.ndarray,
-                   config: SolverConfig, want_grad: bool):
+                   config: SolverConfig, want_grad: bool, gram: np.ndarray | None = None):
     """Action, entropy, energy and (optionally) per-level gradients.
 
     Each level is read through its symmetric part, so the action is invariant
     under U -> (U + U^T)/2 and the gradients (symmetric by construction) match
-    entry-wise central finite differences of the action at any point.
+    entry-wise central finite differences of the action at any point.  gram,
+    when given, is path_pair_gram(features) and the kernel is read from it;
+    otherwise the features are contracted directly.
     """
+    from scipy.linalg import cho_solve, cholesky
+
     s2inv = 1.0 / config.sigma2
     depth = len(mats) - 1
     mats = [0.5 * (m + m.T) for m in mats]
@@ -196,15 +219,24 @@ def _action_pieces(mats: list, features: PathFeatureMatrix, y: np.ndarray,
             grads[i + 1] += _block_trace(full, n_heads_lift)
 
     p = features.n_examples
-    k = total_kernel(mats[0], features)
-    c_m = _chol(k + config.temperature * np.eye(p))
-    alpha_vec = sla.cho_solve((c_m, True), y, check_finite=False)
+    if gram is None:
+        k = total_kernel(mats[0], features)
+    else:
+        # plain einsum: no BLAS call, so numpy's thread pool stays idle
+        k = np.einsum("ab,abmn->mn", mats[0], gram)
+        k = 0.5 * (k + k.T)
+    # raises scipy.linalg.LinAlgError, which is np.linalg.LinAlgError, on non-PD input
+    c_m = cholesky(k + config.temperature * np.eye(p), lower=True, check_finite=False)
+    alpha_vec = cho_solve((c_m, True), y, check_finite=False)
     energy = (_chol_logdet(c_m) + float(y @ alpha_vec)) / p
     if want_grad and config.alpha != 0.0:
-        m_inv = sla.cho_solve((c_m, True), np.eye(p), check_finite=False)
+        m_inv = cho_solve((c_m, True), np.eye(p), check_finite=False)
         g_k = (0.5 * (m_inv + m_inv.T) - np.outer(alpha_vec, alpha_vec)) / p
-        lifted = np.einsum("mn,bin->bim", g_k, features.values, optimize=True)
-        g_u = np.einsum("aim,bim->ab", features.values, lifted, optimize=True) / features.norm_paths
+        if gram is None:
+            lifted = np.einsum("mn,bin->bim", g_k, features.values, optimize=True)
+            g_u = np.einsum("aim,bim->ab", features.values, lifted, optimize=True) / features.norm_paths
+        else:
+            g_u = np.einsum("abmn,mn->ab", gram, g_k)
         grads[0] += config.alpha * g_u
 
     act = entropy + config.alpha * energy
@@ -282,7 +314,7 @@ def _split(x: np.ndarray, sizes: list) -> list:
 
 
 def _evaluate(x: np.ndarray, sizes: list, features: PathFeatureMatrix, y: np.ndarray,
-              config: SolverConfig):
+              config: SolverConfig, gram: np.ndarray | None):
     """The action at the flat raw factors x, or None where it is not finite.
 
     Returns ((action, entropy, energy, U-space gradient inf-norm), U levels,
@@ -292,7 +324,7 @@ def _evaluate(x: np.ndarray, sizes: list, features: PathFeatureMatrix, y: np.nda
     factors = _factors_from_raw(raws)
     mats = [f @ f.T for f in factors]
     try:
-        act, ent, ene, grads = _action_pieces(mats, features, y, config, want_grad=True)
+        act, ent, ene, grads = _action_pieces(mats, features, y, config, True, gram)
     except np.linalg.LinAlgError:
         # factors blew up or collapsed past float precision
         return None
@@ -328,6 +360,8 @@ def solve_saddle(features: PathFeatureMatrix, y: np.ndarray,
     if y.shape != (feats.n_examples,):
         raise ValueError(f"labels must have shape ({feats.n_examples},), got {y.shape}")
 
+    fits = (feats.n_paths * feats.n_examples) ** 2 <= GRAM_MAX_DOUBLES
+    gram = path_pair_gram(feats) if fits else None
     raws = _init_raws(features.n_heads, features.depth, config, np.random.default_rng(config.seed))
     sizes = [r.shape[0] for r in raws]
     x0 = np.concatenate([r.ravel() for r in raws])
@@ -340,7 +374,7 @@ def solve_saddle(features: PathFeatureMatrix, y: np.ndarray,
         key = x.tobytes()
         if key != last["key"]:
             n_eval += 1
-            last.update(key=key, point=_evaluate(x, sizes, feats, y, config))
+            last.update(key=key, point=_evaluate(x, sizes, feats, y, config, gram))
         return last["point"]
 
     def objective(x):

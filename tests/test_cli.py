@@ -1,9 +1,15 @@
 import csv
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import attnpaths
 from attnpaths import fileio
 from attnpaths.cli import DEFAULT_CONFIG, _merge_config, main
 
@@ -229,13 +235,44 @@ def test_pipeline_requires_test_examples(tmp_path, capsys):
     assert "test examples" in capsys.readouterr().err
 
 
-def test_pipeline_rejects_attention_of_another_token_width(tmp_path, capsys):
+def test_gen_data_rejects_attention_of_another_token_width(tmp_path, capsys):
     _, other = _gen(tmp_path, out="other", task={"feature_width": 10})
-    cfg, out = _gen(tmp_path, attention={"source": "file",
-                                         "path": str(other / "attention.apkw")})
+    cfg = _write_config(tmp_path, attention={"source": "file",
+                                             "path": str(other / "attention.apkw")})
+    rc = main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "token width 18 does not match the width 16" in capsys.readouterr().err
+
+
+def test_pipeline_rejects_attention_of_another_token_width(tmp_path, capsys):
+    # gen-data refuses such a file, so swap one in after a clean gen-data
+    _, other = _gen(tmp_path, out="other", task={"feature_width": 10})
+    cfg, out = _gen(tmp_path)
+    shutil.copyfile(other / "attention.apkw", out / "attention.apkw")
     rc = main(["pipeline", "--config", str(cfg), "--out", str(out)])
     assert rc == 2
     assert "token width 18 does not match the width 16" in capsys.readouterr().err
+
+
+def test_commands_that_never_solve_leave_scipy_unloaded(tmp_path):
+    # numpy and scipy each bring their own BLAS runtime; only the solve may load scipy's
+    cfg = _write_config(tmp_path, solver={"gp_limit": True},
+                        sampler={"n_chains": 1, "n_warmup": 2, "n_samples": 2, "thin": 1,
+                                 "n_leapfrog": 2})
+    probe = (
+        "import sys\n"
+        "from attnpaths.cli import main\n"
+        "loaded = ['scipy' in sys.modules]\n"
+        "for command in ('gen-data', 'pipeline', 'sample'):\n"
+        f"    assert main([command, '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'run')!r}]) == 0\n"
+        "    loaded.append('scipy' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    src = str(Path(attnpaths.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[False, False, False, False]"
 
 
 def test_missing_input_files(tmp_path, capsys):

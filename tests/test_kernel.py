@@ -8,6 +8,7 @@ from attnpaths.kernel import (
     compute_features,
     kernel_blocks,
     kernel_task_alignment,
+    path_pair_gram,
     total_kernel,
 )
 from attnpaths.model import (
@@ -100,6 +101,22 @@ def test_total_kernel_double_sum_oracle():
     want /= feats.norm_paths
     assert np.allclose(got, want, atol=1e-12)
     assert np.allclose(got, got.T, atol=0)
+
+
+def test_path_pair_gram_pair_products():
+    # training block only, divided by the kept denominator of a restricted matrix
+    rng = np.random.default_rng(30)
+    feats = _random_features(rng, n_ex=7, n_train=5).restrict_paths(np.array([3, 0, 2]),
+                                                                     renormalize=True)
+    gram = path_pair_gram(feats)
+    assert gram.shape == (3, 3, 5, 5)
+    train = feats.values[:, :, :5]
+    for i in range(3):
+        for j in range(3):
+            assert np.allclose(gram[i, j], train[i].T @ train[j] / 3, atol=1e-12)
+    u1 = rng.standard_normal((3, 3))
+    k = np.einsum("ab,abmn->mn", u1, gram)
+    assert np.allclose(0.5 * (k + k.T), total_kernel(u1, feats.train()), atol=1e-12)
 
 
 def test_total_kernel_linearity_in_u():

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from attnpaths.kernel import PathFeatureMatrix, total_kernel
+import attnpaths.solver as solver_mod
+from attnpaths.kernel import PathFeatureMatrix, path_pair_gram, total_kernel
 from attnpaths.paths import extend_order_parameter
 from attnpaths.solver import (
     OrderParameterSet,
@@ -313,14 +316,61 @@ def test_solve_nonfinite_action_raises_solver_failure(monkeypatch):
     with pytest.raises(SolverFailure):
         solve_saddle(nan_feats, y, config)
 
-    import attnpaths.solver as solver_mod
-
-    def nan_kernel(u1, features):
-        return np.full_like(total_kernel(u1, features), np.nan)
-
-    monkeypatch.setattr(solver_mod, "total_kernel", nan_kernel)
+    # a finite input whose kernel turns non-finite, on the Gram route and on
+    # the fallback that contracts the features at each evaluation
+    monkeypatch.setattr(solver_mod, "path_pair_gram",
+                        lambda features: np.full_like(path_pair_gram(features), np.nan))
     with pytest.raises(SolverFailure):
         solve_saddle(feats, y, config)
+
+    monkeypatch.setattr(solver_mod, "GRAM_MAX_DOUBLES", 0)
+    monkeypatch.setattr(solver_mod, "total_kernel",
+                        lambda u1, features: np.full_like(total_kernel(u1, features), np.nan))
+    with pytest.raises(SolverFailure):
+        solve_saddle(feats, y, config)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_heads=st.integers(1, 3), depth=st.integers(1, 2), p=st.integers(1, 9),
+       width=st.integers(1, 6), pruned=st.booleans(), seed=st.integers(0, 2**16))
+def test_gram_route_matches_feature_contraction_property(n_heads, depth, p, width, pruned, seed):
+    # the path-pair Gram and the direct contraction give the same action and
+    # gradients, also for pruned renormalized features and a nonsymmetric U
+    rng = np.random.default_rng(seed)
+    feats = _features(rng, n_heads, depth, width=width, n_ex=p + 2, n_train=p)
+    n_paths = feats.n_paths
+    if pruned and n_paths > 1:
+        # the action needs every level, so pruned paths keep zero feature rows;
+        # the kernel then equals that of restrict_paths(..., renormalize=True)
+        n_keep = int(rng.integers(1, n_paths))
+        values = feats.values.copy()
+        values[rng.choice(n_paths, size=n_paths - n_keep, replace=False)] = 0.0
+        feats = PathFeatureMatrix(values=values, n_train=p, n_heads=n_heads, depth=depth,
+                                  norm_paths=n_keep)
+    train = feats.train()
+    y = _labels(rng, p)
+    config = SolverConfig(alpha=1.7, temperature=0.3, sigma2=1.2)
+    mats = [_spd(rng, n_heads ** (depth - i)) for i in range(depth + 1)]
+    mats[0] = mats[0] + 0.3 * rng.standard_normal(mats[0].shape)
+    direct = solver_mod._action_pieces(mats, train, y, config, True)
+    via_gram = solver_mod._action_pieces(mats, train, y, config, True, path_pair_gram(feats))
+    assert via_gram[0] == pytest.approx(direct[0], rel=1e-12, abs=1e-12)
+    for got, want in zip(via_gram[3], direct[3]):
+        assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
+
+
+def test_solve_gram_and_fallback_agree(monkeypatch):
+    rng = np.random.default_rng(19)
+    feats = _features(rng, 2, 2, n_ex=10, n_train=8)
+    y = _labels(rng, 8)
+    config = SolverConfig(alpha=2.0, temperature=0.1)
+    params, trace = solve_saddle(feats, y, config)
+    monkeypatch.setattr(solver_mod, "path_pair_gram", None)   # must not be reached
+    monkeypatch.setattr(solver_mod, "GRAM_MAX_DOUBLES", 0)
+    params_fb, trace_fb = solve_saddle(feats, y, config)
+    assert trace.converged and trace_fb.converged
+    assert trace.n_iter == trace_fb.n_iter
+    assert np.max(np.abs(params.u1 - params_fb.u1)) <= 1e-10 * np.max(np.abs(params.u1))
 
 
 def test_solve_seeds_agree():
