@@ -39,6 +39,9 @@ from .solver import SolverConfig, SolverFailure, solve_or_gp, solve_saddle
 
 log = logging.getLogger("attnpaths")
 
+DATASET_FILE = "dataset.apkd"
+ATTENTION_FILE = "attention.apkw"
+
 DEFAULT_CONFIG = {
     "seed": 0,
     "model": {
@@ -50,7 +53,6 @@ DEFAULT_CONFIG = {
         "sigma2": 1.0,
     },
     "task": {
-        "kind": "hmc",
         "chain_length": 30,
         "feature_width": 200,
         "p_plus": 0.3,
@@ -62,14 +64,11 @@ DEFAULT_CONFIG = {
         "beta": 10.0,
     },
     "attention": {"source": "hmc-default", "path": None},
-    "files": {"dataset": "dataset.apkd", "attention": "attention.apkw"},
     "solver": {
         "alpha": None,
         "gp_limit": False,
         "temperature": 0.01,
         "max_iter": 20000,
-        "tolerance": 1e-7,
-        "jitter": 1e-3,
     },
     "sampler": {
         "n_chains": 10,
@@ -80,7 +79,6 @@ DEFAULT_CONFIG = {
         "step_size": 0.01,
         "temperature": 0.01,
         "prior_only": False,
-        "n_eval_examples": None,
     },
     "temperature_grid": list(DEFAULT_TEMPERATURE_GRID),
 }
@@ -127,18 +125,6 @@ def _prepare_out(args, config: dict, outputs: list) -> tuple[Path, str]:
     return out, digest
 
 
-def _task_config(config: dict) -> HmcTaskConfig:
-    task = config["task"]
-    if task["kind"] != "hmc":
-        raise ValueError(f"unsupported task kind {task['kind']!r} (the CLI generates the hidden-chain task)")
-    return HmcTaskConfig(
-        chain_length=task["chain_length"], feature_width=task["feature_width"],
-        p_plus=task["p_plus"], p_minus=task["p_minus"],
-        sigma_par=task["sigma_par"], sigma_perp=task["sigma_perp"],
-        n_train=task["n_train"], n_test=task["n_test"], beta=task["beta"],
-    )
-
-
 def _readout(config: dict) -> Readout:
     model = config["model"]
     if model["readout"] == "average":
@@ -153,23 +139,20 @@ def _solver_config(config: dict, n_train: int) -> SolverConfig:
         alpha = n_train / config["model"]["n_hidden"]
     return SolverConfig(
         alpha=float(alpha), temperature=s["temperature"], sigma2=config["model"]["sigma2"],
-        max_iter=s["max_iter"], tolerance=s["tolerance"], jitter=s["jitter"],
-        seed=config["seed"],
+        max_iter=s["max_iter"], seed=config["seed"],
     )
 
 
 def _resolve_input(out: Path, name: str) -> Path:
-    p = Path(name)
-    if not p.is_absolute():
-        p = out / p
+    p = out / name
     if not p.exists():
         raise FileNotFoundError(f"input file {p} not found")
     return p
 
 
 def _load_inputs(out: Path, config: dict):
-    dataset, _ = fileio.read_dataset(_resolve_input(out, config["files"]["dataset"]))
-    specs, _ = fileio.read_attention_specs(_resolve_input(out, config["files"]["attention"]))
+    dataset, _ = fileio.read_dataset(_resolve_input(out, DATASET_FILE))
+    specs, _ = fileio.read_attention_specs(_resolve_input(out, ATTENTION_FILE))
     model = config["model"]
     if len(specs) != model["depth"] or len(specs[0]) != model["n_heads"]:
         raise ValueError(
@@ -193,12 +176,12 @@ def _features_threaded(tokens: np.ndarray, specs, readout: Readout, n_train: int
 
 def cmd_gen_data(args) -> int:
     config = _load_config(args)
-    out, digest = _prepare_out(args, config, [config["files"]["dataset"], config["files"]["attention"]])
-    task = _task_config(config)
+    out, digest = _prepare_out(args, config, [DATASET_FILE, ATTENTION_FILE])
+    task = HmcTaskConfig(**config["task"])
     model = config["model"]
     log.info("generating hidden-chain dataset (P=%d train, %d test)", task.n_train, task.n_test)
     dataset = gen_hmc_dataset(task, config["seed"])
-    fileio.write_dataset(out / config["files"]["dataset"], dataset, digest)
+    fileio.write_dataset(out / DATASET_FILE, dataset, digest)
     attn = config["attention"]
     if attn["source"] == "hmc-default":
         specs = build_hmc_attention(task, model["n_heads"], model["depth"], config["seed"])
@@ -207,8 +190,8 @@ def cmd_gen_data(args) -> int:
         check_specs(specs, dataset.token_width)
     else:
         raise ValueError(f"unknown attention source {attn['source']!r}")
-    fileio.write_attention_specs(out / config["files"]["attention"], specs, digest)
-    log.info("wrote %s and %s", config["files"]["dataset"], config["files"]["attention"])
+    fileio.write_attention_specs(out / ATTENTION_FILE, specs, digest)
+    log.info("wrote %s and %s", DATASET_FILE, ATTENTION_FILE)
     return 0
 
 
@@ -301,13 +284,8 @@ def cmd_sample(args) -> int:
     out, digest = _prepare_out(args, config, outputs)
     dataset, specs = _load_inputs(out, config)
     readout = _readout(config)
-    s = config["sampler"]
-    hmc_config = HmcConfig(
-        n_hidden=config["model"]["n_hidden"], temperature=s["temperature"],
-        sigma2=config["model"]["sigma2"], n_chains=s["n_chains"], n_warmup=s["n_warmup"],
-        n_samples=s["n_samples"], thin=s["thin"], n_leapfrog=s["n_leapfrog"],
-        step_size=s["step_size"], prior_only=s["prior_only"], seed=config["seed"],
-    )
+    hmc_config = HmcConfig(n_hidden=config["model"]["n_hidden"], sigma2=config["model"]["sigma2"],
+                           seed=config["seed"], **config["sampler"])
     train = dataset.tokens[: dataset.n_train]
     log.info("sampling %d chains x (%d warmup + %d samples)",
              hmc_config.n_chains, hmc_config.n_warmup, hmc_config.n_samples)
@@ -321,12 +299,9 @@ def cmd_sample(args) -> int:
                        enumerate(zip(samples.acceptance, samples.divergences,
                                      samples.step_sizes))])
 
-    n_eval = dataset.n_examples - dataset.n_train
-    if s["n_eval_examples"] is not None:
-        n_eval = min(n_eval, int(s["n_eval_examples"]))
     rows = []
-    if n_eval > 0:
-        idx = dataset.test_indices[:n_eval]
+    if dataset.n_examples > dataset.n_train:
+        idx = dataset.test_indices
         means, variances = empirical_predictor(samples, dataset.tokens[idx], specs, readout)
         rows = [[int(i), float(m), float(v), int(l)] for i, m, v, l in
                 zip(idx, means, variances, dataset.labels[idx])]

@@ -2,7 +2,7 @@
 
 Every binary file starts with a four-byte magic, a little-endian u32 version,
 fixed-width header fields, and a 32-byte sha256 config digest, followed by
-row-major float64 payloads:
+row-major float64 payloads and nothing after them (readers reject trailing bytes):
 
     APKD  datasets          (feature width, token width, T, P, n_train, seed)
     APKW  attention specs   (L, H, form tag, token width, qk dim)
@@ -64,12 +64,17 @@ def _read_header(fh, magic: bytes, n_fields: int, path: str):
 
 
 def _read_array(fh, shape: tuple, path: str, dtype=np.float64) -> np.ndarray:
-    count = int(np.prod(shape))
-    want = count * np.dtype(dtype).itemsize
-    raw = fh.read(want)
-    if len(raw) < want:
-        raise FormatError(f"{path}: truncated payload, wanted {want} bytes got {len(raw)}")
-    return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+    out = np.empty(shape, dtype=dtype)
+    got = fh.readinto(out)
+    if got < out.nbytes:
+        raise FormatError(f"{path}: truncated payload, wanted {out.nbytes} bytes got {got}")
+    return out
+
+
+def _check_end(fh, path: str) -> None:
+    end = fh.tell()
+    if fh.read(1):
+        raise FormatError(f"{path}: trailing bytes after the payload at byte {end}")
 
 
 def write_dataset(path, dataset, digest: str = ZERO_DIGEST) -> None:
@@ -80,8 +85,8 @@ def write_dataset(path, dataset, digest: str = ZERO_DIGEST) -> None:
               dataset.n_examples, dataset.n_train, dataset.seed & (2**64 - 1)]
     with open(path, "wb") as fh:
         fh.write(_pack_header(b"APKD", fields, digest))
-        fh.write(np.ascontiguousarray(dataset.tokens, dtype=np.float64).tobytes())
-        fh.write(np.ascontiguousarray(dataset.labels, dtype=np.int8).tobytes())
+        fh.write(np.ascontiguousarray(dataset.tokens, dtype=np.float64))
+        fh.write(np.ascontiguousarray(dataset.labels, dtype=np.int8))
 
 
 def read_dataset(path):
@@ -91,6 +96,7 @@ def read_dataset(path):
         (n0, width, n_tok, n_ex, n_train, seed), digest = _read_header(fh, b"APKD", 6, str(path))
         tokens = _read_array(fh, (n_ex, width, n_tok), str(path))
         labels = _read_array(fh, (n_ex,), str(path), dtype=np.int8)
+        _check_end(fh, str(path))
     ds = SequenceDataset(tokens=tokens, labels=labels, n_train=int(n_train),
                          feature_width=int(n0), seed=int(seed))
     return ds, digest
@@ -116,10 +122,10 @@ def write_attention_specs(path, specs: list, digest: str = ZERO_DIGEST) -> None:
                 raise ValueError("all heads must share the token width")
             if direct:
                 fh.write(struct.pack("<d", s.beta))
-                fh.write(np.ascontiguousarray(s.w, dtype=np.float64).tobytes())
+                fh.write(np.ascontiguousarray(s.w, dtype=np.float64))
             else:
-                fh.write(np.ascontiguousarray(s.q, dtype=np.float64).tobytes())
-                fh.write(np.ascontiguousarray(s.k, dtype=np.float64).tobytes())
+                fh.write(np.ascontiguousarray(s.q, dtype=np.float64))
+                fh.write(np.ascontiguousarray(s.k, dtype=np.float64))
 
 
 def read_attention_specs(path):
@@ -143,6 +149,7 @@ def read_attention_specs(path):
                     k = _read_array(fh, (qk_dim, width), str(path))
                     row.append(AttentionSpec.from_qk(q, k))
             specs.append(row)
+        _check_end(fh, str(path))
     return specs, digest
 
 
@@ -151,8 +158,8 @@ def write_features(path, features: PathFeatureMatrix, digest: str = ZERO_DIGEST)
               features.n_train, features.norm_paths, features.n_paths]
     with open(path, "wb") as fh:
         fh.write(_pack_header(b"APKF", fields, digest))
-        fh.write(np.ascontiguousarray(features.path_flats, dtype=np.int64).tobytes())
-        fh.write(np.ascontiguousarray(features.values, dtype=np.float64).tobytes())
+        fh.write(np.ascontiguousarray(features.path_flats, dtype=np.int64))
+        fh.write(np.ascontiguousarray(features.values, dtype=np.float64))
 
 
 def read_features(path):
@@ -161,6 +168,7 @@ def read_features(path):
             fh, b"APKF", 7, str(path))
         flats = _read_array(fh, (n_paths,), str(path), dtype=np.int64)
         values = _read_array(fh, (n_paths, width, n_ex), str(path))
+        _check_end(fh, str(path))
     return PathFeatureMatrix(values=values, n_train=int(n_train), n_heads=int(n_heads),
                              depth=int(depth), path_flats=flats, norm_paths=int(norm)), digest
 
@@ -171,7 +179,7 @@ def write_order_parameters(path, params: OrderParameterSet, digest: str = ZERO_D
                                         len(params.matrices)], digest))
         for m in params.matrices:
             fh.write(struct.pack("<Q", m.shape[0]))
-            fh.write(np.ascontiguousarray(m, dtype=np.float64).tobytes())
+            fh.write(np.ascontiguousarray(m, dtype=np.float64))
 
 
 def read_order_parameters(path):
@@ -184,6 +192,7 @@ def read_order_parameters(path):
                 raise FormatError(f"{path}: truncated level header")
             (side,) = struct.unpack("<Q", raw)
             mats.append(_read_array(fh, (side, side), str(path)))
+        _check_end(fh, str(path))
     return OrderParameterSet(matrices=mats, n_heads=int(n_heads), depth=int(depth)), digest
 
 

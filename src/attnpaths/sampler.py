@@ -110,22 +110,24 @@ def log_posterior(q: np.ndarray, shape: tuple, phi: np.ndarray | None, labels: n
     return logp, grad
 
 
-def leapfrog(grad_neg_logp, q: np.ndarray, p: np.ndarray, step_size: float,
-             n_steps: int):
+def leapfrog(logp_and_grad, q: np.ndarray, p: np.ndarray, grad: np.ndarray,
+             step_size: float, n_steps: int):
     """Standard leapfrog for H = -logp(q) + |p|^2/2; time-reversible.
 
-    grad_neg_logp(q) returns the gradient of the potential (minus log density).
+    logp_and_grad(q) returns the log density and its gradient, and grad is that
+    gradient at the start point q.  Each step evaluates the density once; the
+    result is (q, p, logp, grad) at the end point.
     """
     q = q.copy()
-    p = p - 0.5 * step_size * grad_neg_logp(q)
+    p = p + 0.5 * step_size * grad
     for i in range(n_steps):
         q += step_size * p
-        g = grad_neg_logp(q)
+        logp, grad = logp_and_grad(q)
         if i < n_steps - 1:
-            p -= step_size * g
+            p += step_size * grad
         else:
-            p -= 0.5 * step_size * g
-    return q, p
+            p += 0.5 * step_size * grad
+    return q, p, logp, grad
 
 
 @dataclass
@@ -139,16 +141,8 @@ class _ChainResult:
 
 def _run_chain(logp_and_grad, q0: np.ndarray, config: HmcConfig,
                rng: np.random.Generator) -> _ChainResult:
-    def potential(q):
-        lp, _ = logp_and_grad(q)
-        return -lp
-
-    def grad_potential(q):
-        _, g = logp_and_grad(q)
-        return -g
-
     q = q0.copy()
-    u_q = potential(q)
+    logp, grad = logp_and_grad(q)
 
     # dual averaging constants (gamma, t0, kappa as in the standard scheme)
     gamma, t0, kappa = 0.05, 10.0, 0.75
@@ -166,20 +160,21 @@ def _run_chain(logp_and_grad, q0: np.ndarray, config: HmcConfig,
         warming = it <= config.n_warmup
         eps = float(np.exp(log_eps)) if warming else float(np.exp(log_eps_bar))
         p0 = rng.standard_normal(q.shape)
-        h0 = u_q + 0.5 * float(p0 @ p0)
+        h0 = -logp + 0.5 * float(p0 @ p0)
         # overflow in an exploding trajectory is caught by the divergence check
         with np.errstate(over="ignore", invalid="ignore"):
-            q_new, p_new = leapfrog(grad_potential, q, p0, eps, config.n_leapfrog)
-            u_new = potential(q_new)
-            h_new = u_new + 0.5 * float(p_new @ p_new)
+            q_new, p_new, logp_new, grad_new = leapfrog(logp_and_grad, q, p0, grad, eps,
+                                                        config.n_leapfrog)
+            h_new = -logp_new + 0.5 * float(p_new @ p_new)
         delta = h_new - h0
         diverged = not np.isfinite(delta) or delta > MAX_ENERGY_ERROR
-        accept_prob = 0.0 if diverged else min(1.0, float(np.exp(-delta)))
+        # min(1, exp(-delta)) without exp overflowing when the energy drops by
+        # more than 709
+        accept_prob = 0.0 if diverged else float(np.exp(min(0.0, -delta)))
         if diverged:
             n_diverge += 1
         elif rng.random() < accept_prob:
-            q = q_new
-            u_q = u_new
+            q, logp, grad = q_new, logp_new, grad_new
             if not warming:
                 n_accept += 1
         if warming:
@@ -191,7 +186,7 @@ def _run_chain(logp_and_grad, q0: np.ndarray, config: HmcConfig,
         else:
             if (it - config.n_warmup) % config.thin == 0:
                 kept.append(q.copy())
-                potentials.append(u_q)
+                potentials.append(-logp)
     return _ChainResult(
         samples=np.array(kept), potentials=np.array(potentials),
         acceptance=n_accept / config.n_samples, divergences=n_diverge,

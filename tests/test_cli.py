@@ -188,8 +188,7 @@ def test_sweep_gp_limit_skips_solver(tmp_path, monkeypatch):
 
 def test_sample_end_to_end(tmp_path):
     cfg, out = _gen(tmp_path, sampler={
-        "n_chains": 2, "n_warmup": 20, "n_samples": 20, "thin": 5,
-        "n_eval_examples": 3, "prior_only": True,
+        "n_chains": 2, "n_warmup": 20, "n_samples": 20, "thin": 5, "prior_only": True,
     })
     rc = main(["sample", "--config", str(cfg), "--out", str(out)])
     assert rc == 0
@@ -202,7 +201,7 @@ def test_sample_end_to_end(tmp_path):
         rows = list(csv.reader(fh))[2:]  # after the digest line and the header
     assert [len(row) - 1 for row in rows] == [4, 4, 4, 4]
     lines = (out / "predictor_empirical.csv").read_text().splitlines()
-    assert len(lines) == 5  # digest + header + three eval examples
+    assert len(lines) == 2 + TINY_TASK["n_test"]  # digest + header + every test example
 
 
 def test_verify_detects_matching_and_mismatched_digests(tmp_path, capsys):
@@ -217,6 +216,30 @@ def test_verify_detects_matching_and_mismatched_digests(tmp_path, capsys):
     (out / "u1.apku").write_bytes(bytes(blob))
     assert main(["verify", "--out", str(out)]) == 2
     assert "digest mismatch" in capsys.readouterr().err
+
+
+def test_verify_rejects_trailing_bytes(tmp_path, capsys):
+    cfg, out = _gen(tmp_path, solver={"gp_limit": True})
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+    for name, extra in (("u1.apku", b"garbage"), ("features.apkf", bytes(8))):
+        blob = (out / name).read_bytes()
+        (out / name).write_bytes(blob + extra)
+        assert main(["verify", "--out", str(out)]) == 2
+        assert f"trailing bytes after the payload at byte {len(blob)}" in capsys.readouterr().err
+        (out / name).write_bytes(blob)
+    assert main(["verify", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("removed", [
+    {"task": {"kind": "hmc"}}, {"files": {"dataset": "dataset.apkd"}},
+    {"files": {"attention": "attention.apkw"}}, {"solver": {"tolerance": 1e-7}},
+    {"solver": {"jitter": 1e-3}}, {"sampler": {"n_eval_examples": None}},
+])
+def test_removed_config_keys_are_unknown(tmp_path, capsys, removed):
+    cfg = _write_config(tmp_path, **removed)
+    assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert "unknown config key" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_verify_rejects_edited_config(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,6 +142,51 @@ def test_bad_magic_and_version_and_truncation(tmp_path):
     cut_payload.write_bytes(bytes(blob[:-9]))
     with pytest.raises(FormatError, match="truncated payload"):
         fileio.read_dataset(cut_payload)
+
+
+def test_readers_reject_trailing_bytes(tmp_path):
+    rng = np.random.default_rng(8)
+    specs = [[AttentionSpec.direct(rng.standard_normal((3, 3)), 1.0) for _ in range(2)]]
+    params = OrderParameterSet(matrices=[np.eye(2), np.eye(1)], n_heads=2, depth=1)
+    artifacts = [
+        ("d.apkd", fileio.write_dataset, _dataset(), fileio.read_dataset),
+        ("w.apkw", fileio.write_attention_specs, specs, fileio.read_attention_specs),
+        ("f.apkf", fileio.write_features, _features(rng), fileio.read_features),
+        ("u.apku", fileio.write_order_parameters, params, fileio.read_order_parameters),
+    ]
+    for name, write, obj, read in artifacts:
+        p = tmp_path / name
+        write(p, obj, DIGEST)
+        size = p.stat().st_size
+        assert read(p)[1] == DIGEST
+        with open(p, "ab") as fh:
+            fh.write(b"garbage")
+        with pytest.raises(FormatError, match=f"trailing bytes after the payload at byte {size}"):
+            read(p)
+
+
+def test_arrays_cross_the_file_boundary_without_a_bytes_copy(tmp_path):
+    # a reader fills the array it returns, and a writer hands the array itself
+    # to the file: neither holds a second copy of the payload
+    rng = np.random.default_rng(9)
+    feats = PathFeatureMatrix(values=rng.standard_normal((4, 64, 4096)), n_train=96,
+                              n_heads=2, depth=2)
+    payload = feats.values.nbytes
+    p = tmp_path / "f.apkf"
+    tracemalloc.start()
+    try:
+        fileio.write_features(p, feats, DIGEST)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back, _ = fileio.read_features(p)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert write_peak <= 0.25 * payload
+    assert read_peak <= 1.25 * payload
+    assert np.array_equal(back.values, feats.values)
+    for arr in (back.values, back.path_flats):
+        assert arr.flags.writeable and arr.flags.owndata
 
 
 def test_format_error_is_value_error():

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -97,15 +98,15 @@ def test_leapfrog_energy_error_scales_with_step():
     q0 = rng.standard_normal(5)
     p0 = rng.standard_normal(5)
 
-    def gradient(q):
-        return q
+    def logp_and_grad(q):
+        return -0.5 * float(q @ q), -q
 
     def h(q, p):
         return 0.5 * float(q @ q) + 0.5 * float(p @ p)
 
     errs = []
     for eps, n in ((0.1, 10), (0.01, 100), (0.001, 1000)):
-        q1, p1 = leapfrog(gradient, q0, p0, eps, n)
+        q1, p1, _, _ = leapfrog(logp_and_grad, q0, p0, -q0, eps, n)
         errs.append(abs(h(q1, p1) - h(q0, p0)))
     assert errs[0] < 1e-2
     assert errs[1] < 1e-4
@@ -119,12 +120,12 @@ def test_leapfrog_reversibility():
     a = rng.standard_normal((4, 4))
     prec = a @ a.T + 4 * np.eye(4)
 
-    def gradient(q):
-        return prec @ q
+    def logp_and_grad(q):
+        return -0.5 * float(q @ prec @ q), -prec @ q
 
     q_save, p_save = q0.copy(), p0.copy()
-    q1, p1 = leapfrog(gradient, q0, p0, 0.05, 30)
-    q2, p2 = leapfrog(gradient, q1, -p1, 0.05, 30)
+    q1, p1, _, g1 = leapfrog(logp_and_grad, q0, p0, -prec @ q0, 0.05, 30)
+    q2, p2, _, _ = leapfrog(logp_and_grad, q1, -p1, g1, 0.05, 30)
     assert np.max(np.abs(q2 - q0)) <= 1e-10
     assert np.max(np.abs(p2 + p0)) <= 1e-10
     # inputs are not mutated
@@ -169,6 +170,40 @@ def test_run_hmc_deterministic():
         assert ra.acceptance == rb.acceptance
     # chains use distinct substreams
     assert not np.array_equal(a[0].samples[-1], a[1].samples[-1])
+
+
+def test_run_hmc_evaluates_each_trajectory_point_once():
+    # one evaluation at each chain's start, then one per leapfrog step: the
+    # start of a trajectory reuses the end of the last accepted one
+    calls = []
+
+    def logp_and_grad(q):
+        calls.append(1)
+        return -0.5 * float(q @ q), -q
+
+    config = HmcConfig(n_hidden=1, temperature=1.0, n_chains=3, n_warmup=7, n_samples=5,
+                       thin=1, n_leapfrog=4, step_size=0.3, seed=2)
+    results = run_hmc(logp_and_grad, [np.full(2, float(i)) for i in range(3)], config)
+    assert len(calls) == 3 * (1 + (7 + 5) * 4)
+    # the carried density is the current point's, after accepts and rejects alike
+    for r in results:
+        for q, u in zip(r.samples, r.potentials):
+            assert u == 0.5 * float(q @ q)
+
+
+def test_run_hmc_large_energy_drop_raises_no_overflow_warning():
+    # from q0 = 100 one unit step lowers the energy by about 940, beyond where
+    # exp(-delta) overflows; the proposal is simply accepted
+    def logp_and_grad(q):
+        return -0.5 * float(q @ q), -q
+
+    config = HmcConfig(n_hidden=1, temperature=1.0, n_chains=1, n_warmup=0, n_samples=1,
+                       thin=1, n_leapfrog=1, step_size=1.0, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        (result,) = run_hmc(logp_and_grad, [np.array([100.0])], config)
+    assert result.acceptance == 1.0
+    assert result.divergences == 0
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -221,9 +256,9 @@ def test_hmc_sample_momenta_do_not_repeat_initial_points(monkeypatch):
 
     calls = []
 
-    def recording_leapfrog(grad_neg_logp, q, p, step_size, n_steps):
+    def recording_leapfrog(logp_and_grad, q, p, grad, step_size, n_steps):
         calls.append((q.copy(), p.copy()))
-        return leapfrog(grad_neg_logp, q, p, step_size, n_steps)
+        return leapfrog(logp_and_grad, q, p, grad, step_size, n_steps)
 
     monkeypatch.setattr(sampler_mod, "leapfrog", recording_leapfrog)
     rng = np.random.default_rng(11)
