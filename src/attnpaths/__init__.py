@@ -14,7 +14,6 @@ from .paths import (
     paths_through_head,
 )
 from .model import (
-    AttentionSpec,
     Readout,
     NetworkWeights,
     attentioned_input,

@@ -2,7 +2,7 @@
 
 Subcommands wrap the library stages file-to-file:
 
-    gen-data   task config -> dataset.apkd + attention.apkw
+    gen-data   task config -> dataset.apkd + attention.apkw (the attention logits)
     pipeline   dataset + attention -> features, solved U, predictor, alignment, head scores
     sweep      temperature grid -> per-temperature accuracy table
     sample     dataset + attention -> HMC posterior, empirical U (u_est.csv) and predictor
@@ -12,8 +12,9 @@ Shared flags: --config PATH, --seed INT, --out DIR, --force, --strict,
 --threads INT.  The resolved configuration is written next to the outputs and
 its sha256 digest is embedded in every artifact; reruns with identical config
 and seed produce byte-identical files.  The APK_LOG environment variable sets
-the log level.  Exit codes: 0 success, 2 config error (an attention file whose
-token width differs from the dataset's is one), 3 numeric failure, 4 I/O error.
+the log level.  Exit codes: 0 success, 2 config error (a value of the wrong
+JSON type, or attention logits whose token width differs from the dataset's),
+3 numeric failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from . import fileio
 from .analysis import head_scores
 from .data import HmcTaskConfig, build_hmc_attention, gen_hmc_dataset
 from .kernel import PathFeatureMatrix, compute_features, kernel_task_alignment, total_kernel
-from .model import Readout, check_specs
+from .model import Readout, check_logits
 from .predictor import DEFAULT_TEMPERATURE_GRID, evaluate_predictor, temperature_sweep
 from .sampler import HmcConfig, empirical_order_parameter, empirical_predictor, hmc_sample
 from .solver import SolverConfig, SolverFailure, solve_or_gp, solve_saddle
@@ -84,6 +85,24 @@ DEFAULT_CONFIG = {
 }
 
 
+# the type the code reads where the default is null
+NULL_DEFAULT_TYPES = {"solver.alpha": float, "attention.path": str}
+
+
+def _check_type(name: str, default, val) -> None:
+    """Raise ValueError unless val has its default's JSON type: a float default
+    also takes an int, a bool is never a number, and a null default takes null
+    or the type read there."""
+    want = NULL_DEFAULT_TYPES.get(name, type(default))
+    accepted = (int, float) if want is float else want
+    if not ((val is None and default is None)
+            or (isinstance(val, accepted) and isinstance(val, bool) == (want is bool))):
+        raise ValueError(f"config key {name} must be of type {want.__name__}, got {val!r}")
+    if want is list:
+        for item in val:
+            _check_type(f"{name}[]", default[0], item)
+
+
 def _merge_config(user: dict) -> dict:
     merged = json.loads(json.dumps(DEFAULT_CONFIG))
     for key, val in user.items():
@@ -95,8 +114,10 @@ def _merge_config(user: dict) -> dict:
             for sub, subval in val.items():
                 if sub not in merged[key]:
                     raise ValueError(f"unknown config key {key}.{sub}")
+                _check_type(f"{key}.{sub}", merged[key][sub], subval)
                 merged[key][sub] = subval
         else:
+            _check_type(key, merged[key], val)
             merged[key] = val
     return merged
 
@@ -126,10 +147,7 @@ def _prepare_out(args, config: dict, outputs: list) -> tuple[Path, str]:
 
 
 def _readout(config: dict) -> Readout:
-    model = config["model"]
-    if model["readout"] == "average":
-        return Readout.average()
-    return Readout.token(model["t_star"])
+    return Readout(kind=config["model"]["readout"], t_star=config["model"]["t_star"])
 
 
 def _solver_config(config: dict, n_train: int) -> SolverConfig:
@@ -152,55 +170,57 @@ def _resolve_input(out: Path, name: str) -> Path:
 
 def _load_inputs(out: Path, config: dict):
     dataset, _ = fileio.read_dataset(_resolve_input(out, DATASET_FILE))
-    specs, _ = fileio.read_attention_specs(_resolve_input(out, ATTENTION_FILE))
+    logits, _ = fileio.read_attention_specs(_resolve_input(out, ATTENTION_FILE))
     model = config["model"]
-    if len(specs) != model["depth"] or len(specs[0]) != model["n_heads"]:
+    if logits.shape[:2] != (model["depth"], model["n_heads"]):
         raise ValueError(
-            f"attention file has {len(specs)} layers x {len(specs[0])} heads, "
+            f"attention file has {logits.shape[0]} layers x {logits.shape[1]} heads, "
             f"config wants {model['depth']} x {model['n_heads']}")
-    return dataset, specs
+    return dataset, logits
 
 
-def _features_threaded(tokens: np.ndarray, specs, readout: Readout, n_train: int,
+def _features_threaded(tokens: np.ndarray, logits: np.ndarray, readout: Readout, n_train: int,
                        threads: int) -> PathFeatureMatrix:
     if threads <= 1 or len(tokens) < 2 * threads:
-        return compute_features(tokens, specs, readout, n_train)
+        return compute_features(tokens, logits, readout, n_train)
     splits = np.array_split(np.arange(len(tokens)), threads)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         parts = list(pool.map(
-            lambda idx: compute_features(tokens[idx], specs, readout, 0).values, splits))
+            lambda idx: compute_features(tokens[idx], logits, readout, 0).values, splits))
     values = np.concatenate(parts, axis=2)
     return PathFeatureMatrix(values=values, n_train=n_train,
-                             n_heads=len(specs[0]), depth=len(specs))
+                             n_heads=logits.shape[1], depth=logits.shape[0])
 
 
 def cmd_gen_data(args) -> int:
     config = _load_config(args)
-    out, digest = _prepare_out(args, config, [DATASET_FILE, ATTENTION_FILE])
     task = HmcTaskConfig(**config["task"])
     model = config["model"]
+    attn = config["attention"]
+    if attn["source"] == "hmc-default":
+        logits = build_hmc_attention(task, model["n_heads"], model["depth"], config["seed"])
+    elif attn["source"] != "file":
+        raise ValueError(f"unknown attention source {attn['source']!r}")
+    elif attn["path"] is None:
+        raise ValueError("attention source 'file' needs a path in attention.path")
+    else:
+        logits, _ = fileio.read_attention_specs(attn["path"])
+    check_logits(logits, task.token_width)
+    out, digest = _prepare_out(args, config, [DATASET_FILE, ATTENTION_FILE])
     log.info("generating hidden-chain dataset (P=%d train, %d test)", task.n_train, task.n_test)
     dataset = gen_hmc_dataset(task, config["seed"])
     fileio.write_dataset(out / DATASET_FILE, dataset, digest)
-    attn = config["attention"]
-    if attn["source"] == "hmc-default":
-        specs = build_hmc_attention(task, model["n_heads"], model["depth"], config["seed"])
-    elif attn["source"] == "file":
-        specs, _ = fileio.read_attention_specs(attn["path"])
-        check_specs(specs, dataset.token_width)
-    else:
-        raise ValueError(f"unknown attention source {attn['source']!r}")
-    fileio.write_attention_specs(out / ATTENTION_FILE, specs, digest)
+    fileio.write_attention_specs(out / ATTENTION_FILE, logits, digest)
     log.info("wrote %s and %s", DATASET_FILE, ATTENTION_FILE)
     return 0
 
 
 def _pipeline_features(out: Path, config: dict, digest: str, threads: int):
-    dataset, specs = _load_inputs(out, config)
+    dataset, logits = _load_inputs(out, config)
     readout = _readout(config)
-    features = _features_threaded(dataset.tokens, specs, readout, dataset.n_train, threads)
+    features = _features_threaded(dataset.tokens, logits, readout, dataset.n_train, threads)
     fileio.write_features(out / "features.apkf", features, digest)
-    return dataset, specs, features
+    return dataset, features
 
 
 def cmd_pipeline(args) -> int:
@@ -208,7 +228,7 @@ def cmd_pipeline(args) -> int:
     outputs = ["features.apkf", "u1.apku", "u1.csv", "trace.csv", "predictor.csv",
                "predictor_summary.json", "alignment.csv", "head_scores.csv"]
     out, digest = _prepare_out(args, config, outputs)
-    dataset, specs, features = _pipeline_features(out, config, digest, args.threads)
+    dataset, features = _pipeline_features(out, config, digest, args.threads)
     if dataset.n_examples == dataset.n_train:
         raise ValueError("the pipeline needs test examples; the dataset has none")
     y_train = dataset.train_labels.astype(float)
@@ -256,7 +276,7 @@ def cmd_pipeline(args) -> int:
 def cmd_sweep(args) -> int:
     config = _load_config(args)
     out, digest = _prepare_out(args, config, ["features.apkf", "sweep.csv", "sweep_summary.json"])
-    dataset, specs, features = _pipeline_features(out, config, digest, args.threads)
+    dataset, features = _pipeline_features(out, config, digest, args.threads)
     if dataset.n_examples == dataset.n_train:
         raise ValueError("the sweep needs validation examples; the dataset has none")
     solver_config = _solver_config(config, dataset.n_train)
@@ -282,14 +302,14 @@ def cmd_sample(args) -> int:
     config = _load_config(args)
     outputs = ["u_est.csv", "chains.csv", "predictor_empirical.csv", "sample_summary.json"]
     out, digest = _prepare_out(args, config, outputs)
-    dataset, specs = _load_inputs(out, config)
+    dataset, logits = _load_inputs(out, config)
     readout = _readout(config)
     hmc_config = HmcConfig(n_hidden=config["model"]["n_hidden"], sigma2=config["model"]["sigma2"],
                            seed=config["seed"], **config["sampler"])
     train = dataset.tokens[: dataset.n_train]
     log.info("sampling %d chains x (%d warmup + %d samples)",
              hmc_config.n_chains, hmc_config.n_warmup, hmc_config.n_samples)
-    samples = hmc_sample(train, dataset.train_labels.astype(float), specs, readout, hmc_config)
+    samples = hmc_sample(train, dataset.train_labels.astype(float), logits, readout, hmc_config)
 
     u_est = empirical_order_parameter(samples)
     fileio.write_u1_csv(out / "u_est.csv", u_est, samples.n_heads, samples.depth, digest)
@@ -302,7 +322,7 @@ def cmd_sample(args) -> int:
     rows = []
     if dataset.n_examples > dataset.n_train:
         idx = dataset.test_indices
-        means, variances = empirical_predictor(samples, dataset.tokens[idx], specs, readout)
+        means, variances = empirical_predictor(samples, dataset.tokens[idx], logits, readout)
         rows = [[int(i), float(m), float(v), int(l)] for i, m, v, l in
                 zip(idx, means, variances, dataset.labels[idx])]
     fileio.write_csv(out / "predictor_empirical.csv", digest,

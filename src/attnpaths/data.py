@@ -30,8 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AttentionSpec
-
 
 @dataclass(frozen=True)
 class HmcTaskConfig:
@@ -197,8 +195,8 @@ def _block_matrix(w_ff: np.ndarray, w_fp: np.ndarray, w_pf: np.ndarray,
 
 
 def build_good_heads(feature_width: int, chain_length: int,
-                     beta: float = 10.0) -> list[AttentionSpec]:
-    """The two handcrafted heads: state-matched successor/bos, then uniform."""
+                     beta: float = 10.0) -> list[np.ndarray]:
+    """The two handcrafted logit matrices: state-matched successor/bos, then uniform."""
     n0 = feature_width
     t = chain_length
     v_plus, v_minus = state_vectors(n0)
@@ -209,37 +207,32 @@ def build_good_heads(feature_width: int, chain_length: int,
     w_pp[0, :] = 1.5
     w_pp[np.arange(1, t + 1), np.arange(t)] = 1.0
     zeros_fp = np.zeros((n0, t + 1))
-    layer1 = AttentionSpec.direct(_block_matrix(w_ff, zeros_fp, zeros_fp.T, w_pp), beta)
-
-    layer2 = AttentionSpec.direct(
-        _block_matrix(np.zeros((n0, n0)), zeros_fp, zeros_fp.T, np.ones((t + 1, t + 1))), beta)
+    layer1 = beta * _block_matrix(w_ff, zeros_fp, zeros_fp.T, w_pp)
+    layer2 = beta * _block_matrix(np.zeros((n0, n0)), zeros_fp, zeros_fp.T,
+                                  np.ones((t + 1, t + 1)))
     return [layer1, layer2]
 
 
 def build_random_head(feature_width: int, chain_length: int,
-                      rng: np.random.Generator, beta: float = 10.0) -> AttentionSpec:
-    """One random head; block scales keep every logit contribution O(1)."""
+                      rng: np.random.Generator, beta: float = 10.0) -> np.ndarray:
+    """One random logit matrix; block scales keep every logit contribution O(1)."""
     n0 = feature_width
     t = chain_length
     w_ff = rng.standard_normal((n0, n0)) / n0
     w_fp = rng.standard_normal((n0, t + 1)) / np.sqrt(n0)
     w_pf = rng.standard_normal((t + 1, n0)) / np.sqrt(n0)
     w_pp = rng.standard_normal((t + 1, t + 1))
-    return AttentionSpec.direct(_block_matrix(w_ff, w_fp, w_pf, w_pp), beta)
+    return beta * _block_matrix(w_ff, w_fp, w_pf, w_pp)
 
 
 def build_hmc_attention(config: HmcTaskConfig, n_heads: int, depth: int,
-                        seed: int) -> list[list[AttentionSpec]]:
-    """Head 0 of each layer is the good head; the rest are random, seeded."""
+                        seed: int) -> np.ndarray:
+    """Logits (depth, n_heads, width, width): head 0 of each layer is the good
+    head, the rest are random, seeded."""
     if depth != 2:
         raise ValueError("the handcrafted heads are defined for depth 2")
     good = build_good_heads(config.feature_width, config.chain_length, config.beta)
     rng = np.random.default_rng(seed)
-    specs = []
-    for layer in range(depth):
-        row = [good[layer]]
-        for _ in range(1, n_heads):
-            row.append(build_random_head(config.feature_width, config.chain_length,
-                                         rng, config.beta))
-        specs.append(row)
-    return specs
+    return np.array([[good[layer]] + [
+        build_random_head(config.feature_width, config.chain_length, rng, config.beta)
+        for _ in range(1, n_heads)] for layer in range(depth)])

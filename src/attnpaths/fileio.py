@@ -5,7 +5,7 @@ fixed-width header fields, and a 32-byte sha256 config digest, followed by
 row-major float64 payloads and nothing after them (readers reject trailing bytes):
 
     APKD  datasets          (feature width, token width, T, P, n_train, seed)
-    APKW  attention specs   (L, H, form tag, token width, qk dim)
+    APKL  attention logits  (L, H, token width), in .apkw files
     APKF  path features     (H, L, width, P, n_train, norm, path flats)
     APKU  order parameters  (H, L, level count, sides)
 
@@ -25,7 +25,7 @@ import struct
 import numpy as np
 
 from .kernel import PathFeatureMatrix
-from .model import AttentionSpec
+from .model import check_logits
 from .paths import path_from_flat, path_label
 from .solver import OrderParameterSet
 
@@ -65,9 +65,11 @@ def _read_header(fh, magic: bytes, n_fields: int, path: str):
 
 def _read_array(fh, shape: tuple, path: str, dtype=np.float64) -> np.ndarray:
     out = np.empty(shape, dtype=dtype)
+    start = fh.tell()
     got = fh.readinto(out)
     if got < out.nbytes:
-        raise FormatError(f"{path}: truncated payload, wanted {out.nbytes} bytes got {got}")
+        raise FormatError(f"{path}: truncated payload at byte {start + got}, "
+                          f"wanted {out.nbytes} bytes from byte {start}")
     return out
 
 
@@ -102,55 +104,20 @@ def read_dataset(path):
     return ds, digest
 
 
-def write_attention_specs(path, specs: list, digest: str = ZERO_DIGEST) -> None:
-    """specs: list (layers) of lists (heads) of AttentionSpec, all the same form."""
-    depth = len(specs)
-    n_heads = len(specs[0])
-    flat = [s for row in specs for s in row]
-    if any(len(row) != n_heads for row in specs):
-        raise ValueError("every layer must have the same number of heads")
-    direct = flat[0].w is not None
-    if any((s.w is not None) != direct for s in flat):
-        raise ValueError("all heads in one file must use the same form")
-    width = flat[0].width
-    qk_dim = 0 if direct else flat[0].q.shape[0]
-    fields = [depth, n_heads, 1 if direct else 0, width, qk_dim]
+def write_attention_specs(path, logits: np.ndarray, digest: str = ZERO_DIGEST) -> None:
+    """logits: (L, H, width, width), logits[l, h] the logit matrix of head h in layer l."""
+    check_logits(logits)
     with open(path, "wb") as fh:
-        fh.write(_pack_header(b"APKW", fields, digest))
-        for s in flat:
-            if s.width != width:
-                raise ValueError("all heads must share the token width")
-            if direct:
-                fh.write(struct.pack("<d", s.beta))
-                fh.write(np.ascontiguousarray(s.w, dtype=np.float64))
-            else:
-                fh.write(np.ascontiguousarray(s.q, dtype=np.float64))
-                fh.write(np.ascontiguousarray(s.k, dtype=np.float64))
+        fh.write(_pack_header(b"APKL", list(np.shape(logits)[:3]), digest))
+        fh.write(np.ascontiguousarray(logits, dtype=np.float64))
 
 
 def read_attention_specs(path):
     with open(path, "rb") as fh:
-        (depth, n_heads, form, width, qk_dim), digest = _read_header(fh, b"APKW", 5, str(path))
-        if form not in (0, 1):
-            raise FormatError(f"{path}: unknown form tag {form} at byte 24")
-        specs = []
-        for _ in range(depth):
-            row = []
-            for _ in range(n_heads):
-                if form == 1:
-                    raw = fh.read(8)
-                    if len(raw) < 8:
-                        raise FormatError(f"{path}: truncated beta field")
-                    (beta,) = struct.unpack("<d", raw)
-                    w = _read_array(fh, (width, width), str(path))
-                    row.append(AttentionSpec.direct(w, beta))
-                else:
-                    q = _read_array(fh, (qk_dim, width), str(path))
-                    k = _read_array(fh, (qk_dim, width), str(path))
-                    row.append(AttentionSpec.from_qk(q, k))
-            specs.append(row)
+        (depth, n_heads, width), digest = _read_header(fh, b"APKL", 3, str(path))
+        logits = _read_array(fh, (depth, n_heads, width, width), str(path))
         _check_end(fh, str(path))
-    return specs, digest
+    return logits, digest
 
 
 def write_features(path, features: PathFeatureMatrix, digest: str = ZERO_DIGEST) -> None:
@@ -187,9 +154,10 @@ def read_order_parameters(path):
         (n_heads, depth, n_levels), digest = _read_header(fh, b"APKU", 3, str(path))
         mats = []
         for _ in range(n_levels):
+            start = fh.tell()
             raw = fh.read(8)
             if len(raw) < 8:
-                raise FormatError(f"{path}: truncated level header")
+                raise FormatError(f"{path}: truncated level header at byte {start + len(raw)}")
             (side,) = struct.unpack("<Q", raw)
             mats.append(_read_array(fh, (side, side), str(path)))
         _check_end(fh, str(path))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import AttentionSpec, Readout, attention_stack_batch
+from .model import Readout, attention_stack_batch, check_logits
 
 
 @dataclass
@@ -102,9 +102,9 @@ def path_features(tokens: np.ndarray, omegas: np.ndarray, readout: Readout) -> n
     return np.matmul(tokens, vecs).transpose(2, 1, 0) / np.sqrt(width)
 
 
-def compute_features(tokens: np.ndarray, specs: list[list[AttentionSpec]], readout: Readout,
+def compute_features(tokens: np.ndarray, logits: np.ndarray, readout: Readout,
                      n_train: int, chunk: int = 256) -> PathFeatureMatrix:
-    """Path features for every example; tokens has shape (P, width, T).
+    """Path features of tokens (P, width, T) under logits (L, H, width, width).
 
     Examples are processed in chunks: each chunk's attention stack is built
     and handed to path_features, which bounds the intermediate storage by the
@@ -115,13 +115,13 @@ def compute_features(tokens: np.ndarray, specs: list[list[AttentionSpec]], reado
     if tokens.ndim != 3:
         raise ValueError(f"tokens must be (P, width, T), got {tokens.shape}")
     n_ex, width, _ = tokens.shape
-    depth = len(specs)
-    n_heads = len(specs[0])
+    check_logits(logits, width)
+    depth, n_heads = np.shape(logits)[:2]
 
     values = np.empty((n_heads**depth, width, n_ex))
     for start in range(0, n_ex, chunk):
         block = tokens[start : start + chunk]
-        omegas = attention_stack_batch(block, specs)
+        omegas = attention_stack_batch(block, logits)
         values[:, :, start : start + block.shape[0]] = path_features(block, omegas, readout)
     return PathFeatureMatrix(values=values, n_train=n_train, n_heads=n_heads, depth=depth)
 

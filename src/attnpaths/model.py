@@ -3,10 +3,12 @@
 Tokens live in columns: a sequence is an array x0 of shape (width, T).
 Attention logits are always computed from the bare input sequence,
 
-    logit[s, t] = scale * x0[:, s] @ M @ x0[:, t]
+    logit[s, t] = x0[:, s] @ M @ x0[:, t]
 
 with the softmax normalized over the attended index s, so every column of an
-attention matrix sums to one.  Values are linear: layer l maps
+attention matrix sums to one.  One (L, H, width, width) array, logits, holds M
+for every head; a (G, width) query/key pair enters as M = K^T Q / (width sqrt(G)).
+Values are linear: layer l maps
 
     x_{l+1}[:, t] = (NH)^(-1/2) sum_h V_lh @ x_l @ Omega_lh[:, t]
 
@@ -30,61 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .paths import enumerate_paths
-
-
-@dataclass(frozen=True)
-class AttentionSpec:
-    """Attention logits for one head, in exactly one of two forms.
-
-    qk form:     logit scale 1/(width * sqrt(G)) with M = K^T Q, where Q and K
-                 are (G, width) and width is the dimension of the tokens the
-                 logits are computed from.
-    direct form: M = W (width, width) with explicit scale beta.
-    """
-
-    q: np.ndarray | None = None
-    k: np.ndarray | None = None
-    w: np.ndarray | None = None
-    beta: float | None = None
-
-    def __post_init__(self):
-        qk = self.q is not None or self.k is not None
-        direct = self.w is not None or self.beta is not None
-        if qk and direct:
-            raise ValueError("attention spec must use exactly one form, got both")
-        if qk:
-            if self.q is None or self.k is None:
-                raise ValueError("qk form needs both q and k")
-            if self.q.shape != self.k.shape or self.q.ndim != 2:
-                raise ValueError(f"q and k must share shape (G, width), got {self.q.shape} and {self.k.shape}")
-        elif direct:
-            if self.w is None or self.beta is None:
-                raise ValueError("direct form needs both w and beta")
-            if self.w.ndim != 2 or self.w.shape[0] != self.w.shape[1]:
-                raise ValueError(f"w must be square, got shape {self.w.shape}")
-            if not np.isfinite(self.beta):
-                raise ValueError(f"beta must be finite, got {self.beta}")
-        else:
-            raise ValueError("attention spec must populate the qk form or the direct form")
-
-    @classmethod
-    def from_qk(cls, q: np.ndarray, k: np.ndarray) -> "AttentionSpec":
-        return cls(q=np.asarray(q, dtype=float), k=np.asarray(k, dtype=float))
-
-    @classmethod
-    def direct(cls, w: np.ndarray, beta: float) -> "AttentionSpec":
-        return cls(w=np.asarray(w, dtype=float), beta=float(beta))
-
-    @property
-    def width(self) -> int:
-        return self.w.shape[0] if self.w is not None else self.q.shape[1]
-
-    def logit_matrix(self) -> np.ndarray:
-        """The scaled matrix M such that logit[s, t] = x_s @ M @ x_t."""
-        if self.w is not None:
-            return self.beta * self.w
-        g = self.q.shape[0]
-        return (self.k.T @ self.q) / (self.width * np.sqrt(g))
 
 
 @dataclass(frozen=True)
@@ -193,35 +140,37 @@ def _softmax_columns(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-2, keepdims=True)
 
 
-def check_specs(specs: list[list[AttentionSpec]], width: int) -> None:
-    """Raise ValueError unless every layer has the same head count and every
-    head reads tokens of this width; the message names both widths."""
-    for layer, row in enumerate(specs):
-        if len(row) != len(specs[0]):
-            raise ValueError("every layer must have the same number of heads")
-        for head, spec in enumerate(row):
-            if spec.width != width:
-                raise ValueError(f"token width {width} does not match the width {spec.width} "
-                                 f"of layer {layer + 1} head {head + 1}")
+def check_logits(logits: np.ndarray, width: int | None = None) -> None:
+    """Raise ValueError unless logits is an (L, H, width, width) array of finite
+    entries with L, H >= 1; a width mismatch message names both widths."""
+    shape = np.shape(logits)
+    if len(shape) != 4 or min(shape[:2]) < 1 or shape[2] != shape[3]:
+        raise ValueError(f"attention logits must have shape (L, H, width, width), got {shape}")
+    if width is not None and shape[2] != width:
+        raise ValueError(f"token width {width} does not match the width {shape[2]} of the logits")
+    if not np.all(np.isfinite(logits)):
+        raise ValueError("attention logits must be finite")
 
 
-def attention_stack_batch(tokens: np.ndarray, specs: list[list[AttentionSpec]]) -> np.ndarray:
+def attention_stack_batch(tokens: np.ndarray, logits: np.ndarray) -> np.ndarray:
     """Attention matrices for a batch, tokens (P, width, T) -> (P, L, H, T, T).
 
-    Logits are batched as x^T M x per example; heads are independent.  Tokens
-    and specs may come from files, so their shapes are checked here.
+    Scores are batched as x^T M x per example, M = logits[l, h]; heads are
+    independent.  Tokens and logits may come from files, so they are checked here.
     """
     tokens = np.asarray(tokens, dtype=float)
     if tokens.ndim != 3:
         raise ValueError(f"tokens must be (P, width, T), got shape {tokens.shape}")
     n_ex, width, n_tokens = tokens.shape
-    check_specs(specs, width)
-    omegas = np.empty((n_ex, len(specs), len(specs[0]), n_tokens, n_tokens))
-    for layer, row in enumerate(specs):
-        for head, spec in enumerate(row):
-            m = spec.logit_matrix()
-            logits = np.einsum("pws,wv,pvt->pst", tokens, m, tokens, optimize=True)
-            omegas[:, layer, head] = _softmax_columns(logits)
+    logits = np.asarray(logits, dtype=float)
+    check_logits(logits, width)
+    depth, n_heads = logits.shape[:2]
+    omegas = np.empty((n_ex, depth, n_heads, n_tokens, n_tokens))
+    for layer in range(depth):
+        for head in range(n_heads):
+            scores = np.einsum("pws,wv,pvt->pst", tokens, logits[layer, head], tokens,
+                               optimize=True)
+            omegas[:, layer, head] = _softmax_columns(scores)
     return omegas
 
 

@@ -4,7 +4,7 @@ The Gibbs posterior over all weights Theta = (V0, {V_lh}, a) is
 
     log p(Theta) = -(1/2T) sum_mu (f(x_mu; Theta) - y_mu)^2 - (1/2 sigma^2) |Theta|^2
 
-up to a constant; attention matrices are fixed by the (frozen) logit specs, so
+up to a constant; attention matrices are fixed by the (frozen) logits, so
 only the linear-value path is sampled, and the output is exactly linear in
 the path features Phi (kernel.path_features), computed once per training set:
 
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import compute_features, path_features
-from .model import AttentionSpec, Readout, attention_stack_batch, weight_parts
+from .model import Readout, attention_stack_batch, weight_parts
 
 TARGET_ACCEPT = 0.8
 MAX_ENERGY_ERROR = 1000.0
@@ -225,25 +225,24 @@ class PosteriorSamples:
         return weight_parts(self.samples, self.n_hidden, self.width, self.depth, self.n_heads)
 
 
-def hmc_sample(tokens: np.ndarray, labels: np.ndarray, specs: list[list[AttentionSpec]],
+def hmc_sample(tokens: np.ndarray, labels: np.ndarray, logits: np.ndarray,
                readout: Readout, config: HmcConfig) -> PosteriorSamples:
     """Sample the weight posterior on the given training set.
 
     tokens: (P, width, T).  Attention matrices and path features are computed
-    once from the specs and stay fixed; with prior_only the likelihood is
+    once from the logits and stay fixed; with prior_only the likelihood is
     switched off (the infinite-temperature limit), no attention or features
     are computed, and tokens are only used for shapes.
     """
     tokens = np.asarray(tokens, dtype=float)
     labels = np.asarray(labels, dtype=float)
-    depth = len(specs)
-    n_heads = len(specs[0])
+    depth, n_heads = np.shape(logits)[:2]
     width = tokens.shape[1]
     n = config.n_hidden
     shape = (n, width, depth, n_heads)
     phi = None
     if not config.prior_only:
-        omegas = attention_stack_batch(tokens, specs)
+        omegas = attention_stack_batch(tokens, logits)
         phi = path_features(tokens, omegas, readout).reshape(-1, len(tokens))
 
     def logp_and_grad(q):
@@ -278,9 +277,9 @@ def empirical_order_parameter(samples: PosteriorSamples, return_samples: bool = 
 
 
 def empirical_predictor(samples: PosteriorSamples, tokens: np.ndarray,
-                        specs: list[list[AttentionSpec]], readout: Readout):
+                        logits: np.ndarray, readout: Readout):
     """Posterior mean and variance of the output on new examples, all draws at once."""
-    phi = compute_features(tokens, specs, readout, 0).values.reshape(-1, len(tokens))
+    phi = compute_features(tokens, logits, readout, 0).values.reshape(-1, len(tokens))
     v0, values, a = samples.parts()
     m = _row_tree(a, values)[-1] @ v0
     scale = (samples.n_heads**samples.depth * samples.n_hidden ** (samples.depth + 1)) ** -0.5

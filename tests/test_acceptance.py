@@ -16,7 +16,6 @@ import pytest
 from attnpaths.data import HmcTaskConfig, build_hmc_attention, gen_hmc_dataset
 from attnpaths.kernel import PathFeatureMatrix, compute_features, kernel_task_alignment, total_kernel
 from attnpaths.model import (
-    AttentionSpec,
     NetworkWeights,
     Readout,
     attention_stack_batch,
@@ -65,9 +64,9 @@ def hmc_instance():
     """The pinned hidden-chain instance: P=100 train, 1000 test."""
     task = HmcTaskConfig()
     ds = gen_hmc_dataset(task, seed=100)
-    specs = build_hmc_attention(task, n_heads=2, depth=2, seed=9)
-    feats = compute_features(ds.tokens, specs, READOUT, ds.n_train)
-    return ds, specs, feats
+    logits = build_hmc_attention(task, n_heads=2, depth=2, seed=9)
+    feats = compute_features(ds.tokens, logits, READOUT, ds.n_train)
+    return ds, logits, feats
 
 
 @pytest.fixture(scope="module")
@@ -135,10 +134,9 @@ def test_criterion_03_path_layer_equivalence():
         width = int(rng.integers(2, 6))
         n_hidden = int(rng.integers(2, 5))
         n_tokens = int(rng.integers(2, 5))
-        specs = [[AttentionSpec.direct(rng.standard_normal((width, width)), 1.0)
-                  for _ in range(n_heads)] for _ in range(depth)]
+        logits = rng.standard_normal((depth, n_heads, width, width))
         x0 = rng.standard_normal((width, n_tokens))
-        omegas = attention_stack_batch(x0[None], specs)[0]
+        omegas = attention_stack_batch(x0[None], logits)[0]
         weights = NetworkWeights.sample_prior(n_hidden, width, depth, n_heads, rng=rng)
         readout = Readout.token(int(rng.integers(0, n_tokens)))
         a = network_output(x0, weights, omegas, readout)
@@ -213,8 +211,8 @@ def test_criterion_07_kernel_ridge_oracle():
 def test_criterion_08_sampler_theory_agreement():
     task = HmcTaskConfig(n_train=50, n_test=100)
     ds = gen_hmc_dataset(task, seed=100)
-    specs = build_hmc_attention(task, n_heads=2, depth=2, seed=9)
-    feats = compute_features(ds.tokens, specs, READOUT, ds.n_train)
+    logits = build_hmc_attention(task, n_heads=2, depth=2, seed=9)
+    feats = compute_features(ds.tokens, logits, READOUT, ds.n_train)
     y = ds.train_labels.astype(float)
 
     solver = SolverConfig(alpha=5.0, temperature=TEMPERATURE, seed=0)
@@ -222,7 +220,7 @@ def test_criterion_08_sampler_theory_agreement():
 
     hmc = HmcConfig(n_hidden=10, temperature=TEMPERATURE, n_chains=2,
                     n_warmup=200, n_samples=200, thin=5, seed=3)
-    post = hmc_sample(ds.tokens[:50], y, specs, READOUT, hmc)
+    post = hmc_sample(ds.tokens[:50], y, logits, READOUT, hmc)
     u_est = empirical_order_parameter(post)
 
     # compare signs on the off-diagonals the theory calls significant
@@ -234,7 +232,7 @@ def test_criterion_08_sampler_theory_agreement():
 
     theory = evaluate_predictor(params.u1, feats, y, ds.test_indices,
                                 ds.test_labels, TEMPERATURE).means
-    sampled, _ = empirical_predictor(post, ds.tokens[50:], specs, READOUT)
+    sampled, _ = empirical_predictor(post, ds.tokens[50:], logits, READOUT)
     corr = float(np.corrcoef(theory, sampled)[0, 1])
     ok = signs_ok and corr >= 0.95
     _report(8, "sampler vs theory", ok,
@@ -245,12 +243,11 @@ def test_criterion_08_sampler_theory_agreement():
 def test_criterion_09_prior_moment_sanity():
     rng = np.random.default_rng(4)
     tokens = rng.standard_normal((2, 20, 5))
-    specs = [[AttentionSpec.direct(rng.standard_normal((20, 20)), 1.0)
-              for _ in range(2)] for _ in range(2)]
+    logits = rng.standard_normal((2, 2, 20, 20))
     labels = np.array([1.0, -1.0])
     config = HmcConfig(n_hidden=10, temperature=TEMPERATURE, n_chains=2,
                        n_warmup=100, n_samples=500, thin=1, prior_only=True, seed=4)
-    post = hmc_sample(tokens, labels, specs, READOUT, config)
+    post = hmc_sample(tokens, labels, logits, READOUT, config)
     _, per = empirical_order_parameter(post, return_samples=True)
     n_batches = 10
     batch = per.reshape(n_batches, -1, 4, 4).mean(axis=1)

@@ -55,6 +55,74 @@ def test_merge_config_rejects_unknown_keys():
         _merge_config({"model": 7})
 
 
+def test_merge_config_checks_value_types():
+    accepted = [{"task": {"beta": 10}}, {"solver": {"alpha": 5}}, {"solver": {"alpha": 2.5}},
+                {"solver": {"alpha": None}}, {"attention": {"path": None}},
+                {"attention": {"path": "a.apkw"}}, {"temperature_grid": [1, 0.5]},
+                {"sampler": {"prior_only": True}}, {"seed": 3}]
+    for user in accepted:
+        _merge_config(user)
+    rejected = [
+        ({"task": {"n_train": "100"}}, "task.n_train"),
+        ({"task": {"n_train": 100.0}}, "task.n_train"),
+        ({"model": {"n_hidden": True}}, "model.n_hidden"),
+        ({"task": {"beta": True}}, "task.beta"),
+        ({"task": {"beta": None}}, "task.beta"),
+        ({"solver": {"gp_limit": 1}}, "solver.gp_limit"),
+        ({"solver": {"alpha": "5"}}, "solver.alpha"),
+        ({"solver": {"alpha": False}}, "solver.alpha"),
+        ({"attention": {"path": 3}}, "attention.path"),
+        ({"model": {"readout": ["token"]}}, "model.readout"),
+        ({"temperature_grid": 0.1}, "temperature_grid"),
+        ({"temperature_grid": [0.1, "1"]}, r"temperature_grid\[\]"),
+        ({"seed": "1"}, "seed"),
+        ({"seed": {"value": 1}}, "seed"),
+    ]
+    for user, key in rejected:
+        with pytest.raises(ValueError, match=f"config key {key} must be of type"):
+            _merge_config(user)
+
+
+@pytest.mark.parametrize("command,section", [
+    ("gen-data", {"task": {"n_train": "100"}}),
+    ("sample", {"sampler": {"n_chains": "2"}}),
+    ("pipeline", {"solver": {"max_iter": "5"}}),
+])
+def test_wrong_typed_config_value_exits_2_before_writing(tmp_path, capsys, command, section):
+    _, out = _gen(tmp_path)
+    before = sorted(p.name for p in out.iterdir())
+    record = (out / "config.resolved.json").read_bytes()
+    cfg = _write_config(tmp_path, **section)
+    assert main([command, "--config", str(cfg), "--out", str(out), "--force"]) == 2
+    key = ".".join([*section, *next(iter(section.values()))])
+    assert f"config key {key} must be of type int" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == before
+    assert (out / "config.resolved.json").read_bytes() == record
+
+
+def test_unknown_readout_kind_is_a_config_error(tmp_path, capsys):
+    cfg, out = _gen(tmp_path, model={"readout": "averge"})
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "readout kind must be 'token' or 'average', got 'averge'" in capsys.readouterr().err
+
+
+def test_gen_data_writes_nothing_when_attention_is_rejected(tmp_path, capsys):
+    _, other = _gen(tmp_path, out="other", task={"feature_width": 10})
+    cases = [
+        ({"source": "nowhere"}, "unknown attention source"),
+        ({"source": "file", "path": str(other / "attention.apkw")},
+         "token width 18 does not match the width 16"),
+        ({"source": "file", "path": None}, "attention.path"),
+    ]
+    for i, (attention, message) in enumerate(cases):
+        cfg = _write_config(tmp_path, attention=attention)
+        out = tmp_path / f"run{i}"
+        assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "dataset.apkd").exists()
+        assert not out.exists()
+
+
 def test_gen_data_writes_artifacts(tmp_path):
     cfg, out = _gen(tmp_path)
     assert (out / "dataset.apkd").exists()
@@ -65,8 +133,8 @@ def test_gen_data_writes_artifacts(tmp_path):
     ds, digest = fileio.read_dataset(out / "dataset.apkd")
     assert digest == record["config_digest"]
     assert ds.n_examples == 20 and ds.n_train == 12
-    specs, _ = fileio.read_attention_specs(out / "attention.apkw")
-    assert len(specs) == 2 and len(specs[0]) == 2
+    logits, _ = fileio.read_attention_specs(out / "attention.apkw")
+    assert logits.shape == (2, 2, 18, 18)
 
 
 def test_gen_data_deterministic(tmp_path):

@@ -148,27 +148,26 @@ def test_good_head_logit_structure():
     layer1, layer2 = build_good_heads(n0, t, beta)
     v_plus, v_minus = state_vectors(n0)
     d = v_plus - v_minus
-    w = layer1.w
-    assert layer1.beta == beta
+    w = layer1
     # feature block is rank one with v.d = n0 giving unit match logits
     ff = w[:n0, :n0]
     assert np.linalg.matrix_rank(ff) == 1
-    assert v_plus @ ff @ v_plus == pytest.approx(1.0)
-    assert v_minus @ ff @ v_minus == pytest.approx(1.0)
-    assert v_plus @ ff @ v_minus == pytest.approx(-1.0)
+    assert v_plus @ ff @ v_plus == pytest.approx(beta * 1.0)
+    assert v_minus @ ff @ v_minus == pytest.approx(beta * 1.0)
+    assert v_plus @ ff @ v_minus == pytest.approx(beta * -1.0)
     # bos row 3/2, successor subdiagonal 1
     pp = w[n0:, n0:]
-    assert np.all(pp[0, :] == 1.5)
-    assert np.all(pp[np.arange(1, t + 1), np.arange(t)] == 1.0)
-    assert pp.sum() == pytest.approx(1.5 * (t + 1) + t)
+    assert np.all(pp[0, :] == beta * 1.5)
+    assert np.all(pp[np.arange(1, t + 1), np.arange(t)] == beta * 1.0)
+    assert pp.sum() == pytest.approx(beta * (1.5 * (t + 1) + t))
     # cross blocks vanish
     assert np.all(w[:n0, n0:] == 0.0)
     assert np.all(w[n0:, :n0] == 0.0)
     # layer 2: positions all ones, features zero
-    w2 = layer2.w
+    w2 = layer2
     assert np.all(w2[:n0, :] == 0.0)
     assert np.all(w2[:, :n0] == 0.0)
-    assert np.all(w2[n0:, n0:] == 1.0)
+    assert np.all(w2[n0:, n0:] == beta * 1.0)
 
 
 def test_good_layer2_attends_uniformly():
@@ -178,7 +177,7 @@ def test_good_layer2_attends_uniformly():
     cfg = _small_config()
     ds = gen_hmc_dataset(cfg, seed=10)
     _, layer2 = build_good_heads(cfg.feature_width, cfg.chain_length, cfg.beta)
-    omega = attention_stack_batch(ds.tokens[:1], [[layer2]])[0, 0, 0]
+    omega = attention_stack_batch(ds.tokens[:1], layer2[None, None])[0, 0, 0]
     assert np.allclose(omega, 1.0 / cfg.n_tokens, atol=1e-12)
 
 
@@ -190,7 +189,7 @@ def test_good_layer1_noiseless_attention():
     layer1, _ = build_good_heads(cfg.feature_width, cfg.chain_length, cfg.beta)
     v_plus, _ = state_vectors(cfg.feature_width)
     n0, t = cfg.feature_width, cfg.chain_length
-    omega = attention_stack_batch(ds.tokens[:1], [[layer1]])[0, 0, 0]
+    omega = attention_stack_batch(ds.tokens[:1], layer1[None, None])[0, 0, 0]
     states = (ds.tokens[0, :n0, 1:].T @ v_plus / n0 < 1.0).astype(int)
     for q in range(1, t):  # query position q holds chain step q-1
         same = states[q - 1] == states[q]
@@ -201,28 +200,24 @@ def test_good_layer1_noiseless_attention():
 
 def test_random_head_block_scales():
     rng = np.random.default_rng(12)
-    n0, t = 400, 30
-    spec = build_random_head(n0, t, rng, beta=10.0)
-    w = spec.w
-    assert spec.beta == 10.0
-    assert abs(w[:n0, :n0].std() * n0 - 1.0) < 0.05
-    assert abs(w[:n0, n0:].std() * np.sqrt(n0) - 1.0) < 0.05
-    assert abs(w[n0:, :n0].std() * np.sqrt(n0) - 1.0) < 0.05
-    assert abs(w[n0:, n0:].std() - 1.0) < 0.05
+    n0, t, beta = 400, 30, 10.0
+    w = build_random_head(n0, t, rng, beta=beta)
+    assert abs(w[:n0, :n0].std() * n0 - beta * 1.0) < beta * 0.05
+    assert abs(w[:n0, n0:].std() * np.sqrt(n0) - beta * 1.0) < beta * 0.05
+    assert abs(w[n0:, :n0].std() * np.sqrt(n0) - beta * 1.0) < beta * 0.05
+    assert abs(w[n0:, n0:].std() - beta * 1.0) < beta * 0.05
 
 
 def test_build_hmc_attention_layout():
     cfg = _small_config()
-    specs = build_hmc_attention(cfg, n_heads=3, depth=2, seed=13)
-    assert len(specs) == 2 and all(len(row) == 3 for row in specs)
+    logits = build_hmc_attention(cfg, n_heads=3, depth=2, seed=13)
+    assert logits.shape == (2, 3, cfg.token_width, cfg.token_width)
     good = build_good_heads(cfg.feature_width, cfg.chain_length, cfg.beta)
     for layer in range(2):
-        assert np.array_equal(specs[layer][0].w, good[layer].w)
+        assert np.array_equal(logits[layer, 0], good[layer])
     again = build_hmc_attention(cfg, n_heads=3, depth=2, seed=13)
-    for layer in range(2):
-        for head in range(3):
-            assert np.array_equal(specs[layer][head].w, again[layer][head].w)
+    assert np.array_equal(logits, again)
     other = build_hmc_attention(cfg, n_heads=3, depth=2, seed=14)
-    assert not np.array_equal(specs[0][1].w, other[0][1].w)
+    assert not np.array_equal(logits[0, 1], other[0, 1])
     with pytest.raises(ValueError):
         build_hmc_attention(cfg, n_heads=2, depth=3, seed=0)

@@ -1,4 +1,5 @@
 import json
+import struct
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,6 @@ from attnpaths import fileio
 from attnpaths.data import HmcTaskConfig, gen_hmc_dataset
 from attnpaths.fileio import FormatError, ZERO_DIGEST, config_digest
 from attnpaths.kernel import PathFeatureMatrix
-from attnpaths.model import AttentionSpec
 from attnpaths.solver import OrderParameterSet, SolveTrace
 
 
@@ -52,40 +52,37 @@ def test_dataset_round_trip(tmp_path):
 
 def test_attention_specs_round_trip_direct(tmp_path):
     rng = np.random.default_rng(0)
-    specs = [[AttentionSpec.direct(rng.standard_normal((5, 5)), 1.5 + h)
-              for h in range(3)] for _ in range(2)]
+    logits = rng.standard_normal((2, 3, 5, 5)) * (1.5 + np.arange(3))[:, None, None]
     p = tmp_path / "w.apkw"
-    fileio.write_attention_specs(p, specs, DIGEST)
+    fileio.write_attention_specs(p, logits, DIGEST)
     back, digest = fileio.read_attention_specs(p)
     assert digest == DIGEST
-    assert len(back) == 2 and len(back[0]) == 3
-    for layer in range(2):
-        for head in range(3):
-            assert np.array_equal(back[layer][head].w, specs[layer][head].w)
-            assert back[layer][head].beta == specs[layer][head].beta
+    assert back.shape == (2, 3, 5, 5)
+    assert np.array_equal(back, logits)
+    # identical writes are byte-identical
+    p2 = tmp_path / "w2.apkw"
+    fileio.write_attention_specs(p2, logits, DIGEST)
+    assert p.read_bytes() == p2.read_bytes()
 
 
-def test_attention_specs_round_trip_qk(tmp_path):
-    rng = np.random.default_rng(1)
-    specs = [[AttentionSpec.from_qk(rng.standard_normal((2, 4)), rng.standard_normal((2, 4)))
-              for _ in range(2)]]
-    p = tmp_path / "w.apkw"
-    fileio.write_attention_specs(p, specs, DIGEST)
-    back, _ = fileio.read_attention_specs(p)
-    assert np.array_equal(back[0][1].q, specs[0][1].q)
-    assert np.array_equal(back[0][1].k, specs[0][1].k)
+def test_rejected_attention_write_leaves_no_file(tmp_path):
+    bad_values = np.zeros((1, 2, 3, 3))
+    bad_values[0, 1, 0, 0] = np.nan
+    for name, bad in [("flat.apkw", np.zeros((2, 3, 3))), ("wide.apkw", np.zeros((1, 2, 3, 4))),
+                      ("nan.apkw", bad_values)]:
+        with pytest.raises(ValueError):
+            fileio.write_attention_specs(tmp_path / name, bad, DIGEST)
+        assert not (tmp_path / name).exists()
 
 
-def test_attention_specs_mixed_forms_rejected(tmp_path):
-    rng = np.random.default_rng(2)
-    mixed = [[AttentionSpec.direct(np.eye(4), 1.0),
-              AttentionSpec.from_qk(rng.standard_normal((2, 4)), rng.standard_normal((2, 4)))]]
-    with pytest.raises(ValueError):
-        fileio.write_attention_specs(tmp_path / "w.apkw", mixed, DIGEST)
-    ragged = [[AttentionSpec.direct(np.eye(4), 1.0)],
-              [AttentionSpec.direct(np.eye(4), 1.0), AttentionSpec.direct(np.eye(4), 1.0)]]
-    with pytest.raises(ValueError):
-        fileio.write_attention_specs(tmp_path / "w2.apkw", ragged, DIGEST)
+def test_earlier_attention_layout_is_rejected(tmp_path):
+    # the earlier layout: magic APKW, header (L, H, form tag, width, qk dim),
+    # then one beta field and one (width, width) matrix per head
+    head = struct.pack("<4sI5Q", b"APKW", 1, 1, 1, 1, 2, 0) + bytes.fromhex(DIGEST)
+    p = tmp_path / "old.apkw"
+    p.write_bytes(head + struct.pack("<d", 10.0) + np.eye(2).tobytes())
+    with pytest.raises(FormatError, match="bad magic b'APKW' at byte 0"):
+        fileio.read_attention_specs(p)
 
 
 def test_features_round_trip(tmp_path):
@@ -144,13 +141,41 @@ def test_bad_magic_and_version_and_truncation(tmp_path):
         fileio.read_dataset(cut_payload)
 
 
-def test_readers_reject_trailing_bytes(tmp_path):
-    rng = np.random.default_rng(8)
-    specs = [[AttentionSpec.direct(rng.standard_normal((3, 3)), 1.0) for _ in range(2)]]
+def test_every_truncated_format_names_a_byte_offset(tmp_path):
+    rng = np.random.default_rng(7)
     params = OrderParameterSet(matrices=[np.eye(2), np.eye(1)], n_heads=2, depth=1)
     artifacts = [
         ("d.apkd", fileio.write_dataset, _dataset(), fileio.read_dataset),
-        ("w.apkw", fileio.write_attention_specs, specs, fileio.read_attention_specs),
+        ("w.apkw", fileio.write_attention_specs, rng.standard_normal((2, 2, 3, 3)),
+         fileio.read_attention_specs),
+        ("f.apkf", fileio.write_features, _features(rng), fileio.read_features),
+        ("u.apku", fileio.write_order_parameters, params, fileio.read_order_parameters),
+    ]
+    for name, write, obj, read in artifacts:
+        p = tmp_path / name
+        write(p, obj, DIGEST)
+        blob = p.read_bytes()
+        # every cut: inside the header, the first payload byte, mid payload, one short
+        for size in sorted({20, 80, len(blob) // 2, len(blob) - 9, len(blob) - 1}):
+            cut = tmp_path / f"cut-{size}-{name}"
+            cut.write_bytes(blob[:size])
+            with pytest.raises(FormatError, match=rf"truncated .* at byte {size}\b"):
+                read(cut)
+    # an order-parameter file cut inside its first level header, which follows
+    # the 64-byte header
+    cut = tmp_path / "cut-level.apku"
+    cut.write_bytes((tmp_path / "u.apku").read_bytes()[:68])
+    with pytest.raises(FormatError, match=r"truncated level header at byte 68\b"):
+        fileio.read_order_parameters(cut)
+
+
+def test_readers_reject_trailing_bytes(tmp_path):
+    rng = np.random.default_rng(8)
+    logits = rng.standard_normal((1, 2, 3, 3))
+    params = OrderParameterSet(matrices=[np.eye(2), np.eye(1)], n_heads=2, depth=1)
+    artifacts = [
+        ("d.apkd", fileio.write_dataset, _dataset(), fileio.read_dataset),
+        ("w.apkw", fileio.write_attention_specs, logits, fileio.read_attention_specs),
         ("f.apkf", fileio.write_features, _features(rng), fileio.read_features),
         ("u.apku", fileio.write_order_parameters, params, fileio.read_order_parameters),
     ]

@@ -12,7 +12,6 @@ from attnpaths.kernel import (
     total_kernel,
 )
 from attnpaths.model import (
-    AttentionSpec,
     Readout,
     attention_stack_batch,
     attentioned_input,
@@ -20,9 +19,8 @@ from attnpaths.model import (
 from attnpaths.paths import enumerate_paths
 
 
-def _random_specs(rng, depth, n_heads, width):
-    return [[AttentionSpec.direct(rng.standard_normal((width, width)), 0.8)
-             for _ in range(n_heads)] for _ in range(depth)]
+def _random_logits(rng, depth, n_heads, width):
+    return 0.8 * rng.standard_normal((depth, n_heads, width, width))
 
 
 def _random_features(rng, n_paths=4, width=3, n_ex=6, n_train=4, n_heads=2, depth=2):
@@ -35,16 +33,16 @@ def test_compute_features_matches_per_example_chains():
     # row (pi, :, mu) must equal xi_pi(x_mu) / sqrt(width) in canonical order
     rng = np.random.default_rng(0)
     depth, n_heads, width, n_tokens, n_ex = 2, 3, 4, 5, 7
-    specs = _random_specs(rng, depth, n_heads, width)
+    logits = _random_logits(rng, depth, n_heads, width)
     tokens = rng.standard_normal((n_ex, width, n_tokens))
     readout = Readout.token(2)
-    feats = compute_features(tokens, specs, readout, n_train=4)
+    feats = compute_features(tokens, logits, readout, n_train=4)
     assert feats.values.shape == (n_heads**depth, width, n_ex)
     assert feats.n_train == 4
     assert feats.norm_paths == n_heads**depth
     paths = enumerate_paths(n_heads, depth)
     for mu in range(n_ex):
-        omegas = attention_stack_batch(tokens[mu][None], specs)[0]
+        omegas = attention_stack_batch(tokens[mu][None], logits)[0]
         for i, path in enumerate(paths):
             xi = attentioned_input(tokens[mu], omegas, path, readout)
             assert np.allclose(feats.values[i, :, mu], xi / np.sqrt(width), atol=1e-12)
@@ -57,13 +55,13 @@ def test_compute_features_matches_per_example_chains():
 def test_compute_features_matches_attentioned_input_property(
         n_heads, depth, width, n_tokens, n_ex, chunk, t_star, seed):
     rng = np.random.default_rng(seed)
-    specs = _random_specs(rng, depth, n_heads, width)
+    logits = _random_logits(rng, depth, n_heads, width)
     tokens = rng.standard_normal((n_ex, width, n_tokens))
     readout = Readout.average() if t_star is None else Readout.token(t_star % n_tokens)
-    feats = compute_features(tokens, specs, readout, n_train=n_ex, chunk=chunk)
+    feats = compute_features(tokens, logits, readout, n_train=n_ex, chunk=chunk)
     assert feats.values.shape == (n_heads**depth, width, n_ex)
     for mu in range(n_ex):
-        omegas = attention_stack_batch(tokens[mu][None], specs)[0]
+        omegas = attention_stack_batch(tokens[mu][None], logits)[0]
         for i, path in enumerate(enumerate_paths(n_heads, depth)):
             xi = attentioned_input(tokens[mu], omegas, path, readout)
             scale = 1e-12 * (1 + np.max(np.abs(xi)))
@@ -72,19 +70,19 @@ def test_compute_features_matches_attentioned_input_property(
 
 def test_compute_features_chunking_invariance():
     rng = np.random.default_rng(1)
-    specs = _random_specs(rng, 2, 2, 3)
+    logits = _random_logits(rng, 2, 2, 3)
     tokens = rng.standard_normal((9, 3, 4))
     readout = Readout.average()
-    a = compute_features(tokens, specs, readout, n_train=5, chunk=256)
-    b = compute_features(tokens, specs, readout, n_train=5, chunk=2)
+    a = compute_features(tokens, logits, readout, n_train=5, chunk=256)
+    b = compute_features(tokens, logits, readout, n_train=5, chunk=2)
     assert np.array_equal(a.values, b.values)
 
 
 def test_compute_features_validation():
     rng = np.random.default_rng(2)
-    specs = _random_specs(rng, 1, 2, 3)
+    logits = _random_logits(rng, 1, 2, 3)
     with pytest.raises(ValueError):
-        compute_features(rng.standard_normal((3, 4)), specs, Readout.token(0), 1)
+        compute_features(rng.standard_normal((3, 4)), logits, Readout.token(0), 1)
 
 
 def test_total_kernel_double_sum_oracle():

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from attnpaths.model import (
-    AttentionSpec,
     NetworkWeights,
     Readout,
     _softmax_columns,
     attention_stack_batch,
     attentioned_input,
+    check_logits,
     effective_weights,
     forward_layerwise,
     network_output,
@@ -15,19 +17,8 @@ from attnpaths.model import (
 from attnpaths.paths import enumerate_paths
 
 
-def _random_specs(rng, depth, n_heads, width, form="direct"):
-    specs = []
-    for _ in range(depth):
-        row = []
-        for _ in range(n_heads):
-            if form == "direct":
-                row.append(AttentionSpec.direct(rng.standard_normal((width, width)), 1.3))
-            else:
-                g = 3
-                row.append(AttentionSpec.from_qk(rng.standard_normal((g, width)),
-                                                 rng.standard_normal((g, width))))
-        specs.append(row)
-    return specs
+def _random_logits(rng, depth, n_heads, width):
+    return 1.3 * rng.standard_normal((depth, n_heads, width, width))
 
 
 def test_softmax_columns_oracle():
@@ -56,77 +47,56 @@ def test_two_token_logit_gap():
     # zero W gives uniform columns; a logit gap of ln 3 gives (0.75, 0.25)
     width = 2
     x0 = np.eye(2)
-    uniform = attention_stack_batch(x0[None], [[AttentionSpec.direct(np.zeros((width, width)), 1.0)]])
+    uniform = attention_stack_batch(x0[None], np.zeros((1, 1, width, width)))
     assert np.allclose(uniform, 0.5)
     w = np.diag([np.log(3.0), 0.0])
-    omega = attention_stack_batch(x0[None], [[AttentionSpec.direct(w, 1.0)]])[0, 0, 0]
+    omega = attention_stack_batch(x0[None], w[None, None])[0, 0, 0]
     # column 0: logits (ln 3, 0) over the attended index
     assert np.allclose(omega[:, 0], [0.75, 0.25], atol=1e-12)
     assert np.allclose(omega[:, 1], [0.5, 0.5], atol=1e-12)
 
 
-def test_attention_spec_forms_and_validation():
-    rng = np.random.default_rng(1)
-    q = rng.standard_normal((3, 5))
-    k = rng.standard_normal((3, 5))
-    spec = AttentionSpec.from_qk(q, k)
-    assert spec.width == 5
-    assert np.allclose(spec.logit_matrix(), (k.T @ q) / (5 * np.sqrt(3)))
-    direct = AttentionSpec.direct(np.eye(4), 2.5)
-    assert direct.width == 4
-    assert np.allclose(direct.logit_matrix(), 2.5 * np.eye(4))
-    with pytest.raises(ValueError):
-        AttentionSpec(q=q, k=k, w=np.eye(5), beta=1.0)
-    with pytest.raises(ValueError):
-        AttentionSpec(q=q)
-    with pytest.raises(ValueError):
-        AttentionSpec(w=np.eye(3))
-    with pytest.raises(ValueError):
-        AttentionSpec.direct(np.zeros((2, 3)), 1.0)
-    with pytest.raises(ValueError):
-        AttentionSpec.direct(np.eye(2), np.inf)
-    with pytest.raises(ValueError):
-        AttentionSpec()
-
-
-def test_qk_direct_equivalence():
-    # a qk spec and the direct spec with the same scaled matrix attend identically
-    rng = np.random.default_rng(2)
-    q = rng.standard_normal((4, 6))
-    k = rng.standard_normal((4, 6))
-    tokens = rng.standard_normal((2, 6, 5))
-    qk = AttentionSpec.from_qk(q, k)
-    direct = AttentionSpec.direct((k.T @ q) / (6 * np.sqrt(4)), 1.0)
-    assert np.allclose(attention_stack_batch(tokens, [[qk]]),
-                       attention_stack_batch(tokens, [[direct]]), atol=1e-12)
-
-
 def test_attention_matrix_validation():
-    spec = AttentionSpec.direct(np.eye(3), 1.0)
+    logits = np.eye(3)[None, None]
     with pytest.raises(ValueError, match="token width 4 does not match the width 3"):
-        attention_stack_batch(np.zeros((1, 4, 2)), [[spec]])
-    with pytest.raises(ValueError, match="width 3 of layer 2 head 1"):
-        attention_stack_batch(np.zeros((1, 4, 2)), [[AttentionSpec.direct(np.eye(4), 1.0)], [spec]])
+        attention_stack_batch(np.zeros((1, 4, 2)), logits)
     with pytest.raises(ValueError, match="tokens must be"):
-        attention_stack_batch(np.zeros((3, 2)), [[spec]])
-    with pytest.raises(ValueError, match="same number of heads"):
-        attention_stack_batch(np.zeros((1, 3, 2)), [[spec, spec], [spec]])
+        attention_stack_batch(np.zeros((3, 2)), logits)
+    for bad in (np.eye(3), np.zeros((2, 3, 3)), np.zeros((1, 1, 1, 3, 3)),
+                np.zeros((1, 1, 3, 4)), np.zeros((0, 1, 3, 3)), np.zeros((1, 0, 3, 3))):
+        with pytest.raises(ValueError, match="must have shape"):
+            attention_stack_batch(np.zeros((1, 3, 2)), bad)
+    for value in (np.inf, -np.inf, np.nan):
+        heads = np.zeros((2, 2, 3, 3))
+        heads[1, 0, 2, 1] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            attention_stack_batch(np.zeros((1, 3, 2)), heads)
+    # without a width the check is of shape and values only
+    check_logits(np.zeros((2, 3, 5, 5)))
+    with pytest.raises(ValueError, match="token width 4 does not match the width 5"):
+        check_logits(np.zeros((2, 3, 5, 5)), 4)
 
 
-def test_attention_stack_batch_matches_single():
+@settings(max_examples=40, deadline=None)
+@given(depth=st.integers(1, 3), n_heads=st.integers(1, 3), width=st.integers(1, 5),
+       n_tokens=st.integers(1, 5), n_ex=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_attention_stack_batch_matches_single(depth, n_heads, width, n_tokens, n_ex, seed):
     # each example's matrices follow the definition: logit[s, t] = x_s @ M @ x_t,
     # softmax over the attended index s
-    rng = np.random.default_rng(3)
-    specs = _random_specs(rng, depth=2, n_heads=3, width=4, form="qk")
-    tokens = rng.standard_normal((6, 4, 5))
-    batch = attention_stack_batch(tokens, specs)
-    assert batch.shape == (6, 2, 3, 5, 5)
-    for p in range(6):
+    rng = np.random.default_rng(seed)
+    logits = rng.standard_normal((depth, n_heads, width, width))
+    tokens = rng.standard_normal((n_ex, width, n_tokens))
+    batch = attention_stack_batch(tokens, logits)
+    assert batch.shape == (n_ex, depth, n_heads, n_tokens, n_tokens)
+    for p in range(n_ex):
         x0 = tokens[p]
-        for layer, row in enumerate(specs):
-            for head, spec in enumerate(row):
-                e = np.exp(x0.T @ spec.logit_matrix() @ x0)
-                assert np.allclose(batch[p, layer, head], e / e.sum(axis=0), atol=1e-12)
+        for layer in range(depth):
+            for head in range(n_heads):
+                for t in range(n_tokens):
+                    scores = [x0[:, s] @ logits[layer, head] @ x0[:, t] for s in range(n_tokens)]
+                    e = np.exp(np.array(scores) - max(scores))
+                    assert np.allclose(batch[p, layer, head, :, t], e / e.sum(),
+                                       rtol=1e-12, atol=1e-12)
     # every column of every attention matrix is a distribution
     assert np.allclose(batch.sum(axis=-2), 1.0, atol=1e-12)
     assert np.all(batch >= 0)
@@ -147,9 +117,9 @@ def test_readout_column_weights():
 
 def test_attentioned_input_oracle():
     rng = np.random.default_rng(4)
-    specs = _random_specs(rng, depth=3, n_heads=2, width=4)
+    logits = _random_logits(rng, depth=3, n_heads=2, width=4)
     x0 = rng.standard_normal((4, 5))
-    omegas = attention_stack_batch(x0[None], specs)[0]
+    omegas = attention_stack_batch(x0[None], logits)[0]
     readout = Readout.token(1)
     path = (1, 0, 1)
     got = attentioned_input(x0, omegas, path, readout)
@@ -177,9 +147,9 @@ def test_path_sum_equals_layerwise():
         width = int(rng.integers(2, 6))
         n_hidden = int(rng.integers(2, 5))
         n_tokens = int(rng.integers(2, 5))
-        specs = _random_specs(rng, depth, n_heads, width)
+        logits = _random_logits(rng, depth, n_heads, width)
         x0 = rng.standard_normal((width, n_tokens))
-        omegas = attention_stack_batch(x0[None], specs)[0]
+        omegas = attention_stack_batch(x0[None], logits)[0]
         weights = NetworkWeights.sample_prior(n_hidden, width, depth, n_heads, rng=rng)
         readout = Readout.token(int(rng.integers(0, n_tokens)))
         a = network_output(x0, weights, omegas, readout)
@@ -191,9 +161,9 @@ def test_network_output_explicit_two_layer():
     # hand-rolled double loop over paths at H=2, L=2
     rng = np.random.default_rng(7)
     width, n_hidden, n_tokens = 3, 2, 4
-    specs = _random_specs(rng, 2, 2, width)
+    logits = _random_logits(rng, 2, 2, width)
     x0 = rng.standard_normal((width, n_tokens))
-    omegas = attention_stack_batch(x0[None], specs)[0]
+    omegas = attention_stack_batch(x0[None], logits)[0]
     weights = NetworkWeights.sample_prior(n_hidden, width, 2, 2, rng=rng)
     readout = Readout.token(0)
     total = 0.0

@@ -6,7 +6,6 @@ import pytest
 
 from attnpaths.kernel import path_features
 from attnpaths.model import (
-    AttentionSpec,
     NetworkWeights,
     Readout,
     attention_stack_batch,
@@ -30,9 +29,8 @@ from attnpaths.sampler import (
 def _setup(rng, n_ex=3, width=4, n_tokens=3, depth=2, n_heads=2, n_hidden=2,
            readout=Readout.token(1)):
     tokens = rng.standard_normal((n_ex, width, n_tokens))
-    specs = [[AttentionSpec.direct(rng.standard_normal((width, width)), 1.0)
-              for _ in range(n_heads)] for _ in range(depth)]
-    omegas = attention_stack_batch(tokens, specs)
+    logits = rng.standard_normal((depth, n_heads, width, width))
+    omegas = attention_stack_batch(tokens, logits)
     labels = rng.choice([-1.0, 1.0], size=n_ex)
     weights = NetworkWeights.sample_prior(n_hidden, width, depth, n_heads, rng=rng)
     phi = path_features(tokens, omegas, readout).reshape(-1, n_ex)
@@ -225,17 +223,16 @@ def test_divergences_counted_and_position_held():
 
 def _task(rng, n_ex, width=4, n_tokens=3, depth=2, n_heads=2):
     tokens = rng.standard_normal((n_ex, width, n_tokens))
-    specs = [[AttentionSpec.direct(rng.standard_normal((width, width)), 1.0)
-              for _ in range(n_heads)] for _ in range(depth)]
-    return tokens, specs, rng.choice([-1.0, 1.0], size=n_ex), Readout.token(1)
+    logits = rng.standard_normal((depth, n_heads, width, width))
+    return tokens, logits, rng.choice([-1.0, 1.0], size=n_ex), Readout.token(1)
 
 
 def test_hmc_sample_bookkeeping():
     rng = np.random.default_rng(6)
-    tokens, specs, labels, readout = _task(rng, n_ex=4)
+    tokens, logits, labels, readout = _task(rng, n_ex=4)
     config = HmcConfig(n_hidden=2, temperature=0.5, n_chains=3, n_warmup=20,
                        n_samples=30, thin=10, seed=4)
-    post = hmc_sample(tokens, labels, specs, readout, config)
+    post = hmc_sample(tokens, labels, logits, readout, config)
     assert post.n_kept == 3 * 3  # n_samples // thin per chain
     dim = 2 * 4 + 2 * 2 * 2 * 2 + 2
     assert post.samples.shape == (9, dim)
@@ -246,7 +243,7 @@ def test_hmc_sample_bookkeeping():
     v0, values, a = post.parts()
     assert v0.shape == (9, 2, 4) and values.shape == (9, 2, 2, 2, 2) and a.shape == (9, 2)
     # rerun is bit-identical
-    again = hmc_sample(tokens, labels, specs, readout, config)
+    again = hmc_sample(tokens, labels, logits, readout, config)
     assert np.array_equal(post.samples, again.samples)
 
 
@@ -262,20 +259,20 @@ def test_hmc_sample_momenta_do_not_repeat_initial_points(monkeypatch):
 
     monkeypatch.setattr(sampler_mod, "leapfrog", recording_leapfrog)
     rng = np.random.default_rng(11)
-    tokens, specs, labels, readout = _task(rng, n_ex=2)
+    tokens, logits, labels, readout = _task(rng, n_ex=2)
     config = HmcConfig(n_hidden=2, n_chains=2, n_warmup=0, n_samples=1, thin=1,
                        prior_only=True, seed=3)
-    hmc_sample(tokens, labels, specs, readout, config)
+    hmc_sample(tokens, labels, logits, readout, config)
     q, p = calls[0]
     assert not np.allclose(q, p)
 
 
 def test_hmc_sample_prior_only_moments():
     rng = np.random.default_rng(7)
-    tokens, specs, labels, readout = _task(rng, n_ex=2)
+    tokens, logits, labels, readout = _task(rng, n_ex=2)
     config = HmcConfig(n_hidden=3, temperature=0.01, sigma2=1.0, n_chains=4,
                        n_warmup=100, n_samples=500, thin=2, prior_only=True, seed=5)
-    post = hmc_sample(tokens, labels, specs, readout, config)
+    post = hmc_sample(tokens, labels, logits, readout, config)
     flat = post.samples.ravel()
     assert abs(flat.mean()) <= 0.05
     assert abs(flat.var() - 1.0) <= 0.1
@@ -326,11 +323,10 @@ def test_empirical_predictor_oracle():
     rng = np.random.default_rng(10)
     draws, post = _manual_samples(rng)
     tokens = rng.standard_normal((5, 4, 3))
-    specs = [[AttentionSpec.direct(rng.standard_normal((4, 4)), 1.0)
-              for _ in range(2)] for _ in range(2)]
+    logits = rng.standard_normal((2, 2, 4, 4))
     readout = Readout.token(0)
-    means, variances = empirical_predictor(post, tokens, specs, readout)
-    omegas = attention_stack_batch(tokens, specs)
+    means, variances = empirical_predictor(post, tokens, logits, readout)
+    omegas = attention_stack_batch(tokens, logits)
     outs = np.array([[network_output(tokens[mu], w, omegas[mu], readout)
                       for mu in range(5)] for w in draws])
     assert np.allclose(means, outs.mean(axis=0), atol=1e-10)
