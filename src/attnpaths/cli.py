@@ -13,8 +13,10 @@ Shared flags: --config PATH, --seed INT, --out DIR, --force, --strict,
 its sha256 digest is embedded in every artifact; reruns with identical config
 and seed produce byte-identical files.  The APK_LOG environment variable sets
 the log level.  Exit codes: 0 success, 2 config error (a value of the wrong
-JSON type, or attention logits whose token width differs from the dataset's),
-3 numeric failure, 4 I/O error.
+JSON type, or attention logits whose token width, depth or head count differs
+from the dataset's and the model's), 3 numeric failure, 4 I/O error.  Every
+command checks what it reads before it writes the resolved configuration, so
+a rejected command leaves the run directory as it was.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -168,15 +171,26 @@ def _resolve_input(out: Path, name: str) -> Path:
     return p
 
 
-def _load_inputs(out: Path, config: dict):
-    dataset, _ = fileio.read_dataset(_resolve_input(out, DATASET_FILE))
-    logits, _ = fileio.read_attention_specs(_resolve_input(out, ATTENTION_FILE))
-    model = config["model"]
+def _check_attention(logits: np.ndarray, model: dict, width: int) -> None:
+    """Raise ValueError unless the logits fit the token width and the model's
+    depth and head count."""
+    check_logits(logits, width)
     if logits.shape[:2] != (model["depth"], model["n_heads"]):
         raise ValueError(
             f"attention file has {logits.shape[0]} layers x {logits.shape[1]} heads, "
             f"config wants {model['depth']} x {model['n_heads']}")
-    return dataset, logits
+
+
+def _load_inputs(out: Path, config: dict):
+    """(dataset, logits, readout) of a run directory, checked against the config.
+    Commands call it before _prepare_out, so a rejected command leaves the
+    run's record as it was."""
+    dataset, _ = fileio.read_dataset(_resolve_input(out, DATASET_FILE))
+    logits, _ = fileio.read_attention_specs(_resolve_input(out, ATTENTION_FILE))
+    _check_attention(logits, config["model"], dataset.tokens.shape[1])
+    readout = _readout(config)
+    readout.column_weights(dataset.tokens.shape[2])  # rejects a t_star past the last token
+    return dataset, logits, readout
 
 
 def _features_threaded(tokens: np.ndarray, logits: np.ndarray, readout: Readout, n_train: int,
@@ -205,7 +219,7 @@ def cmd_gen_data(args) -> int:
         raise ValueError("attention source 'file' needs a path in attention.path")
     else:
         logits, _ = fileio.read_attention_specs(attn["path"])
-    check_logits(logits, task.token_width)
+    _check_attention(logits, model, task.token_width)
     out, digest = _prepare_out(args, config, [DATASET_FILE, ATTENTION_FILE])
     log.info("generating hidden-chain dataset (P=%d train, %d test)", task.n_train, task.n_test)
     dataset = gen_hmc_dataset(task, config["seed"])
@@ -215,24 +229,19 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _pipeline_features(out: Path, config: dict, digest: str, threads: int):
-    dataset, logits = _load_inputs(out, config)
-    readout = _readout(config)
-    features = _features_threaded(dataset.tokens, logits, readout, dataset.n_train, threads)
-    fileio.write_features(out / "features.apkf", features, digest)
-    return dataset, features
-
-
 def cmd_pipeline(args) -> int:
     config = _load_config(args)
     outputs = ["features.apkf", "u1.apku", "u1.csv", "trace.csv", "predictor.csv",
                "predictor_summary.json", "alignment.csv", "head_scores.csv"]
-    out, digest = _prepare_out(args, config, outputs)
-    dataset, features = _pipeline_features(out, config, digest, args.threads)
+    dataset, logits, readout = _load_inputs(Path(args.out), config)
     if dataset.n_examples == dataset.n_train:
         raise ValueError("the pipeline needs test examples; the dataset has none")
-    y_train = dataset.train_labels.astype(float)
     solver_config = _solver_config(config, dataset.n_train)
+    out, digest = _prepare_out(args, config, outputs)
+    features = _features_threaded(dataset.tokens, logits, readout, dataset.n_train, args.threads)
+    del logits  # not read again; the solve below is where memory peaks
+    fileio.write_features(out / "features.apkf", features, digest)
+    y_train = dataset.train_labels.astype(float)
 
     params, trace = solve_or_gp(features, y_train, solver_config, solve=solve_saddle,
                                 gp_limit=config["solver"]["gp_limit"])
@@ -275,15 +284,22 @@ def cmd_pipeline(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _load_config(args)
-    out, digest = _prepare_out(args, config, ["features.apkf", "sweep.csv", "sweep_summary.json"])
-    dataset, features = _pipeline_features(out, config, digest, args.threads)
+    dataset, logits, readout = _load_inputs(Path(args.out), config)
     if dataset.n_examples == dataset.n_train:
         raise ValueError("the sweep needs validation examples; the dataset has none")
     solver_config = _solver_config(config, dataset.n_train)
+    grid = tuple(config["temperature_grid"])
+    if not grid:
+        raise ValueError("temperature grid is empty")
+    for t in grid:
+        replace(solver_config, temperature=float(t))  # rejects a nonpositive temperature
+    out, digest = _prepare_out(args, config, ["features.apkf", "sweep.csv", "sweep_summary.json"])
+    features = _features_threaded(dataset.tokens, logits, readout, dataset.n_train, args.threads)
+    del logits  # not read again; the solve below is where memory peaks
+    fileio.write_features(out / "features.apkf", features, digest)
     result = temperature_sweep(
         features, dataset.train_labels.astype(float), dataset.test_indices,
-        dataset.test_labels, solver_config, grid=tuple(config["temperature_grid"]),
-        gp_limit=config["solver"]["gp_limit"])
+        dataset.test_labels, solver_config, grid=grid, gp_limit=config["solver"]["gp_limit"])
     fileio.write_sweep_csv(out / "sweep.csv", result, digest)
     fileio.write_json(out / "sweep_summary.json", {
         "best_temperature": result.best_temperature, "best_accuracy": result.best_accuracy,
@@ -301,11 +317,10 @@ def cmd_sweep(args) -> int:
 def cmd_sample(args) -> int:
     config = _load_config(args)
     outputs = ["u_est.csv", "chains.csv", "predictor_empirical.csv", "sample_summary.json"]
-    out, digest = _prepare_out(args, config, outputs)
-    dataset, logits = _load_inputs(out, config)
-    readout = _readout(config)
+    dataset, logits, readout = _load_inputs(Path(args.out), config)
     hmc_config = HmcConfig(n_hidden=config["model"]["n_hidden"], sigma2=config["model"]["sigma2"],
                            seed=config["seed"], **config["sampler"])
+    out, digest = _prepare_out(args, config, outputs)
     train = dataset.tokens[: dataset.n_train]
     log.info("sampling %d chains x (%d warmup + %d samples)",
              hmc_config.n_chains, hmc_config.n_warmup, hmc_config.n_samples)

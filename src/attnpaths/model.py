@@ -23,6 +23,13 @@ The same output decomposes over attention paths pi = (h_1, ..., h_L):
 with effective weights Veff_pi = N^(-L/2) a @ V_{L,h_L} @ ... @ V_{1,h_1} and
 attentioned inputs xi_pi = x0 @ Omega_{1,h_1} @ ... @ Omega_{L,h_L} read out
 at t*.  Both routes are implemented; they agree to floating-point accuracy.
+
+Cost: per example and head, a full T x T attention layer takes w^2 T + w T^2
+multiply-adds for token width w (x^T M x), and one column of it w^2 + w T.
+Since xi_pi reads Omega_{L,h_L} only through the readout's column weights,
+attention_stack_batch given a readout builds the last layer at the columns
+those weights read, one column for a token readout: at L = 2 that halves the
+stack.  Earlier layers are needed in full.
 """
 
 from __future__ import annotations
@@ -152,11 +159,15 @@ def check_logits(logits: np.ndarray, width: int | None = None) -> None:
         raise ValueError("attention logits must be finite")
 
 
-def attention_stack_batch(tokens: np.ndarray, logits: np.ndarray) -> np.ndarray:
+def attention_stack_batch(tokens: np.ndarray, logits: np.ndarray,
+                          readout: Readout | None = None) -> np.ndarray:
     """Attention matrices for a batch, tokens (P, width, T) -> (P, L, H, T, T).
 
     Scores are batched as x^T M x per example, M = logits[l, h]; heads are
-    independent.  Tokens and logits may come from files, so they are checked here.
+    independent.  With a readout, the last layer is built only at the query
+    columns the readout reads; the softmax normalizes each column on its own,
+    so those columns are the full stack's, and the other columns are 0.
+    Tokens and logits may come from files, so they are checked here.
     """
     tokens = np.asarray(tokens, dtype=float)
     if tokens.ndim != 3:
@@ -165,12 +176,16 @@ def attention_stack_batch(tokens: np.ndarray, logits: np.ndarray) -> np.ndarray:
     logits = np.asarray(logits, dtype=float)
     check_logits(logits, width)
     depth, n_heads = logits.shape[:2]
-    omegas = np.empty((n_ex, depth, n_heads, n_tokens, n_tokens))
+    read = np.arange(n_tokens) if readout is None else np.flatnonzero(readout.column_weights(n_tokens))
+    last_cols = slice(None) if len(read) == n_tokens else read
+    omegas = np.zeros((n_ex, depth, n_heads, n_tokens, n_tokens))
     for layer in range(depth):
+        cols = last_cols if layer == depth - 1 else slice(None)
+        queries = tokens[:, :, cols]
         for head in range(n_heads):
-            scores = np.einsum("pws,wv,pvt->pst", tokens, logits[layer, head], tokens,
+            scores = np.einsum("pws,wv,pvc->psc", tokens, logits[layer, head], queries,
                                optimize=True)
-            omegas[:, layer, head] = _softmax_columns(scores)
+            omegas[:, layer, head][..., cols] = _softmax_columns(scores)
     return omegas
 
 

@@ -242,7 +242,7 @@ def hmc_sample(tokens: np.ndarray, labels: np.ndarray, logits: np.ndarray,
     shape = (n, width, depth, n_heads)
     phi = None
     if not config.prior_only:
-        omegas = attention_stack_batch(tokens, logits)
+        omegas = attention_stack_batch(tokens, logits, readout)
         phi = path_features(tokens, omegas, readout).reshape(-1, len(tokens))
 
     def logp_and_grad(q):

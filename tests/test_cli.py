@@ -108,19 +108,46 @@ def test_unknown_readout_kind_is_a_config_error(tmp_path, capsys):
 
 def test_gen_data_writes_nothing_when_attention_is_rejected(tmp_path, capsys):
     _, other = _gen(tmp_path, out="other", task={"feature_width": 10})
+    _, two_heads = _gen(tmp_path, out="two_heads")
     cases = [
-        ({"source": "nowhere"}, "unknown attention source"),
-        ({"source": "file", "path": str(other / "attention.apkw")},
+        ({"attention": {"source": "nowhere"}}, "unknown attention source"),
+        ({"attention": {"source": "file", "path": str(other / "attention.apkw")}},
          "token width 18 does not match the width 16"),
-        ({"source": "file", "path": None}, "attention.path"),
+        ({"attention": {"source": "file", "path": None}}, "attention.path"),
+        ({"model": {"n_heads": 3},
+          "attention": {"source": "file", "path": str(two_heads / "attention.apkw")}},
+         "attention file has 2 layers x 2 heads, config wants 2 x 3"),
     ]
-    for i, (attention, message) in enumerate(cases):
-        cfg = _write_config(tmp_path, attention=attention)
+    for i, (overrides, message) in enumerate(cases):
+        cfg = _write_config(tmp_path, **overrides)
         out = tmp_path / f"run{i}"
         assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not (out / "dataset.apkd").exists()
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command,section,message", [
+    ("pipeline", {"model": {"readout": "averge"}}, "readout kind must be"),
+    ("pipeline", {"model": {"t_star": 99}}, "t_star=99 out of range"),
+    ("pipeline", {"model": {"n_heads": 3}}, "config wants 2 x 3"),
+    ("pipeline", {"solver": {"temperature": 0.0}}, "temperature must be > 0"),
+    ("sweep", {"temperature_grid": []}, "temperature grid is empty"),
+    ("sweep", {"temperature_grid": [0.1, -1.0]}, "temperature must be > 0"),
+    ("sample", {"sampler": {"n_chains": 0}}, "invalid sampler sizes"),
+    ("sample", {"model": {"depth": 3}}, "config wants 3 x 2"),
+])
+def test_rejected_command_keeps_the_run_record(tmp_path, capsys, command, section, message):
+    _, out = _gen(tmp_path)
+    assert main(["verify", "--out", str(out)]) == 0
+    before = sorted(p.name for p in out.iterdir())
+    record = (out / "config.resolved.json").read_bytes()
+    cfg = _write_config(tmp_path, **section)
+    assert main([command, "--config", str(cfg), "--out", str(out), "--force"]) == 2
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == before
+    assert (out / "config.resolved.json").read_bytes() == record
+    assert main(["verify", "--out", str(out)]) == 0
 
 
 def test_gen_data_writes_artifacts(tmp_path):

@@ -102,6 +102,28 @@ def test_attention_stack_batch_matches_single(depth, n_heads, width, n_tokens, n
     assert np.all(batch >= 0)
 
 
+@settings(max_examples=40, deadline=None)
+@given(depth=st.integers(1, 3), n_heads=st.integers(1, 3), width=st.integers(1, 5),
+       n_tokens=st.integers(1, 5), n_ex=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_stack_under_a_readout_builds_only_the_read_columns(depth, n_heads, width, n_tokens,
+                                                             n_ex, seed):
+    # the last layer is built at the columns the readout reads and is 0 elsewhere;
+    # every earlier layer, and the whole stack under the average readout, is the full stack
+    rng = np.random.default_rng(seed)
+    logits = 2.0 * rng.standard_normal((depth, n_heads, width, width))
+    tokens = rng.standard_normal((n_ex, width, n_tokens))
+    full = attention_stack_batch(tokens, logits)
+    for readout in [Readout.token(t) for t in range(n_tokens)] + [Readout.average()]:
+        got = attention_stack_batch(tokens, logits, readout)
+        assert got.shape == full.shape
+        assert np.array_equal(got[:, :-1], full[:, :-1])
+        read = readout.column_weights(n_tokens) != 0
+        assert np.allclose(got[:, -1][..., read], full[:, -1][..., read], rtol=1e-12, atol=1e-12)
+        assert np.all(got[:, -1][..., ~read] == 0.0)
+        if readout.kind == "average":
+            assert np.array_equal(got, full)
+
+
 def test_readout_column_weights():
     r = Readout.token(2)
     assert np.array_equal(r.column_weights(4), [0.0, 0.0, 1.0, 0.0])
