@@ -6,11 +6,11 @@ through the head,
     s_{l,h} = sum_{pi, pi' in Pi_{l,h}} |U1[pi, pi']|
 
 which is the mass the posterior kernel assigns to that head's paths.  Pruning
-removes heads, restricts the order parameter and features to the surviving
-paths, and re-evaluates the predictor without retraining; the kernel keeps the
-original 1/H^L normalization so pruned predictions estimate the full model
-with dropped terms, unless the caller renormalizes to build a genuinely
-smaller model.
+removes heads without retraining: it zeros the rows and columns of U for every
+path through a removed head and re-evaluates the predictor on the unchanged
+features.  The kernel keeps its 1/H^L normalization, so pruned predictions
+estimate the full model with dropped terms, unless the caller renormalizes:
+scaling U by H^L / (surviving path count) builds a genuinely smaller model.
 """
 
 from __future__ import annotations
@@ -84,18 +84,12 @@ def surviving_paths(n_heads: int, depth: int, heads_to_remove: list) -> np.ndarr
 
 def prune_heads(u1: np.ndarray, features: PathFeatureMatrix, y_train: np.ndarray,
                 heads_to_remove: list, eval_idx: np.ndarray, eval_labels: np.ndarray,
-                temperature: float, renormalize: bool = False,
-                metadata: dict | None = None) -> PredictorReport:
+                temperature: float, renormalize: bool = False) -> PredictorReport:
     """Re-evaluate the predictor with the given heads removed, without retraining."""
     keep = surviving_paths(features.n_heads, features.depth, heads_to_remove)
-    sub_features = features.restrict_paths(keep, renormalize=renormalize)
-    rows = [int(np.where(features.path_flats == f)[0][0]) for f in keep]
-    sub_u1 = np.asarray(u1, dtype=float)[np.ix_(rows, rows)]
-    meta = dict(metadata or {})
-    meta.update({
-        "removed_heads": sorted((int(l), int(h)) for l, h in heads_to_remove),
-        "surviving_paths": [int(f) for f in keep],
-        "renormalized": bool(renormalize),
-    })
-    return evaluate_predictor(sub_u1, sub_features, y_train, eval_idx, eval_labels,
-                              temperature, metadata=meta)
+    u1 = np.asarray(u1, dtype=float)
+    u = np.zeros_like(u1)
+    u[np.ix_(keep, keep)] = u1[np.ix_(keep, keep)]
+    if renormalize:
+        u *= features.n_paths / len(keep)
+    return evaluate_predictor(u, features, y_train, eval_idx, eval_labels, temperature)

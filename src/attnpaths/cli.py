@@ -67,7 +67,7 @@ DEFAULT_CONFIG = {
         "n_test": 1000,
         "beta": 10.0,
     },
-    "attention": {"source": "hmc-default", "path": None},
+    "attention": {"path": None},
     "solver": {
         "alpha": None,
         "gp_limit": False,
@@ -149,8 +149,11 @@ def _prepare_out(args, config: dict, outputs: list) -> tuple[Path, str]:
     return out, digest
 
 
-def _readout(config: dict) -> Readout:
-    return Readout(kind=config["model"]["readout"], t_star=config["model"]["t_star"])
+def _readout(config: dict, n_tokens: int) -> Readout:
+    """The model's readout, checked against the token count."""
+    readout = Readout(kind=config["model"]["readout"], t_star=config["model"]["t_star"])
+    readout.column_weights(n_tokens)  # rejects a t_star past the last token
+    return readout
 
 
 def _solver_config(config: dict, n_train: int) -> SolverConfig:
@@ -188,9 +191,7 @@ def _load_inputs(out: Path, config: dict):
     dataset, _ = fileio.read_dataset(_resolve_input(out, DATASET_FILE))
     logits, _ = fileio.read_attention_specs(_resolve_input(out, ATTENTION_FILE))
     _check_attention(logits, config["model"], dataset.tokens.shape[1])
-    readout = _readout(config)
-    readout.column_weights(dataset.tokens.shape[2])  # rejects a t_star past the last token
-    return dataset, logits, readout
+    return dataset, logits, _readout(config, dataset.tokens.shape[2])
 
 
 def _features_threaded(tokens: np.ndarray, logits: np.ndarray, readout: Readout, n_train: int,
@@ -210,15 +211,12 @@ def cmd_gen_data(args) -> int:
     config = _load_config(args)
     task = HmcTaskConfig(**config["task"])
     model = config["model"]
-    attn = config["attention"]
-    if attn["source"] == "hmc-default":
+    _readout(config, task.n_tokens)  # rejects a readout that later commands would reject
+    attention_path = config["attention"]["path"]
+    if attention_path is None:
         logits = build_hmc_attention(task, model["n_heads"], model["depth"], config["seed"])
-    elif attn["source"] != "file":
-        raise ValueError(f"unknown attention source {attn['source']!r}")
-    elif attn["path"] is None:
-        raise ValueError("attention source 'file' needs a path in attention.path")
     else:
-        logits, _ = fileio.read_attention_specs(attn["path"])
+        logits, _ = fileio.read_attention_specs(attention_path)
     _check_attention(logits, model, task.token_width)
     out, digest = _prepare_out(args, config, [DATASET_FILE, ATTENTION_FILE])
     log.info("generating hidden-chain dataset (P=%d train, %d test)", task.n_train, task.n_test)
@@ -259,7 +257,6 @@ def cmd_pipeline(args) -> int:
     report = evaluate_predictor(
         params.u1, features, y_train, dataset.test_indices, dataset.test_labels,
         solver_config.temperature,
-        metadata={"alpha": solver_config.alpha, "seed": config["seed"]},
     )
     fileio.write_predictor_csv(out / "predictor.csv", report, digest)
     fileio.write_json(out / "predictor_summary.json", {

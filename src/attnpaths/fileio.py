@@ -6,7 +6,7 @@ row-major float64 payloads and nothing after them (readers reject trailing bytes
 
     APKD  datasets          (feature width, token width, T, P, n_train, seed)
     APKL  attention logits  (L, H, token width), in .apkw files
-    APKF  path features     (H, L, width, P, n_train, norm, path flats)
+    APKP  path features     (H, L, width, P, n_train), one row per path, in .apkf files
     APKU  order parameters  (H, L, level count, sides)
 
 CSV exports start with a `# config_digest=<hex>` comment line, then a header
@@ -122,22 +122,19 @@ def read_attention_specs(path):
 
 def write_features(path, features: PathFeatureMatrix, digest: str = ZERO_DIGEST) -> None:
     fields = [features.n_heads, features.depth, features.width, features.n_examples,
-              features.n_train, features.norm_paths, features.n_paths]
+              features.n_train]
     with open(path, "wb") as fh:
-        fh.write(_pack_header(b"APKF", fields, digest))
-        fh.write(np.ascontiguousarray(features.path_flats, dtype=np.int64))
+        fh.write(_pack_header(b"APKP", fields, digest))
         fh.write(np.ascontiguousarray(features.values, dtype=np.float64))
 
 
 def read_features(path):
     with open(path, "rb") as fh:
-        (n_heads, depth, width, n_ex, n_train, norm, n_paths), digest = _read_header(
-            fh, b"APKF", 7, str(path))
-        flats = _read_array(fh, (n_paths,), str(path), dtype=np.int64)
-        values = _read_array(fh, (n_paths, width, n_ex), str(path))
+        (n_heads, depth, width, n_ex, n_train), digest = _read_header(fh, b"APKP", 5, str(path))
+        values = _read_array(fh, (n_heads**depth, width, n_ex), str(path))
         _check_end(fh, str(path))
     return PathFeatureMatrix(values=values, n_train=int(n_train), n_heads=int(n_heads),
-                             depth=int(depth), path_flats=flats, norm_paths=int(norm)), digest
+                             depth=int(depth)), digest
 
 
 def write_order_parameters(path, params: OrderParameterSet, digest: str = ZERO_DIGEST) -> None:
@@ -184,12 +181,10 @@ def read_csv_digest(path) -> str:
 
 
 def write_u1_csv(path, u1: np.ndarray, n_heads: int, depth: int,
-                 digest: str = ZERO_DIGEST, path_flats=None) -> None:
+                 digest: str = ZERO_DIGEST) -> None:
     """U^(1) with one-based path labels on rows and columns."""
     u1 = np.asarray(u1, dtype=float)
-    if path_flats is None:
-        path_flats = np.arange(u1.shape[0])
-    labels = [path_label(path_from_flat(int(i), n_heads, depth)) for i in path_flats]
+    labels = [path_label(path_from_flat(i, n_heads, depth)) for i in range(u1.shape[0])]
     rows = [[labels[i]] + [float(v) for v in u1[i]] for i in range(u1.shape[0])]
     write_csv(path, digest, ["path"] + labels, rows)
 

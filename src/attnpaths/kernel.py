@@ -21,7 +21,7 @@ full attention layer at the default sizes (H = L = 2, width 231, T = 31).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,34 +32,25 @@ from .model import Readout, attention_stack_batch, check_logits
 class PathFeatureMatrix:
     """Stacked path features for a set of examples.
 
-    values has shape (n_paths, width, n_examples); the first n_train example
-    columns are the training block.  path_flats records which paths (as flat
-    indices into the full H^L enumeration) the rows correspond to, so pruned
-    feature matrices keep their identity.  norm_paths is the kernel
-    normalization denominator; it stays H^L under pruning unless the caller
-    explicitly renormalizes.
+    values has shape (H^L, width, n_examples), one row per path in canonical
+    flat order; the first n_train example columns are the training block.
+    Every kernel divides by the path count H^L.
     """
 
     values: np.ndarray
     n_train: int
     n_heads: int
     depth: int
-    path_flats: np.ndarray = field(default=None)
-    norm_paths: int = 0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 3:
             raise ValueError(f"feature values must be (n_paths, width, P), got {self.values.shape}")
+        if self.values.shape[0] != self.n_heads**self.depth:
+            raise ValueError(f"feature values have {self.values.shape[0]} path rows, "
+                             f"H^L = {self.n_heads**self.depth}")
         if not 0 <= self.n_train <= self.values.shape[2]:
             raise ValueError(f"n_train={self.n_train} out of range for {self.values.shape[2]} examples")
-        if self.path_flats is None:
-            self.path_flats = np.arange(self.n_heads**self.depth, dtype=np.int64)
-        self.path_flats = np.asarray(self.path_flats, dtype=np.int64)
-        if len(self.path_flats) != self.values.shape[0]:
-            raise ValueError("path_flats length must match the number of feature rows")
-        if self.norm_paths == 0:
-            self.norm_paths = self.n_heads**self.depth
 
     @property
     def n_paths(self) -> int:
@@ -75,19 +66,7 @@ class PathFeatureMatrix:
 
     def train(self) -> "PathFeatureMatrix":
         """The training block as its own feature matrix (a view)."""
-        return replace(self, values=self.values[:, :, : self.n_train], n_train=self.n_train)
-
-    def restrict_paths(self, keep_flats: np.ndarray, renormalize: bool = False) -> "PathFeatureMatrix":
-        """Keep only the given paths.  The kernel denominator is preserved unless
-        renormalize is set, in which case it becomes the surviving path count."""
-        keep_flats = np.asarray(keep_flats, dtype=np.int64)
-        pos = {int(f): i for i, f in enumerate(self.path_flats)}
-        missing = [int(f) for f in keep_flats if int(f) not in pos]
-        if missing:
-            raise ValueError(f"paths {missing} not present in this feature matrix")
-        rows = np.array([pos[int(f)] for f in keep_flats], dtype=np.int64)
-        norm = len(keep_flats) if renormalize else self.norm_paths
-        return replace(self, values=self.values[rows], path_flats=keep_flats, norm_paths=norm)
+        return replace(self, values=self.values[:, :, : self.n_train])
 
 
 def path_features(tokens: np.ndarray, omegas: np.ndarray, readout: Readout) -> np.ndarray:
@@ -133,20 +112,20 @@ def compute_features(tokens: np.ndarray, logits: np.ndarray, readout: Readout,
 
 
 def total_kernel(u1: np.ndarray, features: PathFeatureMatrix) -> np.ndarray:
-    """K = (1/norm_paths) sum_{ab} U[a, b] Phi[a].T @ Phi[b] over all examples."""
+    """K = (1/H^L) sum_{ab} U[a, b] Phi[a].T @ Phi[b] over all examples."""
     u1 = np.asarray(u1, dtype=float)
     if u1.shape != (features.n_paths, features.n_paths):
         raise ValueError(f"order parameter shape {u1.shape} does not match {features.n_paths} paths")
     lifted = np.tensordot(u1, features.values, axes=(1, 0))
-    k = np.einsum("aim,ain->mn", features.values, lifted, optimize=True) / features.norm_paths
+    k = np.einsum("aim,ain->mn", features.values, lifted, optimize=True) / features.n_paths
     return 0.5 * (k + k.T)
 
 
 def path_pair_gram(features: PathFeatureMatrix) -> np.ndarray:
-    """C[a, b] = Phi[a].T @ Phi[b] / norm_paths over the training block, shape (A, A, P, P).
+    """C[a, b] = Phi[a].T @ Phi[b] / H^L over the training block, shape (A, A, P, P).
 
     One GEMM over the stacked training features; the total training kernel
-    under U is then sum_{ab} U[a, b] C[a, b].  Costs A^2 P^2 doubles for A paths.
+    under U is then sum_{ab} U[a, b] C[a, b].  Costs A^2 P^2 doubles for A = H^L paths.
     The GEMM runs in scipy's BLAS, the runtime of the solve that reads C: a
     numpy GEMM would leave numpy's OpenBLAS threads spinning, competing with
     scipy's, well into the solve.
@@ -157,7 +136,7 @@ def path_pair_gram(features: PathFeatureMatrix) -> np.ndarray:
     phi = features.values[:, :, :p].transpose(1, 0, 2).reshape(width, n_paths * p)
     # phi.T is Fortran-ordered, so dgemm reads it in place; the product is
     # symmetric, so its C-ordered transpose is the Gram too
-    gram = dgemm(1.0 / features.norm_paths, phi.T, phi.T, trans_b=True).T
+    gram = dgemm(1.0 / features.n_paths, phi.T, phi.T, trans_b=True).T
     return np.ascontiguousarray(gram.reshape(n_paths, p, n_paths, p).transpose(0, 2, 1, 3))
 
 
@@ -176,8 +155,8 @@ def kernel_blocks(u1: np.ndarray, features: PathFeatureMatrix,
     u = 0.5 * (u + u.T)
     evals = features.values[:, :, np.asarray(eval_idx, dtype=np.int64)]
     lifted = np.tensordot(u, features.values[:, :, :p], axes=(1, 0))
-    k_cross = np.einsum("aie,aim->em", evals, lifted, optimize=True) / features.norm_paths
-    k_diag = np.einsum("aie,ab,bie->e", evals, u, evals, optimize=True) / features.norm_paths
+    k_cross = np.einsum("aie,aim->em", evals, lifted, optimize=True) / features.n_paths
+    k_diag = np.einsum("aie,ab,bie->e", evals, u, evals, optimize=True) / features.n_paths
     return k_train, k_cross, k_diag
 
 

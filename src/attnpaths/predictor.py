@@ -12,7 +12,7 @@ matches the label, with sign(0) counted as +1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,12 +70,11 @@ class PredictorReport:
     temperature: float
     n_train: int
     eval_labels: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
 
 def evaluate_predictor(u1: np.ndarray, features: PathFeatureMatrix, y_train: np.ndarray,
-                       eval_idx: np.ndarray, eval_labels: np.ndarray, temperature: float,
-                       metadata: dict | None = None) -> PredictorReport:
+                       eval_idx: np.ndarray, eval_labels: np.ndarray,
+                       temperature: float) -> PredictorReport:
     """Assemble kernel blocks under u1 and score the evaluation examples."""
     y_train = np.asarray(y_train, dtype=float)
     eval_labels = np.asarray(eval_labels)
@@ -88,7 +87,6 @@ def evaluate_predictor(u1: np.ndarray, features: PathFeatureMatrix, y_train: np.
     return PredictorReport(
         means=means, variances=variances, accuracy=acc, temperature=temperature,
         n_train=k_train.shape[0], eval_labels=eval_labels.copy(),
-        metadata=dict(metadata or {}),
     )
 
 

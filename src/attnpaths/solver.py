@@ -234,7 +234,7 @@ def _action_pieces(mats: list, features: PathFeatureMatrix, y: np.ndarray,
         g_k = (0.5 * (m_inv + m_inv.T) - np.outer(alpha_vec, alpha_vec)) / p
         if gram is None:
             lifted = np.einsum("mn,bin->bim", g_k, features.values, optimize=True)
-            g_u = np.einsum("aim,bim->ab", features.values, lifted, optimize=True) / features.norm_paths
+            g_u = np.einsum("aim,bim->ab", features.values, lifted, optimize=True) / features.n_paths
         else:
             g_u = np.einsum("abmn,mn->ab", gram, g_k)
         grads[0] += config.alpha * g_u

@@ -54,6 +54,13 @@ def _random_features(rng, n_heads, depth, width=5, n_ex=8):
         n_train=n_ex, n_heads=n_heads, depth=depth)
 
 
+def _one_path_u(flat, n_paths=4):
+    """U of a network that keeps one path, renormalized: its kernel is Phi[flat].T @ Phi[flat]."""
+    u = np.zeros((n_paths, n_paths))
+    u[flat, flat] = n_paths
+    return u
+
+
 def _spd(rng, n):
     a = rng.standard_normal((n, n))
     return a @ a.T + n * np.eye(n)
@@ -149,8 +156,7 @@ def test_criterion_03_path_layer_equivalence():
 
 def test_criterion_04_good_path_gp_accuracy(hmc_instance):
     ds, _, feats = hmc_instance
-    good = feats.restrict_paths(np.array([0]), renormalize=True)
-    report = evaluate_predictor(np.eye(1), good, ds.train_labels.astype(float),
+    report = evaluate_predictor(_one_path_u(0), feats, ds.train_labels.astype(float),
                                 ds.test_indices, ds.test_labels, TEMPERATURE)
     ok = 0.91 <= report.accuracy <= 0.97
     _report(4, "good-path GP accuracy", ok,
@@ -161,8 +167,7 @@ def test_criterion_05_lone_random_paths_chance_level(hmc_instance):
     ds, _, feats = hmc_instance
     accs = []
     for flat in (1, 2, 3):
-        lone = feats.restrict_paths(np.array([flat]), renormalize=True)
-        report = evaluate_predictor(np.eye(1), lone, ds.train_labels.astype(float),
+        report = evaluate_predictor(_one_path_u(flat), feats, ds.train_labels.astype(float),
                                     ds.test_indices, ds.test_labels, TEMPERATURE)
         accs.append(report.accuracy)
     ok = all(0.46 <= a <= 0.54 for a in accs)

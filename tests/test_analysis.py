@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from attnpaths.analysis import (
     HeadScoreTable,
@@ -95,13 +97,12 @@ def test_prune_no_heads_is_identity():
     a = rng.standard_normal((4, 4))
     u1 = a @ a.T + 4 * np.eye(4)
     full = evaluate_predictor(u1, feats, y_train, eval_idx, eval_labels, 0.1)
-    pruned = prune_heads(u1, feats, y_train, [], eval_idx, eval_labels, 0.1)
-    assert np.array_equal(pruned.means, full.means)
-    assert np.array_equal(pruned.variances, full.variances)
-    assert pruned.accuracy == full.accuracy
-    assert pruned.metadata["removed_heads"] == []
-    assert pruned.metadata["surviving_paths"] == [0, 1, 2, 3]
-    assert pruned.metadata["renormalized"] is False
+    for renormalize in (False, True):
+        pruned = prune_heads(u1, feats, y_train, [], eval_idx, eval_labels, 0.1,
+                             renormalize=renormalize)
+        assert np.array_equal(pruned.means, full.means)
+        assert np.array_equal(pruned.variances, full.variances)
+        assert pruned.accuracy == full.accuracy
 
 
 def test_prune_matches_masked_order_parameter():
@@ -120,13 +121,12 @@ def test_prune_matches_masked_order_parameter():
     masked = evaluate_predictor(u_masked, feats, y_train, eval_idx, eval_labels, 0.1)
     assert np.allclose(pruned.means, masked.means, atol=1e-12)
     assert np.allclose(pruned.variances, masked.variances, atol=1e-12)
-    assert pruned.metadata["surviving_paths"] == keep
 
 
 def test_prune_renormalize_rescales_kernel():
     # renormalization multiplies the kernel by H^L / n_kept, which rescales
     # means through the ridge rather than linearly; check against a direct
-    # evaluation on the renormalized feature matrix
+    # evaluation under the masked U with its kept block scaled by H^L / n_kept
     rng = np.random.default_rng(4)
     feats = _features(rng)
     y_train = rng.choice([-1.0, 1.0], size=6)
@@ -137,12 +137,10 @@ def test_prune_renormalize_rescales_kernel():
     got = prune_heads(u1, feats, y_train, [(2, 0)], eval_idx, eval_labels, 0.1,
                       renormalize=True)
     keep = np.array([1, 3])  # paths with layer-2 head 1
-    sub = feats.restrict_paths(keep, renormalize=True)
-    want = evaluate_predictor(u1[np.ix_(keep, keep)], sub, y_train, eval_idx,
-                              eval_labels, 0.1)
+    u_masked = np.zeros_like(u1)
+    u_masked[np.ix_(keep, keep)] = 2.0 * u1[np.ix_(keep, keep)]
+    want = evaluate_predictor(u_masked, feats, y_train, eval_idx, eval_labels, 0.1)
     assert np.allclose(got.means, want.means, atol=1e-12)
-    assert got.metadata["renormalized"] is True
-    assert got.metadata["removed_heads"] == [(2, 0)]
 
 
 def test_prune_single_surviving_path():
@@ -154,9 +152,42 @@ def test_prune_single_surviving_path():
     u1 = np.eye(4) * 2.0
     report = prune_heads(u1, feats, y_train, [(1, 1), (2, 1)], eval_idx,
                          eval_labels, 0.1, renormalize=True)
-    assert report.metadata["surviving_paths"] == [0]
     # one path with renormalization: K = 2 phi^T phi exactly
     phi = feats.values[0]
     k = 2.0 * (phi.T @ phi)
     want = k[6:, :6] @ np.linalg.solve(k[:6, :6] + 0.1 * np.eye(6), y_train)
     assert np.allclose(report.means, want, atol=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_heads=st.integers(1, 3), depth=st.integers(1, 3), renormalize=st.booleans(),
+       data=st.data())
+def test_prune_heads_matches_kept_path_sum_property(n_heads, depth, renormalize, data):
+    # oracle: the kernel summed over kept path pairs only, divided by H^L, or
+    # by the kept path count under renormalization
+    removed = [(layer, head) for layer in range(1, depth + 1)
+               for head in data.draw(st.lists(st.integers(0, n_heads - 1), unique=True,
+                                              max_size=n_heads - 1))]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    feats = _features(rng, n_heads, depth)
+    n_paths = n_heads**depth
+    y_train = rng.choice([-1.0, 1.0], size=6)
+    eval_idx = np.arange(6, 9)
+    eval_labels = rng.choice([-1, 1], size=3)
+    a = rng.standard_normal((n_paths, n_paths))
+    u1 = a @ a.T + n_paths * np.eye(n_paths)
+
+    keep = [flat_index(p, n_heads) for p in enumerate_paths(n_heads, depth)
+            if all((layer + 1, head) not in removed for layer, head in enumerate(p))]
+    phi = feats.values
+    k = sum(u1[i, j] * (phi[i].T @ phi[j]) for i in keep for j in keep)
+    k = k / (len(keep) if renormalize else n_paths)
+    m = k[:6, :6] + 0.1 * np.eye(6)
+    k_cross = k[6:, :6]
+    want_means = k_cross @ np.linalg.solve(m, y_train)
+    want_vars = np.diag(k)[6:] - np.einsum("em,me->e", k_cross, np.linalg.solve(m, k_cross.T))
+
+    got = prune_heads(u1, feats, y_train, removed, eval_idx, eval_labels, 0.1,
+                      renormalize=renormalize)
+    for g, w in ((got.means, want_means), (got.variances, want_vars)):
+        assert np.max(np.abs(g - w)) <= 1e-12 * (1.0 + np.max(np.abs(w)))

@@ -101,22 +101,23 @@ def test_wrong_typed_config_value_exits_2_before_writing(tmp_path, capsys, comma
 
 
 def test_unknown_readout_kind_is_a_config_error(tmp_path, capsys):
-    cfg, out = _gen(tmp_path, model={"readout": "averge"})
-    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "readout kind must be 'token' or 'average', got 'averge'" in capsys.readouterr().err
+    _, out = _gen(tmp_path)
+    cfg = _write_config(tmp_path, model={"readout": "averge"})
+    for command, run in (("gen-data", tmp_path / "other"), ("pipeline", out)):
+        assert main([command, "--config", str(cfg), "--out", str(run)]) == 2
+        assert "readout kind must be 'token' or 'average', got 'averge'" in capsys.readouterr().err
 
 
 def test_gen_data_writes_nothing_when_attention_is_rejected(tmp_path, capsys):
     _, other = _gen(tmp_path, out="other", task={"feature_width": 10})
     _, two_heads = _gen(tmp_path, out="two_heads")
     cases = [
-        ({"attention": {"source": "nowhere"}}, "unknown attention source"),
-        ({"attention": {"source": "file", "path": str(other / "attention.apkw")}},
+        ({"attention": {"path": str(other / "attention.apkw")}},
          "token width 18 does not match the width 16"),
-        ({"attention": {"source": "file", "path": None}}, "attention.path"),
-        ({"model": {"n_heads": 3},
-          "attention": {"source": "file", "path": str(two_heads / "attention.apkw")}},
+        ({"model": {"n_heads": 3}, "attention": {"path": str(two_heads / "attention.apkw")}},
          "attention file has 2 layers x 2 heads, config wants 2 x 3"),
+        ({"model": {"readout": "averge"}}, "readout kind must be 'token' or 'average'"),
+        ({"model": {"t_star": 40}}, "t_star=40 out of range for 6 tokens"),
     ]
     for i, (overrides, message) in enumerate(cases):
         cfg = _write_config(tmp_path, **overrides)
@@ -329,12 +330,36 @@ def test_verify_rejects_trailing_bytes(tmp_path, capsys):
     {"task": {"kind": "hmc"}}, {"files": {"dataset": "dataset.apkd"}},
     {"files": {"attention": "attention.apkw"}}, {"solver": {"tolerance": 1e-7}},
     {"solver": {"jitter": 1e-3}}, {"sampler": {"n_eval_examples": None}},
+    {"attention": {"source": "hmc-default"}},
 ])
 def test_removed_config_keys_are_unknown(tmp_path, capsys, removed):
     cfg = _write_config(tmp_path, **removed)
     assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
     assert "unknown config key" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_settable_config_values_are_listed():
+    # a new config knob lands only together with an edit here
+    def dotted(mapping, prefix=""):
+        for key, val in mapping.items():
+            if isinstance(val, dict):
+                yield from dotted(val, f"{prefix}{key}.")
+            else:
+                yield prefix + key
+    assert sorted(dotted(DEFAULT_CONFIG)) == sorted([
+        "seed",
+        "model.n_hidden", "model.n_heads", "model.depth", "model.readout", "model.t_star",
+        "model.sigma2",
+        "task.chain_length", "task.feature_width", "task.p_plus", "task.p_minus",
+        "task.sigma_par", "task.sigma_perp", "task.n_train", "task.n_test", "task.beta",
+        "attention.path",
+        "solver.alpha", "solver.gp_limit", "solver.temperature", "solver.max_iter",
+        "sampler.n_chains", "sampler.n_warmup", "sampler.n_samples", "sampler.thin",
+        "sampler.n_leapfrog", "sampler.step_size", "sampler.temperature", "sampler.prior_only",
+        "temperature_grid",
+    ])
+    assert len(list(dotted(DEFAULT_CONFIG))) == 30
 
 
 def test_verify_rejects_edited_config(tmp_path, capsys):
@@ -355,8 +380,7 @@ def test_pipeline_requires_test_examples(tmp_path, capsys):
 
 def test_gen_data_rejects_attention_of_another_token_width(tmp_path, capsys):
     _, other = _gen(tmp_path, out="other", task={"feature_width": 10})
-    cfg = _write_config(tmp_path, attention={"source": "file",
-                                             "path": str(other / "attention.apkw")})
+    cfg = _write_config(tmp_path, attention={"path": str(other / "attention.apkw")})
     rc = main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "run")])
     assert rc == 2
     assert "token width 18 does not match the width 16" in capsys.readouterr().err

@@ -87,15 +87,27 @@ def test_earlier_attention_layout_is_rejected(tmp_path):
 
 def test_features_round_trip(tmp_path):
     rng = np.random.default_rng(3)
-    feats = _features(rng).restrict_paths(np.array([3, 1]), renormalize=False)
+    feats = _features(rng)
+    feats.values[[0, 2]] = 0.0  # the rows of pruned paths stay, as zeros
     p = tmp_path / "f.apkf"
     fileio.write_features(p, feats, DIGEST)
     back, digest = fileio.read_features(p)
     assert digest == DIGEST
     assert np.array_equal(back.values, feats.values)
-    assert np.array_equal(back.path_flats, [3, 1])
-    assert back.norm_paths == 4
     assert back.n_train == 3 and back.n_heads == 2 and back.depth == 2
+    # an 80-byte header (magic, version, five fields, digest), then the values
+    assert p.stat().st_size == 80 + feats.values.nbytes
+
+
+def test_earlier_features_layout_is_rejected(tmp_path):
+    # the earlier layout: magic APKF, header (H, L, width, P, n_train, norm, row
+    # count), then the row count's flat path indices before the values
+    values = np.random.default_rng(4).standard_normal((2, 3, 5))
+    head = struct.pack("<4sI7Q", b"APKF", 1, 2, 2, 3, 5, 3, 4, 2) + bytes.fromhex(DIGEST)
+    p = tmp_path / "old.apkf"
+    p.write_bytes(head + np.array([3, 1], dtype=np.int64).tobytes() + values.tobytes())
+    with pytest.raises(FormatError, match="bad magic b'APKF' at byte 0"):
+        fileio.read_features(p)
 
 
 def test_order_parameters_round_trip(tmp_path):
@@ -210,8 +222,7 @@ def test_arrays_cross_the_file_boundary_without_a_bytes_copy(tmp_path):
     assert write_peak <= 0.25 * payload
     assert read_peak <= 1.25 * payload
     assert np.array_equal(back.values, feats.values)
-    for arr in (back.values, back.path_flats):
-        assert arr.flags.writeable and arr.flags.owndata
+    assert back.values.flags.writeable and back.values.flags.owndata
 
 
 def test_format_error_is_value_error():
@@ -243,12 +254,6 @@ def test_write_u1_csv_labels(tmp_path):
     lines = p.read_text().splitlines()
     assert lines[1] == 'path,"(1,1)","(1,2)","(2,1)","(2,2)"'
     assert lines[2].startswith('"(1,1)",0.0,1.0,2.0,3.0')
-    # pruned feature matrices pass their own flats through
-    p2 = tmp_path / "u1b.csv"
-    fileio.write_u1_csv(p2, u1[:2, :2], n_heads=2, depth=2, digest=DIGEST,
-                        path_flats=[3, 1])
-    lines2 = p2.read_text().splitlines()
-    assert lines2[1] == 'path,"(2,2)","(1,2)"'
 
 
 def test_trace_and_predictor_and_score_csvs(tmp_path):

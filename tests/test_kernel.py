@@ -39,7 +39,7 @@ def test_compute_features_matches_per_example_chains():
     feats = compute_features(tokens, logits, readout, n_train=4)
     assert feats.values.shape == (n_heads**depth, width, n_ex)
     assert feats.n_train == 4
-    assert feats.norm_paths == n_heads**depth
+    assert feats.n_paths == n_heads**depth
     paths = enumerate_paths(n_heads, depth)
     for mu in range(n_ex):
         omegas = attention_stack_batch(tokens[mu][None], logits)[0]
@@ -96,23 +96,23 @@ def test_total_kernel_double_sum_oracle():
     for i in range(4):
         for j in range(4):
             want += u1[i, j] * (feats.values[i].T @ feats.values[j])
-    want /= feats.norm_paths
+    want /= 4
     assert np.allclose(got, want, atol=1e-12)
     assert np.allclose(got, got.T, atol=0)
 
 
 def test_path_pair_gram_pair_products():
-    # training block only, divided by the kept denominator of a restricted matrix
+    # training block only, divided by H^L; a pruned path has a zero row and column of U
     rng = np.random.default_rng(30)
-    feats = _random_features(rng, n_ex=7, n_train=5).restrict_paths(np.array([3, 0, 2]),
-                                                                     renormalize=True)
+    feats = _random_features(rng, n_ex=7, n_train=5)
     gram = path_pair_gram(feats)
-    assert gram.shape == (3, 3, 5, 5)
+    assert gram.shape == (4, 4, 5, 5)
     train = feats.values[:, :, :5]
-    for i in range(3):
-        for j in range(3):
-            assert np.allclose(gram[i, j], train[i].T @ train[j] / 3, atol=1e-12)
-    u1 = rng.standard_normal((3, 3))
+    for i in range(4):
+        for j in range(4):
+            assert np.allclose(gram[i, j], train[i].T @ train[j] / 4, atol=1e-12)
+    u1 = rng.standard_normal((4, 4))
+    u1[1, :] = u1[:, 1] = 0.0
     k = np.einsum("ab,abmn->mn", u1, gram)
     assert np.allclose(0.5 * (k + k.T), total_kernel(u1, feats.train()), atol=1e-12)
 
@@ -184,47 +184,14 @@ def test_train_and_select_examples_views():
     assert np.array_equal(tr.values, feats.values[:, :, :4])
 
 
-def test_restrict_paths_semantics():
-    rng = np.random.default_rng(9)
-    feats = _random_features(rng)
-    kept = feats.restrict_paths(np.array([3, 0]))
-    assert kept.n_paths == 2
-    assert np.array_equal(kept.path_flats, [3, 0])
-    assert np.array_equal(kept.values[0], feats.values[3])
-    assert kept.norm_paths == 4  # denominator preserved by default
-    renorm = feats.restrict_paths(np.array([3, 0]), renormalize=True)
-    assert renorm.norm_paths == 2
-    with pytest.raises(ValueError):
-        feats.restrict_paths(np.array([4]))
-    # restricting an already-restricted matrix resolves flats, not row positions
-    again = kept.restrict_paths(np.array([0]))
-    assert np.array_equal(again.values[0], feats.values[0])
-
-
-def test_restricted_kernel_equals_masked_full_kernel():
-    # zeroing the removed rows/columns of U reproduces the restricted kernel
-    rng = np.random.default_rng(10)
-    feats = _random_features(rng)
-    a = rng.standard_normal((4, 4))
-    u1 = a @ a.T
-    keep = np.array([0, 2])
-    restricted = feats.restrict_paths(keep)
-    k_restricted = total_kernel(u1[np.ix_(keep, keep)], restricted)
-    u_masked = np.zeros_like(u1)
-    u_masked[np.ix_(keep, keep)] = u1[np.ix_(keep, keep)]
-    k_masked = total_kernel(u_masked, feats)
-    assert np.allclose(k_restricted, k_masked, atol=1e-12)
-
-
 def test_feature_matrix_validation():
     rng = np.random.default_rng(11)
     with pytest.raises(ValueError):
         PathFeatureMatrix(values=rng.standard_normal((4, 3)), n_train=1, n_heads=2, depth=2)
     with pytest.raises(ValueError):
         PathFeatureMatrix(values=rng.standard_normal((4, 3, 5)), n_train=6, n_heads=2, depth=2)
-    with pytest.raises(ValueError):
-        PathFeatureMatrix(values=rng.standard_normal((3, 3, 5)), n_train=1, n_heads=2, depth=2,
-                          path_flats=np.array([0, 1]))
+    with pytest.raises(ValueError, match=r"3 path rows, H\^L = 4"):
+        PathFeatureMatrix(values=rng.standard_normal((3, 3, 5)), n_train=1, n_heads=2, depth=2)
 
 
 def test_kernel_task_alignment_parseval():

@@ -108,8 +108,7 @@ def test_evaluate_predictor_matches_manual_blocks():
     eval_labels = rng.choice([-1, 1], size=4)
     u1 = np.eye(4)
     t = 0.1
-    report = evaluate_predictor(u1, feats, y_train, eval_idx, eval_labels, t,
-                                metadata={"tag": 7})
+    report = evaluate_predictor(u1, feats, y_train, eval_idx, eval_labels, t)
     k = total_kernel(u1, feats)
     want_means = predictor_mean(k[:6, :6], k[6:, :6], y_train, t)
     want_vars = predictor_variance(k[:6, :6], k[6:, :6], np.diag(k)[6:], t)
@@ -117,7 +116,6 @@ def test_evaluate_predictor_matches_manual_blocks():
     assert np.allclose(report.variances, want_vars, atol=1e-12)
     assert report.accuracy == classification_accuracy(want_means, eval_labels)
     assert report.n_train == 6 and report.temperature == t
-    assert report.metadata == {"tag": 7}
     assert np.array_equal(report.eval_labels, eval_labels)
     with pytest.raises(ValueError):
         evaluate_predictor(u1, feats, y_train[:5], eval_idx, eval_labels, t)

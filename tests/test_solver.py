@@ -335,18 +335,16 @@ def test_solve_nonfinite_action_raises_solver_failure(monkeypatch):
        width=st.integers(1, 6), pruned=st.booleans(), seed=st.integers(0, 2**16))
 def test_gram_route_matches_feature_contraction_property(n_heads, depth, p, width, pruned, seed):
     # the path-pair Gram and the direct contraction give the same action and
-    # gradients, also for pruned renormalized features and a nonsymmetric U
+    # gradients, also with pruned paths and a nonsymmetric U
     rng = np.random.default_rng(seed)
     feats = _features(rng, n_heads, depth, width=width, n_ex=p + 2, n_train=p)
     n_paths = feats.n_paths
     if pruned and n_paths > 1:
-        # the action needs every level, so pruned paths keep zero feature rows;
-        # the kernel then equals that of restrict_paths(..., renormalize=True)
+        # pruned paths keep their rows, as zeros
         n_keep = int(rng.integers(1, n_paths))
         values = feats.values.copy()
         values[rng.choice(n_paths, size=n_paths - n_keep, replace=False)] = 0.0
-        feats = PathFeatureMatrix(values=values, n_train=p, n_heads=n_heads, depth=depth,
-                                  norm_paths=n_keep)
+        feats = PathFeatureMatrix(values=values, n_train=p, n_heads=n_heads, depth=depth)
     train = feats.train()
     y = _labels(rng, p)
     config = SolverConfig(alpha=1.7, temperature=0.3, sigma2=1.2)
