@@ -7,15 +7,11 @@ characterized by a path-pair order parameter solved from a saddle-point action.
 """
 
 from .paths import (
-    enumerate_paths,
-    flat_index,
-    path_from_flat,
+    path_heads,
     extend_order_parameter,
-    paths_through_head,
 )
 from .model import (
     Readout,
-    NetworkWeights,
     attentioned_input,
     effective_weights,
     network_output,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import PathFeatureMatrix
-from .paths import enumerate_paths, flat_index, paths_through_head
+from .paths import path_heads
 from .predictor import PredictorReport, evaluate_predictor
 
 
@@ -46,11 +46,11 @@ def head_scores(u1: np.ndarray, n_heads: int, depth: int) -> HeadScoreTable:
     n_paths = n_heads**depth
     if u1.shape != (n_paths, n_paths):
         raise ValueError(f"u1 shape {u1.shape} does not match H^L = {n_paths}")
-    paths = enumerate_paths(n_heads, depth)
+    paths = path_heads(n_heads, depth)
     layers, heads, scores = [], [], []
     for layer in range(1, depth + 1):
         for head in range(n_heads):
-            flats = [flat_index(p, n_heads) for p in paths_through_head(layer, head, paths)]
+            flats = np.flatnonzero(paths[layer - 1] == head)
             block = np.abs(u1[np.ix_(flats, flats)])
             layers.append(layer)
             heads.append(head)
@@ -68,18 +68,15 @@ def head_scores(u1: np.ndarray, n_heads: int, depth: int) -> HeadScoreTable:
 
 def surviving_paths(n_heads: int, depth: int, heads_to_remove: list) -> np.ndarray:
     """Flat indices of paths avoiding every removed (layer, head); layer one-based."""
-    removed = set()
+    paths = path_heads(n_heads, depth)
+    keep = np.ones(paths.shape[1], dtype=bool)
     for layer, head in heads_to_remove:
         if not 1 <= layer <= depth or not 0 <= head < n_heads:
             raise ValueError(f"no head (layer={layer}, head={head}) in an H={n_heads}, L={depth} network")
-        removed.add((int(layer), int(head)))
-    keep = []
-    for p in enumerate_paths(n_heads, depth):
-        if all((layer + 1, h) not in removed for layer, h in enumerate(p)):
-            keep.append(flat_index(p, n_heads))
-    if not keep:
+        keep &= paths[int(layer) - 1] != head
+    if not keep.any():
         raise ValueError("pruning removed every path; at least one head must survive per layer")
-    return np.array(keep, dtype=np.int64)
+    return np.flatnonzero(keep)
 
 
 def prune_heads(u1: np.ndarray, features: PathFeatureMatrix, y_train: np.ndarray,

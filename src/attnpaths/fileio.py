@@ -20,13 +20,15 @@ import csv
 import hashlib
 import io
 import json
+import math
+import os
 import struct
 
 import numpy as np
 
 from .kernel import PathFeatureMatrix
 from .model import check_logits
-from .paths import path_from_flat, path_label
+from .paths import path_heads, path_label
 from .solver import OrderParameterSet
 
 FORMAT_VERSION = 1
@@ -64,12 +66,15 @@ def _read_header(fh, magic: bytes, n_fields: int, path: str):
 
 
 def _read_array(fh, shape: tuple, path: str, dtype=np.float64) -> np.ndarray:
-    out = np.empty(shape, dtype=dtype)
+    # header sizes are untrusted: check them against the file before allocating
     start = fh.tell()
-    got = fh.readinto(out)
-    if got < out.nbytes:
-        raise FormatError(f"{path}: truncated payload at byte {start + got}, "
-                          f"wanted {out.nbytes} bytes from byte {start}")
+    left = os.fstat(fh.fileno()).st_size - start
+    nbytes = math.prod(int(d) for d in shape) * np.dtype(dtype).itemsize
+    if nbytes > left:
+        raise FormatError(f"{path}: truncated payload at byte {start + left}, "
+                          f"wanted {nbytes} bytes from byte {start}")
+    out = np.empty(shape, dtype=dtype)
+    fh.readinto(out)
     return out
 
 
@@ -131,7 +136,8 @@ def write_features(path, features: PathFeatureMatrix, digest: str = ZERO_DIGEST)
 def read_features(path):
     with open(path, "rb") as fh:
         (n_heads, depth, width, n_ex, n_train), digest = _read_header(fh, b"APKP", 5, str(path))
-        values = _read_array(fh, (n_heads**depth, width, n_ex), str(path))
+        # clamped so a corrupt L builds no huge int; H >= 2 past 64 fails the size check
+        values = _read_array(fh, (n_heads ** min(depth, 64), width, n_ex), str(path))
         _check_end(fh, str(path))
     return PathFeatureMatrix(values=values, n_train=int(n_train), n_heads=int(n_heads),
                              depth=int(depth)), digest
@@ -184,7 +190,7 @@ def write_u1_csv(path, u1: np.ndarray, n_heads: int, depth: int,
                  digest: str = ZERO_DIGEST) -> None:
     """U^(1) with one-based path labels on rows and columns."""
     u1 = np.asarray(u1, dtype=float)
-    labels = [path_label(path_from_flat(i, n_heads, depth)) for i in range(u1.shape[0])]
+    labels = [path_label(path) for path in path_heads(n_heads, depth).T]
     rows = [[labels[i]] + [float(v) for v in u1[i]] for i in range(u1.shape[0])]
     write_csv(path, digest, ["path"] + labels, rows)
 

@@ -22,7 +22,8 @@ The same output decomposes over attention paths pi = (h_1, ..., h_L):
 
 with effective weights Veff_pi = N^(-L/2) a @ V_{L,h_L} @ ... @ V_{1,h_1} and
 attentioned inputs xi_pi = x0 @ Omega_{1,h_1} @ ... @ Omega_{L,h_L} read out
-at t*.  Both routes are implemented; they agree to floating-point accuracy.
+at t*.  Both routes are implemented, on the (v0, values, readout) parts of a
+flat weight vector (weight_parts); they agree to floating-point accuracy.
 
 Cost: per example and head, a full T x T attention layer takes w^2 T + w T^2
 multiply-adds for token width w (x^T M x), and one column of it w^2 + w T.
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import enumerate_paths
+from .paths import path_heads
 
 
 @dataclass(frozen=True)
@@ -73,67 +74,19 @@ class Readout:
         return np.full(n_tokens, 1.0 / n_tokens)
 
 
-@dataclass
-class NetworkWeights:
-    """All trainable weights: input projection, per-(layer, head) values, readout."""
-
-    v0: np.ndarray        # (N, width)
-    values: np.ndarray    # (L, H, N, N)
-    readout: np.ndarray   # (N,)
-
-    def __post_init__(self):
-        self.v0 = np.asarray(self.v0, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        self.readout = np.asarray(self.readout, dtype=float)
-        n = self.v0.shape[0]
-        if self.values.ndim != 4 or self.values.shape[2:] != (n, n):
-            raise ValueError(f"values must have shape (L, H, {n}, {n}), got {self.values.shape}")
-        if self.readout.shape != (n,):
-            raise ValueError(f"readout must have shape ({n},), got {self.readout.shape}")
-
-    @property
-    def n_hidden(self) -> int:
-        return self.v0.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.v0.shape[1]
-
-    @property
-    def depth(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_heads(self) -> int:
-        return self.values.shape[1]
-
-    @classmethod
-    def sample_prior(cls, n_hidden: int, width: int, depth: int, n_heads: int,
-                     sigma2: float = 1.0, rng: np.random.Generator | int | None = None) -> "NetworkWeights":
-        """Draw all weight entries iid N(0, sigma2)."""
-        rng = np.random.default_rng(rng)
-        s = np.sqrt(sigma2)
-        return cls(
-            v0=s * rng.standard_normal((n_hidden, width)),
-            values=s * rng.standard_normal((depth, n_heads, n_hidden, n_hidden)),
-            readout=s * rng.standard_normal(n_hidden),
-        )
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([self.v0.ravel(), self.values.ravel(), self.readout.ravel()])
-
-    @classmethod
-    def unflatten(cls, vec: np.ndarray, n_hidden: int, width: int, depth: int, n_heads: int) -> "NetworkWeights":
-        return cls(*weight_parts(vec, n_hidden, width, depth, n_heads))
+def weight_count(n_hidden: int, width: int, depth: int, n_heads: int) -> int:
+    """Length of the flat weight vector that weight_parts splits."""
+    return n_hidden * width + depth * n_heads * n_hidden * n_hidden + n_hidden
 
 
 def weight_parts(vec: np.ndarray, n_hidden: int, width: int, depth: int, n_heads: int):
-    """(v0, values, readout) views into flat weight vectors, in flatten's order;
+    """(v0, values, readout) views into flat weight vectors whose last axis holds
+    v0 (N, width), values (L, H, N, N) and the readout (N,), each row-major;
     leading axes of vec are kept, e.g. values of stacked draws are (S, L, H, N, N)."""
+    if vec.shape[-1] != weight_count(n_hidden, width, depth, n_heads):
+        raise ValueError(f"flat vector has wrong length {vec.shape}")
     n0 = n_hidden * width
     nv = depth * n_heads * n_hidden * n_hidden
-    if vec.shape[-1] != n0 + nv + n_hidden:
-        raise ValueError(f"flat vector has wrong length {vec.shape}")
     lead = vec.shape[:-1]
     return (vec[..., :n0].reshape(*lead, n_hidden, width),
             vec[..., n0:n0 + nv].reshape(*lead, depth, n_heads, n_hidden, n_hidden),
@@ -202,39 +155,39 @@ def attentioned_input(x0: np.ndarray, omegas: np.ndarray, path: tuple[int, ...],
     return mat @ readout.column_weights(mat.shape[1])
 
 
-def effective_weights(weights: NetworkWeights, path: tuple[int, ...]) -> np.ndarray:
+def effective_weights(weights: tuple, path: tuple[int, ...]) -> np.ndarray:
     """Veff_pi = N^(-L/2) a @ V_{L,hL} @ ... @ V_{1,h1}; shape (N,)."""
-    n = weights.n_hidden
-    vec = weights.readout
-    for layer in reversed(range(weights.depth)):
-        vec = vec @ weights.values[layer, path[layer]]
-    return vec / n ** (weights.depth / 2.0)
+    _, values, vec = weights
+    depth = values.shape[0]
+    for layer in reversed(range(depth)):
+        vec = vec @ values[layer, path[layer]]
+    return vec / len(vec) ** (depth / 2.0)
 
 
-def network_output(x0: np.ndarray, weights: NetworkWeights, omegas: np.ndarray,
+def network_output(x0: np.ndarray, weights: tuple, omegas: np.ndarray,
                    readout: Readout) -> float:
     """Scalar output via the path decomposition."""
-    n_heads = weights.n_heads
-    depth = weights.depth
-    width = weights.width
-    n = weights.n_hidden
+    v0, values, _ = weights
+    n, width = v0.shape
+    depth, n_heads = values.shape[:2]
     total = 0.0
-    for path in enumerate_paths(n_heads, depth):
+    for path in path_heads(n_heads, depth).T:
         xi = attentioned_input(x0, omegas, path, readout)
-        total += effective_weights(weights, path) @ (weights.v0 @ xi)
+        total += effective_weights(weights, path) @ (v0 @ xi)
     return total / np.sqrt(n_heads**depth * n * width)
 
 
-def forward_layerwise(x0: np.ndarray, weights: NetworkWeights, omegas: np.ndarray,
+def forward_layerwise(x0: np.ndarray, weights: tuple, omegas: np.ndarray,
                       readout: Readout) -> float:
     """Scalar output via the layer-by-layer recursion; same value as network_output."""
-    n = weights.n_hidden
-    n_heads = weights.n_heads
-    x = weights.v0 @ x0 / np.sqrt(weights.width)
-    for layer in range(weights.depth):
+    v0, values, a = weights
+    n, width = v0.shape
+    depth, n_heads = values.shape[:2]
+    x = v0 @ x0 / np.sqrt(width)
+    for layer in range(depth):
         nxt = np.zeros_like(x)
         for head in range(n_heads):
-            nxt += weights.values[layer, head] @ (x @ omegas[layer, head])
+            nxt += values[layer, head] @ (x @ omegas[layer, head])
         x = nxt / np.sqrt(n * n_heads)
     z = x @ readout.column_weights(x.shape[1])
-    return float(weights.readout @ z / np.sqrt(n))
+    return float(a @ z / np.sqrt(n))

@@ -8,8 +8,11 @@ canonical flat order in which h_1 is the most significant digit:
 
 Under this order the extension of a depth-(L-l) order parameter to depth
 (L-l+1) is a Kronecker product with the identity, because the leading digit
-h_l only relabels blocks.  Head indices are zero-based everywhere in code;
-renderings for humans (CSV labels, reports) are one-based.
+h_l only relabels blocks.  path_heads(H, L) is the one representation of the
+path set: an (L, H^L) head-index array whose column i is the path with flat
+index i, so the paths through head h of layer l are the columns where row
+l-1 equals h.  Head indices are zero-based everywhere in code; renderings for
+humans (CSV labels, reports) are one-based.
 """
 
 from __future__ import annotations
@@ -20,42 +23,14 @@ import numpy as np
 MAX_PATHS = 2**31
 
 
-def _check_sizes(n_heads: int, depth: int) -> None:
+def path_heads(n_heads: int, depth: int) -> np.ndarray:
+    """All H^L paths as an (L, H^L) head-index array in canonical flat order:
+    column i is the path with flat index i, row l-1 holds its layer-l head."""
     if n_heads < 1 or depth < 1:
         raise ValueError(f"need n_heads >= 1 and depth >= 1, got {n_heads}, {depth}")
     if n_heads**depth > MAX_PATHS:
         raise ValueError(f"path count {n_heads}**{depth} exceeds limit {MAX_PATHS}")
-
-
-def enumerate_paths(n_heads: int, depth: int) -> list[tuple[int, ...]]:
-    """All H^L paths as tuples (h_1, ..., h_L), in canonical flat order."""
-    _check_sizes(n_heads, depth)
-    paths = [()]
-    for _ in range(depth):
-        paths = [p + (h,) for p in paths for h in range(n_heads)]
-    return paths
-
-
-def flat_index(path: tuple[int, ...], n_heads: int) -> int:
-    """Canonical flat index of a path; h_1 is the most significant digit."""
-    idx = 0
-    for h in path:
-        if not 0 <= h < n_heads:
-            raise ValueError(f"head index {h} out of range for H={n_heads}")
-        idx = idx * n_heads + h
-    return idx
-
-
-def path_from_flat(index: int, n_heads: int, depth: int) -> tuple[int, ...]:
-    """Inverse of flat_index."""
-    _check_sizes(n_heads, depth)
-    if not 0 <= index < n_heads**depth:
-        raise ValueError(f"flat index {index} out of range for H={n_heads}, L={depth}")
-    digits = []
-    for _ in range(depth):
-        digits.append(index % n_heads)
-        index //= n_heads
-    return tuple(reversed(digits))
+    return np.indices((n_heads,) * depth).reshape(depth, -1)
 
 
 def extend_order_parameter(u_next: np.ndarray, n_heads: int) -> np.ndarray:
@@ -70,18 +45,6 @@ def extend_order_parameter(u_next: np.ndarray, n_heads: int) -> np.ndarray:
     if n_heads < 1:
         raise ValueError(f"need n_heads >= 1, got {n_heads}")
     return np.kron(np.eye(n_heads), u_next)
-
-
-def paths_through_head(layer: int, head: int, paths: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Paths whose layer-l head equals `head`.  `layer` is one-based (1 <= l <= L)."""
-    if not paths:
-        return []
-    depth = len(paths[0])
-    if not 1 <= layer <= depth:
-        raise ValueError(f"layer {layer} out of range for depth {depth}")
-    if head < 0:
-        raise ValueError(f"head index must be nonnegative, got {head}")
-    return [p for p in paths if p[layer - 1] == head]
 
 
 def path_label(path: tuple[int, ...]) -> str:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import compute_features, path_features
-from .model import Readout, attention_stack_batch, weight_parts
+from .model import Readout, attention_stack_batch, weight_count, weight_parts
 
 TARGET_ACCEPT = 0.8
 MAX_ENERGY_ERROR = 1000.0
@@ -248,11 +248,10 @@ def hmc_sample(tokens: np.ndarray, labels: np.ndarray, logits: np.ndarray,
     def logp_and_grad(q):
         return log_posterior(q, shape, phi, labels, config.temperature, config.sigma2)
 
-    dim = n * width + depth * n_heads * n * n + n
     root = np.random.default_rng(config.seed)
     root.spawn(config.n_chains)  # the chain streams, which run_hmc spawns again
     init_rngs = root.spawn(config.n_chains)
-    q0s = [np.sqrt(config.sigma2) * r.standard_normal(dim) for r in init_rngs]
+    q0s = [np.sqrt(config.sigma2) * r.standard_normal(weight_count(*shape)) for r in init_rngs]
     results = run_hmc(logp_and_grad, q0s, config)
     return PosteriorSamples(
         samples=np.concatenate([r.samples for r in results]),

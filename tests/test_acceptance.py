@@ -16,11 +16,12 @@ import pytest
 from attnpaths.data import HmcTaskConfig, build_hmc_attention, gen_hmc_dataset
 from attnpaths.kernel import PathFeatureMatrix, compute_features, kernel_task_alignment, total_kernel
 from attnpaths.model import (
-    NetworkWeights,
     Readout,
     attention_stack_batch,
     forward_layerwise,
     network_output,
+    weight_count,
+    weight_parts,
 )
 from attnpaths.analysis import head_scores, prune_heads
 from attnpaths.predictor import evaluate_predictor, predictor_mean
@@ -144,7 +145,8 @@ def test_criterion_03_path_layer_equivalence():
         logits = rng.standard_normal((depth, n_heads, width, width))
         x0 = rng.standard_normal((width, n_tokens))
         omegas = attention_stack_batch(x0[None], logits)[0]
-        weights = NetworkWeights.sample_prior(n_hidden, width, depth, n_heads, rng=rng)
+        shape = (n_hidden, width, depth, n_heads)
+        weights = weight_parts(rng.standard_normal(weight_count(*shape)), *shape)
         readout = Readout.token(int(rng.integers(0, n_tokens)))
         a = network_output(x0, weights, omegas, readout)
         b = forward_layerwise(x0, weights, omegas, readout)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from attnpaths.analysis import (
     surviving_paths,
 )
 from attnpaths.kernel import PathFeatureMatrix
-from attnpaths.paths import enumerate_paths, flat_index
 from attnpaths.predictor import evaluate_predictor
 
 
@@ -21,23 +22,28 @@ def _features(rng, n_heads=2, depth=2, width=4, n_ex=9, n_train=6):
         n_train=n_train, n_heads=n_heads, depth=depth)
 
 
+def _paths(n_heads, depth):
+    # the canonical order: h_1 is the most significant digit
+    return list(itertools.product(range(n_heads), repeat=depth))
+
+
 def test_head_scores_brute_force_oracle():
     rng = np.random.default_rng(0)
-    n_heads, depth = 3, 2
-    n_paths = n_heads**depth
-    u1 = rng.standard_normal((n_paths, n_paths))
-    table = head_scores(u1, n_heads, depth)
-    paths = enumerate_paths(n_heads, depth)
-    for layer in (1, 2):
-        for head in range(n_heads):
-            want = 0.0
-            for a, pa in enumerate(paths):
-                for b, pb in enumerate(paths):
-                    if pa[layer - 1] == head and pb[layer - 1] == head:
-                        want += abs(u1[a, b])
-            assert abs(table.score(layer, head) - want) <= 1e-10 * (1 + want)
-    with pytest.raises(KeyError):
-        table.score(3, 0)
+    for n_heads, depth in [(3, 2), (1, 1), (2, 3), (3, 3), (4, 1)]:
+        n_paths = n_heads**depth
+        u1 = rng.standard_normal((n_paths, n_paths))
+        table = head_scores(u1, n_heads, depth)
+        paths = _paths(n_heads, depth)
+        for layer in range(1, depth + 1):
+            for head in range(n_heads):
+                want = 0.0
+                for a, pa in enumerate(paths):
+                    for b, pb in enumerate(paths):
+                        if pa[layer - 1] == head and pb[layer - 1] == head:
+                            want += abs(u1[a, b])
+                assert abs(table.score(layer, head) - want) <= 1e-10 * (1 + want)
+        with pytest.raises(KeyError):
+            table.score(depth + 1, 0)
 
 
 def test_head_scores_normalized_per_layer():
@@ -66,14 +72,18 @@ def test_head_scores_concentrated_diagonal():
 
 def test_surviving_paths_filter_oracle():
     # removing (layer, head) keeps exactly the paths avoiding it
-    for n_heads, depth in [(2, 2), (3, 2)]:
-        paths = enumerate_paths(n_heads, depth)
+    for n_heads, depth in [(2, 2), (3, 2), (2, 3), (3, 3), (4, 1)]:
+        paths = _paths(n_heads, depth)
         keep = surviving_paths(n_heads, depth, [(1, 0)])
-        want = [flat_index(p, n_heads) for p in paths if p[0] != 0]
+        want = [i for i, p in enumerate(paths) if p[0] != 0]
         assert keep.tolist() == want
-        both = surviving_paths(n_heads, depth, [(1, 0), (2, 1)])
-        want2 = [flat_index(p, n_heads) for p in paths if p[0] != 0 and p[1] != 1]
+        removed = [(1, 0), (depth, 1)]
+        both = surviving_paths(n_heads, depth, removed)
+        want2 = [i for i, p in enumerate(paths)
+                 if all(p[layer - 1] != head for layer, head in removed)]
         assert both.tolist() == want2
+    with pytest.raises(ValueError, match="removed every path"):
+        surviving_paths(1, 1, [(1, 0)])
 
 
 def test_surviving_paths_validation():
@@ -177,7 +187,7 @@ def test_prune_heads_matches_kept_path_sum_property(n_heads, depth, renormalize,
     a = rng.standard_normal((n_paths, n_paths))
     u1 = a @ a.T + n_paths * np.eye(n_paths)
 
-    keep = [flat_index(p, n_heads) for p in enumerate_paths(n_heads, depth)
+    keep = [i for i, p in enumerate(_paths(n_heads, depth))
             if all((layer + 1, head) not in removed for layer, head in enumerate(p))]
     phi = feats.values
     k = sum(u1[i, j] * (phi[i].T @ phi[j]) for i in keep for j in keep)

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -324,6 +325,28 @@ def test_verify_rejects_trailing_bytes(tmp_path, capsys):
         assert f"trailing bytes after the payload at byte {len(blob)}" in capsys.readouterr().err
         (out / name).write_bytes(blob)
     assert main(["verify", "--out", str(out)]) == 0
+
+
+# (file, header byte offset, count): each count implies a payload past 2^40 bytes
+@pytest.mark.parametrize("name,offset,count", [
+    ("dataset.apkd", 32, 2**40),      # P
+    ("attention.apkw", 16, 2**40),    # H
+    ("features.apkf", 8, 2**20),      # H, so H^L = 2^40 path rows
+    ("features.apkf", 16, 100),       # L, so H^L = 2^100 path rows
+    ("u1.apku", 64, 2**20),           # the first level's side
+])
+def test_inflated_header_counts_are_format_errors(tmp_path, capsys, name, offset, count):
+    cfg, out = _gen(tmp_path, solver={"gp_limit": True})
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+    blob = bytearray((out / name).read_bytes())
+    struct.pack_into("<Q", blob, offset, count)
+    (out / name).write_bytes(bytes(blob))
+    readers = {".apkd": fileio.read_dataset, ".apkw": fileio.read_attention_specs,
+               ".apkf": fileio.read_features, ".apku": fileio.read_order_parameters}
+    with pytest.raises(fileio.FormatError, match="truncated payload"):
+        readers[Path(name).suffix](out / name)
+    assert main(["verify", "--out", str(out)]) == 2
+    assert "truncated payload" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("removed", [

@@ -16,7 +16,7 @@ from attnpaths.model import (
     attention_stack_batch,
     attentioned_input,
 )
-from attnpaths.paths import enumerate_paths
+from attnpaths.paths import path_heads
 
 
 def _random_logits(rng, depth, n_heads, width):
@@ -40,7 +40,7 @@ def test_compute_features_matches_per_example_chains():
     assert feats.values.shape == (n_heads**depth, width, n_ex)
     assert feats.n_train == 4
     assert feats.n_paths == n_heads**depth
-    paths = enumerate_paths(n_heads, depth)
+    paths = path_heads(n_heads, depth).T
     for mu in range(n_ex):
         omegas = attention_stack_batch(tokens[mu][None], logits)[0]
         for i, path in enumerate(paths):
@@ -62,7 +62,7 @@ def test_compute_features_matches_attentioned_input_property(
     assert feats.values.shape == (n_heads**depth, width, n_ex)
     for mu in range(n_ex):
         omegas = attention_stack_batch(tokens[mu][None], logits)[0]
-        for i, path in enumerate(enumerate_paths(n_heads, depth)):
+        for i, path in enumerate(path_heads(n_heads, depth).T):
             xi = attentioned_input(tokens[mu], omegas, path, readout)
             scale = 1e-12 * (1 + np.max(np.abs(xi)))
             assert np.allclose(feats.values[i, :, mu], xi / np.sqrt(width), rtol=0, atol=scale)

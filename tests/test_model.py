@@ -1,10 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attnpaths.model import (
-    NetworkWeights,
     Readout,
     _softmax_columns,
     attention_stack_batch,
@@ -13,12 +14,19 @@ from attnpaths.model import (
     effective_weights,
     forward_layerwise,
     network_output,
+    weight_count,
+    weight_parts,
 )
-from attnpaths.paths import enumerate_paths
+from attnpaths.paths import path_heads
 
 
 def _random_logits(rng, depth, n_heads, width):
     return 1.3 * rng.standard_normal((depth, n_heads, width, width))
+
+
+def _prior_weights(rng, n_hidden, width, depth, n_heads):
+    shape = (n_hidden, width, depth, n_heads)
+    return weight_parts(rng.standard_normal(weight_count(*shape)), *shape)
 
 
 def test_softmax_columns_oracle():
@@ -153,10 +161,11 @@ def test_attentioned_input_oracle():
 
 def test_effective_weights_oracle():
     rng = np.random.default_rng(5)
-    weights = NetworkWeights.sample_prior(3, 4, depth=2, n_heads=2, rng=rng)
+    weights = _prior_weights(rng, 3, 4, depth=2, n_heads=2)
+    _, values, readout = weights
     path = (1, 0)
     got = effective_weights(weights, path)
-    want = weights.readout @ weights.values[1, 0] @ weights.values[0, 1] / 3.0
+    want = readout @ values[1, 0] @ values[0, 1] / 3.0
     assert np.allclose(got, want, atol=1e-12)
 
 
@@ -172,7 +181,7 @@ def test_path_sum_equals_layerwise():
         logits = _random_logits(rng, depth, n_heads, width)
         x0 = rng.standard_normal((width, n_tokens))
         omegas = attention_stack_batch(x0[None], logits)[0]
-        weights = NetworkWeights.sample_prior(n_hidden, width, depth, n_heads, rng=rng)
+        weights = _prior_weights(rng, n_hidden, width, depth, n_heads)
         readout = Readout.token(int(rng.integers(0, n_tokens)))
         a = network_output(x0, weights, omegas, readout)
         b = forward_layerwise(x0, weights, omegas, readout)
@@ -186,48 +195,38 @@ def test_network_output_explicit_two_layer():
     logits = _random_logits(rng, 2, 2, width)
     x0 = rng.standard_normal((width, n_tokens))
     omegas = attention_stack_batch(x0[None], logits)[0]
-    weights = NetworkWeights.sample_prior(n_hidden, width, 2, 2, rng=rng)
+    weights = _prior_weights(rng, n_hidden, width, 2, 2)
+    v0, values, a = weights
     readout = Readout.token(0)
     total = 0.0
     for h1 in range(2):
         for h2 in range(2):
-            veff = weights.readout @ weights.values[1, h2] @ weights.values[0, h1] / n_hidden
+            veff = a @ values[1, h2] @ values[0, h1] / n_hidden
             xi = (x0 @ omegas[0, h1] @ omegas[1, h2])[:, 0]
-            total += veff @ weights.v0 @ xi
+            total += veff @ v0 @ xi
     want = total / np.sqrt(4 * n_hidden * width)
     got = network_output(x0, weights, omegas, readout)
     assert abs(got - want) <= 1e-12
 
 
-def test_network_weights_flatten_round_trip():
-    rng = np.random.default_rng(8)
-    weights = NetworkWeights.sample_prior(3, 5, depth=2, n_heads=2, rng=rng)
-    vec = weights.flatten()
-    back = NetworkWeights.unflatten(vec, 3, 5, 2, 2)
-    assert np.array_equal(back.v0, weights.v0)
-    assert np.array_equal(back.values, weights.values)
-    assert np.array_equal(back.readout, weights.readout)
-    with pytest.raises(ValueError):
-        NetworkWeights.unflatten(vec[:-1], 3, 5, 2, 2)
-
-
-def test_sample_prior_moments_and_seeding():
-    w1 = NetworkWeights.sample_prior(4, 6, 2, 2, sigma2=2.0, rng=11)
-    w2 = NetworkWeights.sample_prior(4, 6, 2, 2, sigma2=2.0, rng=11)
-    assert np.array_equal(w1.flatten(), w2.flatten())
-    big = NetworkWeights.sample_prior(40, 400, 2, 2, sigma2=2.0, rng=12)
-    assert abs(big.v0.var() - 2.0) < 0.1
-    assert w1.n_hidden == 4 and w1.width == 6 and w1.depth == 2 and w1.n_heads == 2
-
-
-def test_network_weights_validation():
-    with pytest.raises(ValueError):
-        NetworkWeights(v0=np.zeros((3, 4)), values=np.zeros((2, 2, 3, 2)), readout=np.zeros(3))
-    with pytest.raises(ValueError):
-        NetworkWeights(v0=np.zeros((3, 4)), values=np.zeros((2, 2, 3, 3)), readout=np.zeros(2))
+def test_weight_parts_layout():
+    # v0, then values, then the readout, each row-major; leading axes are kept
+    n_hidden, width, depth, n_heads = 3, 5, 2, 2
+    dim = weight_count(n_hidden, width, depth, n_heads)
+    assert dim == 3 * 5 + 2 * 2 * 3 * 3 + 3
+    vec = np.arange(2 * 4 * dim, dtype=float).reshape(2, 4, dim)
+    v0, values, readout = weight_parts(vec, n_hidden, width, depth, n_heads)
+    assert v0.shape == (2, 4, 3, 5)
+    assert values.shape == (2, 4, 2, 2, 3, 3)
+    assert readout.shape == (2, 4, 3)
+    assert all(np.shares_memory(part, vec) for part in (v0, values, readout))
+    for i, j in itertools.product(range(2), range(4)):
+        flat = np.concatenate([v0[i, j].ravel(), values[i, j].ravel(), readout[i, j]])
+        assert np.array_equal(flat, vec[i, j])
+    with pytest.raises(ValueError, match="wrong length"):
+        weight_parts(vec[..., :-1], n_hidden, width, depth, n_heads)
 
 
 def test_path_enumeration_matches_model_paths():
-    # the flat order used in model sums matches enumerate_paths
-    paths = enumerate_paths(2, 2)
-    assert paths == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    # the flat order used in model sums is path_heads' column order
+    assert path_heads(2, 2).T.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]

@@ -1,60 +1,36 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from attnpaths.paths import (
     MAX_PATHS,
-    enumerate_paths,
     extend_order_parameter,
-    flat_index,
-    path_from_flat,
+    path_heads,
     path_label,
-    paths_through_head,
 )
 
 
 def test_enumeration_count_and_order():
-    for n_heads, depth in [(1, 1), (2, 2), (3, 2), (2, 3), (4, 1)]:
-        paths = enumerate_paths(n_heads, depth)
-        assert len(paths) == n_heads**depth
-        # canonical order: flat index equals the list position
-        for i, p in enumerate(paths):
-            assert len(p) == depth
-            assert flat_index(p, n_heads) == i
-            assert path_from_flat(i, n_heads, depth) == p
+    # column i is the path with flat index i: itertools.product order, with
+    # h_1 the most significant digit (weight H^(L-l) for the layer-l head)
+    for n_heads, depth in [(1, 1), (2, 2), (3, 2), (2, 3), (4, 1), (3, 3)]:
+        heads = path_heads(n_heads, depth)
+        assert heads.shape == (depth, n_heads**depth)
+        want = list(itertools.product(range(n_heads), repeat=depth))
+        assert [tuple(col) for col in heads.T] == want
+        digits = n_heads ** np.arange(depth - 1, -1, -1)
+        assert np.array_equal(digits @ heads, np.arange(n_heads**depth))
+    assert tuple(path_heads(3, 3)[:, 21]) == (2, 1, 0)  # 2 * 9 + 1 * 3 + 0
 
 
-def test_flat_index_most_significant_first():
-    # h_1 is the leading digit: (1, 0) comes after every (0, h)
-    assert flat_index((1, 0), 2) == 2
-    assert flat_index((0, 1), 2) == 1
-    assert flat_index((2, 1, 0), 3) == 2 * 9 + 1 * 3
-
-
-def test_flat_round_trip_random():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        n_heads = int(rng.integers(1, 6))
-        depth = int(rng.integers(1, 5))
-        idx = int(rng.integers(0, n_heads**depth))
-        path = path_from_flat(idx, n_heads, depth)
-        assert flat_index(path, n_heads) == idx
-
-
-def test_flat_index_validation():
+def test_path_heads_validation():
     with pytest.raises(ValueError):
-        flat_index((0, 2), 2)
+        path_heads(0, 2)
     with pytest.raises(ValueError):
-        flat_index((-1,), 2)
+        path_heads(2, 0)
     with pytest.raises(ValueError):
-        path_from_flat(4, 2, 2)
-    with pytest.raises(ValueError):
-        path_from_flat(-1, 2, 2)
-    with pytest.raises(ValueError):
-        enumerate_paths(0, 2)
-    with pytest.raises(ValueError):
-        enumerate_paths(2, 0)
-    with pytest.raises(ValueError):
-        enumerate_paths(2, 40)  # 2**40 > MAX_PATHS
+        path_heads(2, 40)  # 2**40 > MAX_PATHS
     assert 2**40 > MAX_PATHS
 
 
@@ -91,30 +67,6 @@ def test_extend_order_parameter_validation():
         extend_order_parameter(np.zeros(4), 2)
     with pytest.raises(ValueError):
         extend_order_parameter(np.eye(2), 0)
-
-
-def test_paths_through_head_partitions():
-    # for each layer the head classes partition the path set
-    paths = enumerate_paths(3, 3)
-    for layer in (1, 2, 3):
-        seen = []
-        for head in range(3):
-            subset = paths_through_head(layer, head, paths)
-            assert all(p[layer - 1] == head for p in subset)
-            assert len(subset) == 3**2
-            seen.extend(subset)
-        assert sorted(seen) == sorted(paths)
-
-
-def test_paths_through_head_validation():
-    paths = enumerate_paths(2, 2)
-    assert paths_through_head(1, 0, []) == []
-    with pytest.raises(ValueError):
-        paths_through_head(0, 0, paths)
-    with pytest.raises(ValueError):
-        paths_through_head(3, 0, paths)
-    with pytest.raises(ValueError):
-        paths_through_head(1, -1, paths)
 
 
 def test_path_label_one_based():

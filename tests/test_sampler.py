@@ -6,13 +6,15 @@ import pytest
 
 from attnpaths.kernel import path_features
 from attnpaths.model import (
-    NetworkWeights,
     Readout,
     attention_stack_batch,
+    effective_weights,
     forward_layerwise,
     network_output,
+    weight_count,
+    weight_parts,
 )
-from attnpaths.paths import enumerate_paths
+from attnpaths.paths import path_heads
 from attnpaths.sampler import (
     HmcConfig,
     PosteriorSamples,
@@ -32,14 +34,10 @@ def _setup(rng, n_ex=3, width=4, n_tokens=3, depth=2, n_heads=2, n_hidden=2,
     logits = rng.standard_normal((depth, n_heads, width, width))
     omegas = attention_stack_batch(tokens, logits)
     labels = rng.choice([-1.0, 1.0], size=n_ex)
-    weights = NetworkWeights.sample_prior(n_hidden, width, depth, n_heads, rng=rng)
-    phi = path_features(tokens, omegas, readout).reshape(-1, n_ex)
     shape = (n_hidden, width, depth, n_heads)
-    return tokens, omegas, labels, weights, phi, shape
-
-
-def _prior_term(weights, sigma2):
-    return -0.5 * float(np.sum(weights.flatten() ** 2)) / sigma2
+    q = rng.standard_normal(weight_count(*shape))
+    phi = path_features(tokens, omegas, readout).reshape(-1, n_ex)
+    return tokens, omegas, labels, q, phi, shape
 
 
 READOUTS = (Readout.token(1), Readout.average())
@@ -51,12 +49,12 @@ def test_log_posterior_value():
     rng = np.random.default_rng(1)
     t, sigma2 = 0.1, 1.5
     for readout in READOUTS:
-        tokens, omegas, labels, weights, phi, shape = _setup(rng, n_ex=5, readout=readout)
+        tokens, omegas, labels, q, phi, shape = _setup(rng, n_ex=5, readout=readout)
         for mu in range(5):
-            logp, _ = log_posterior(weights.flatten(), shape, phi[:, mu:mu + 1],
+            logp, _ = log_posterior(q, shape, phi[:, mu:mu + 1],
                                     labels[mu:mu + 1], t, sigma2)
-            f = forward_layerwise(tokens[mu], weights, omegas[mu], readout)
-            want = -0.5 * (f - labels[mu]) ** 2 / t + _prior_term(weights, sigma2)
+            f = forward_layerwise(tokens[mu], weight_parts(q, *shape), omegas[mu], readout)
+            want = -0.5 * (f - labels[mu]) ** 2 / t - 0.5 * float(np.sum(q**2)) / sigma2
             assert abs(logp - want) <= 1e-10 * (1 + abs(want))
 
 
@@ -65,9 +63,8 @@ def test_log_posterior_gradient_finite_differences():
     t, sigma2, eps = 0.2, 0.8, 1e-6
     for (n_heads, depth), readout in itertools.product(
             [(1, 1), (2, 2), (3, 2), (2, 3)], READOUTS):
-        _, _, labels, weights, phi, shape = _setup(
+        _, _, labels, q, phi, shape = _setup(
             rng, n_ex=4, n_heads=n_heads, depth=depth, n_hidden=3, readout=readout)
-        q = weights.flatten()
         _, g = log_posterior(q, shape, phi, labels, t, sigma2)
         assert g.shape == q.shape
         for i in range(len(q)):
@@ -279,39 +276,38 @@ def test_hmc_sample_prior_only_moments():
 
 
 def _manual_samples(rng, n_draws=3, n_hidden=3, width=4, depth=2, n_heads=2):
-    draws = [NetworkWeights.sample_prior(n_hidden, width, depth, n_heads, rng=rng)
-             for _ in range(n_draws)]
+    shape = (n_hidden, width, depth, n_heads)
+    samples = rng.standard_normal((n_draws, weight_count(*shape)))
     config = HmcConfig(n_hidden=n_hidden)
-    return draws, PosteriorSamples(
-        samples=np.stack([w.flatten() for w in draws]),
+    return [weight_parts(q, *shape) for q in samples], PosteriorSamples(
+        samples=samples,
         n_hidden=n_hidden, width=width, depth=depth, n_heads=n_heads,
         acceptance=np.ones(1), divergences=np.zeros(1, dtype=int),
         step_sizes=np.full(1, 0.01), potentials=np.zeros(n_draws), config=config)
 
 
 def test_effective_rows_match_path_products():
-    from attnpaths.model import effective_weights
     rng = np.random.default_rng(8)
     draws, post = _manual_samples(rng)
     _, values, readout = post.parts()
     batched = _row_tree(readout, values)[-1]
     assert batched.shape == (3, 4, 3)
     for w, stacked in zip(draws, batched):
-        rows = _row_tree(w.readout, w.values)[-1] / w.n_hidden ** (w.depth / 2.0)
-        assert np.allclose(_row_tree(w.readout, w.values)[-1], stacked, atol=1e-12)
-        for i, path in enumerate(enumerate_paths(w.n_heads, w.depth)):
+        _, w_values, w_readout = w
+        tree = _row_tree(w_readout, w_values)[-1]
+        assert np.allclose(tree, stacked, atol=1e-12)
+        rows = tree / post.n_hidden ** (post.depth / 2.0)
+        for i, path in enumerate(path_heads(post.n_heads, post.depth).T):
             assert np.allclose(rows[i], effective_weights(w, path), atol=1e-12)
 
 
 def test_empirical_order_parameter_oracle():
-    from attnpaths.model import effective_weights
     rng = np.random.default_rng(9)
     draws, post = _manual_samples(rng)
-    paths = enumerate_paths(2, 2)
     want = np.zeros((4, 4))
     for w in draws:
-        veff = np.stack([effective_weights(w, p) for p in paths])
-        want += veff @ veff.T / w.n_hidden
+        veff = np.stack([effective_weights(w, p) for p in path_heads(2, 2).T])
+        want += veff @ veff.T / post.n_hidden
     want /= len(draws)
     got, per = empirical_order_parameter(post, return_samples=True)
     assert np.allclose(got, want, atol=1e-12)

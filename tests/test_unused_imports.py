@@ -31,3 +31,25 @@ def test_detector_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def test_public_names_are_listed():
+    # a new public name lands only together with an edit here
+    assert sorted(attnpaths.__all__) == sorted([
+        "analysis", "data", "kernel", "model", "paths", "predictor", "sampler", "solver",
+        "path_heads", "extend_order_parameter",
+        "Readout", "attentioned_input", "effective_weights", "network_output",
+        "forward_layerwise",
+        "PathFeatureMatrix", "compute_features", "path_features", "path_pair_gram",
+        "total_kernel", "kernel_blocks", "kernel_task_alignment",
+        "OrderParameterSet", "SolverConfig", "SolveTrace", "SolverFailure", "entropy_term",
+        "energy_term", "action", "action_gradient", "solve_saddle",
+        "PredictorReport", "SweepResult", "predictor_mean", "predictor_variance",
+        "classification_accuracy", "evaluate_predictor", "temperature_sweep",
+        "HeadScoreTable", "head_scores", "prune_heads",
+        "HmcTaskConfig", "SequenceDataset", "state_vectors", "sample_hidden_chain",
+        "gen_hmc_dataset", "build_good_heads", "build_random_head", "build_hmc_attention",
+        "HmcConfig", "PosteriorSamples", "log_posterior", "leapfrog", "run_hmc", "hmc_sample",
+        "empirical_order_parameter", "empirical_predictor",
+    ])
+    assert len(attnpaths.__all__) == 57
