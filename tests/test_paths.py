@@ -21,7 +21,28 @@ def test_enumeration_count_and_order():
         assert [tuple(col) for col in heads.T] == want
         digits = n_heads ** np.arange(depth - 1, -1, -1)
         assert np.array_equal(digits @ heads, np.arange(n_heads**depth))
-    assert tuple(path_heads(3, 3)[:, 21]) == (2, 1, 0)  # 2 * 9 + 1 * 3 + 0
+
+
+def test_flat_index_most_significant_first():
+    # h_1 is the leading digit: (1, 0) comes after every (0, h)
+    assert tuple(path_heads(2, 2)[:, 2]) == (1, 0)
+    assert tuple(path_heads(2, 2)[:, 1]) == (0, 1)
+    assert tuple(path_heads(3, 3)[:, 2 * 9 + 1 * 3]) == (2, 1, 0)
+
+
+def test_flat_round_trip_random():
+    # the digits of column idx, weighted by H^(L-l), give back idx
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        n_heads = int(rng.integers(1, 6))
+        depth = int(rng.integers(1, 5))
+        idx = int(rng.integers(0, n_heads**depth))
+        path = path_heads(n_heads, depth)[:, idx]
+        assert np.all((path >= 0) & (path < n_heads))
+        flat = 0
+        for h in path:
+            flat = flat * n_heads + int(h)
+        assert flat == idx
 
 
 def test_path_heads_validation():
