@@ -47,7 +47,6 @@ from .predictor import (
     temperature_sweep,
 )
 from .analysis import (
-    HeadScoreTable,
     head_scores,
     prune_heads,
 )

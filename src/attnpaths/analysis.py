@@ -1,7 +1,8 @@
 """Order-parameter diagnostics: head scores and pruning.
 
-The layer-l head score sums |U^(1)| over ordered path pairs that both pass
-through the head,
+A head is a cell of the L x H grid, and both functions here hold heads as
+(L, H) arrays: entry [l, h] is head h of layer l+1.  The head score sums
+|U^(1)| over ordered path pairs that both pass through the head,
 
     s_{l,h} = sum_{pi, pi' in Pi_{l,h}} |U1[pi, pi']|
 
@@ -15,8 +16,6 @@ scaling U by H^L / (surviving path count) builds a genuinely smaller model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .kernel import PathFeatureMatrix
@@ -24,69 +23,33 @@ from .paths import path_heads
 from .predictor import PredictorReport, evaluate_predictor
 
 
-@dataclass
-class HeadScoreTable:
-    """Scores per (layer, head); layers one-based, heads zero-based internally."""
-
-    layers: np.ndarray
-    heads: np.ndarray
-    scores: np.ndarray
-    normalized: np.ndarray
-
-    def score(self, layer: int, head: int) -> float:
-        mask = (self.layers == layer) & (self.heads == head)
-        if not mask.any():
-            raise KeyError(f"no score for layer {layer}, head {head}")
-        return float(self.scores[mask][0])
-
-
-def head_scores(u1: np.ndarray, n_heads: int, depth: int) -> HeadScoreTable:
-    """Per-head absolute order-parameter mass, normalized per layer."""
-    u1 = np.asarray(u1, dtype=float)
+def head_scores(u1: np.ndarray, n_heads: int, depth: int) -> np.ndarray:
+    """Per-head absolute order-parameter mass as an (L, H) array."""
+    u1 = np.abs(np.asarray(u1, dtype=float))
     n_paths = n_heads**depth
     if u1.shape != (n_paths, n_paths):
         raise ValueError(f"u1 shape {u1.shape} does not match H^L = {n_paths}")
     paths = path_heads(n_heads, depth)
-    layers, heads, scores = [], [], []
-    for layer in range(1, depth + 1):
-        for head in range(n_heads):
-            flats = np.flatnonzero(paths[layer - 1] == head)
-            block = np.abs(u1[np.ix_(flats, flats)])
-            layers.append(layer)
-            heads.append(head)
-            scores.append(float(block.sum()))
-    layers = np.array(layers)
-    heads = np.array(heads)
-    scores = np.array(scores)
-    normalized = np.zeros_like(scores)
-    for layer in range(1, depth + 1):
-        mask = layers == layer
-        tot = scores[mask].sum()
-        normalized[mask] = scores[mask] / tot if tot > 0 else 0.0
-    return HeadScoreTable(layers=layers, heads=heads, scores=scores, normalized=normalized)
-
-
-def surviving_paths(n_heads: int, depth: int, heads_to_remove: list) -> np.ndarray:
-    """Flat indices of paths avoiding every removed (layer, head); layer one-based."""
-    paths = path_heads(n_heads, depth)
-    keep = np.ones(paths.shape[1], dtype=bool)
-    for layer, head in heads_to_remove:
-        if not 1 <= layer <= depth or not 0 <= head < n_heads:
-            raise ValueError(f"no head (layer={layer}, head={head}) in an H={n_heads}, L={depth} network")
-        keep &= paths[int(layer) - 1] != head
-    if not keep.any():
-        raise ValueError("pruning removed every path; at least one head must survive per layer")
-    return np.flatnonzero(keep)
+    scores = np.empty((depth, n_heads))
+    for layer, head in np.ndindex(depth, n_heads):
+        flats = np.flatnonzero(paths[layer] == head)
+        scores[layer, head] = u1[np.ix_(flats, flats)].sum()
+    return scores
 
 
 def prune_heads(u1: np.ndarray, features: PathFeatureMatrix, y_train: np.ndarray,
-                heads_to_remove: list, eval_idx: np.ndarray, eval_labels: np.ndarray,
+                keep: np.ndarray, eval_idx: np.ndarray, eval_labels: np.ndarray,
                 temperature: float, renormalize: bool = False) -> PredictorReport:
-    """Re-evaluate the predictor with the given heads removed, without retraining."""
-    keep = surviving_paths(features.n_heads, features.depth, heads_to_remove)
-    u1 = np.asarray(u1, dtype=float)
-    u = np.zeros_like(u1)
-    u[np.ix_(keep, keep)] = u1[np.ix_(keep, keep)]
+    """Re-evaluate the predictor on the heads of the (L, H) bool mask keep,
+    without retraining."""
+    depth, n_heads = features.depth, features.n_heads
+    keep = np.asarray(keep, dtype=bool)
+    if keep.shape != (depth, n_heads):
+        raise ValueError(f"keep mask shape {keep.shape} does not match (L, H) = {(depth, n_heads)}")
+    if not keep.any(axis=1).all():
+        raise ValueError("pruning removed every path; at least one head must survive per layer")
+    kept = keep[np.arange(depth)[:, None], path_heads(n_heads, depth)].all(axis=0)
+    u = np.where(np.outer(kept, kept), np.asarray(u1, dtype=float), 0.0)
     if renormalize:
-        u *= features.n_paths / len(keep)
+        u *= features.n_paths / kept.sum()
     return evaluate_predictor(u, features, y_train, eval_idx, eval_labels, temperature)

@@ -27,7 +27,7 @@ import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -56,17 +56,7 @@ DEFAULT_CONFIG = {
         "t_star": 1,
         "sigma2": 1.0,
     },
-    "task": {
-        "chain_length": 30,
-        "feature_width": 200,
-        "p_plus": 0.3,
-        "p_minus": 0.7,
-        "sigma_par": 1.0,
-        "sigma_perp": 1.0,
-        "n_train": 100,
-        "n_test": 1000,
-        "beta": 10.0,
-    },
+    "task": asdict(HmcTaskConfig()),
     "attention": {"path": None},
     "solver": {
         "alpha": None,
@@ -74,16 +64,9 @@ DEFAULT_CONFIG = {
         "temperature": 0.01,
         "max_iter": 20000,
     },
-    "sampler": {
-        "n_chains": 10,
-        "n_warmup": 1000,
-        "n_samples": 1000,
-        "thin": 10,
-        "n_leapfrog": 32,
-        "step_size": 0.01,
-        "temperature": 0.01,
-        "prior_only": False,
-    },
+    # the sampler fields that neither the model section nor the top-level seed sets
+    "sampler": {f.name: f.default for f in fields(HmcConfig)
+                if f.name not in ("n_hidden", "sigma2", "seed")},
     "temperature_grid": list(DEFAULT_TEMPERATURE_GRID),
 }
 

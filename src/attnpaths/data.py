@@ -75,8 +75,6 @@ class SequenceDataset:
     tokens: np.ndarray
     labels: np.ndarray
     n_train: int
-    feature_width: int
-    seed: int
 
     def __post_init__(self):
         self.tokens = np.asarray(self.tokens, dtype=float)
@@ -181,10 +179,8 @@ def gen_hmc_dataset(config: HmcTaskConfig, seed: int) -> SequenceDataset:
         perm = rng.permutation(n)
         blocks.append(np.concatenate([plus, minus])[perm])
         labels.append(lab[perm])
-    return SequenceDataset(
-        tokens=np.concatenate(blocks), labels=np.concatenate(labels),
-        n_train=config.n_train, feature_width=config.feature_width, seed=seed,
-    )
+    return SequenceDataset(tokens=np.concatenate(blocks), labels=np.concatenate(labels),
+                           n_train=config.n_train)
 
 
 def _block_matrix(w_ff: np.ndarray, w_fp: np.ndarray, w_pf: np.ndarray,

@@ -1,13 +1,19 @@
 """On-disk formats: flat binary artifacts and CSV exports.
 
 Every binary file starts with a four-byte magic, a little-endian u32 version,
-fixed-width header fields, and a 32-byte sha256 config digest, followed by
-row-major float64 payloads and nothing after them (readers reject trailing bytes):
+u64 header fields, and a 32-byte sha256 config digest, followed by row-major
+payloads, float64 unless noted, and nothing after them (readers reject
+trailing bytes):
 
-    APKD  datasets          (feature width, token width, T, P, n_train, seed)
+    APKS  datasets          (token width, T, P, n_train), tokens then int8 labels,
+                            in .apkd files
     APKL  attention logits  (L, H, token width), in .apkw files
     APKP  path features     (H, L, width, P, n_train), one row per path, in .apkf files
-    APKU  order parameters  (H, L, level count, sides)
+    APKO  order parameters  (H, L), level i an H^(L-i) square for i = 0..L,
+                            in .apku files
+
+Each header holds only what a reader cannot derive: the array shapes follow
+from the fields.  A file of an earlier layout fails with "bad magic".
 
 CSV exports start with a `# config_digest=<hex>` comment line, then a header
 row; floats are written with repr so reads round-trip exactly and reruns are
@@ -26,6 +32,7 @@ import struct
 
 import numpy as np
 
+from .data import SequenceDataset
 from .kernel import PathFeatureMatrix
 from .model import check_logits
 from .paths import path_heads, path_label
@@ -45,27 +52,36 @@ def config_digest(config: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _pack_header(magic: bytes, fields: list, digest: str) -> bytes:
-    raw = struct.pack("<4sI" + "Q" * len(fields), magic, FORMAT_VERSION, *fields)
-    return raw + bytes.fromhex(digest)
+def _write(path, magic: bytes, fields: list, digest: str, arrays) -> None:
+    """A header (magic, version, fields, digest), then each array's raw bytes."""
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<4sI" + "Q" * len(fields), magic, FORMAT_VERSION, *fields))
+        fh.write(bytes.fromhex(digest))
+        for a in arrays:
+            fh.write(np.ascontiguousarray(a))
 
 
-def _read_header(fh, magic: bytes, n_fields: int, path: str):
-    head_len = 8 + 8 * n_fields + 32
-    raw = fh.read(head_len)
-    if len(raw) < head_len:
-        raise FormatError(f"{path}: truncated header at byte {len(raw)}")
-    got_magic, version = struct.unpack_from("<4sI", raw, 0)
-    if got_magic != magic:
-        raise FormatError(f"{path}: bad magic {got_magic!r} at byte 0, expected {magic!r}")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported version {version} at byte 4")
-    fields = struct.unpack_from("<" + "Q" * n_fields, raw, 8)
-    digest = raw[8 + 8 * n_fields :].hex()
-    return fields, digest
+def _read(path, magic: bytes, n_fields: int, layout):
+    """(fields, arrays, digest) of a file _write wrote; layout(*fields) yields
+    the (shape, dtype) of each array in file order."""
+    path = str(path)
+    with open(path, "rb") as fh:
+        head_len = 8 + 8 * n_fields + 32
+        raw = fh.read(head_len)
+        if len(raw) < head_len:
+            raise FormatError(f"{path}: truncated header at byte {len(raw)}")
+        got_magic, version = struct.unpack_from("<4sI", raw, 0)
+        if got_magic != magic:
+            raise FormatError(f"{path}: bad magic {got_magic!r} at byte 0, expected {magic!r}")
+        if version != FORMAT_VERSION:
+            raise FormatError(f"{path}: unsupported version {version} at byte 4")
+        fields = struct.unpack_from("<" + "Q" * n_fields, raw, 8)
+        arrays = [_read_array(fh, shape, path, dtype) for shape, dtype in layout(*fields)]
+        _check_end(fh, path)
+    return fields, arrays, raw[8 + 8 * n_fields :].hex()
 
 
-def _read_array(fh, shape: tuple, path: str, dtype=np.float64) -> np.ndarray:
+def _read_array(fh, shape: tuple, path: str, dtype) -> np.ndarray:
     # header sizes are untrusted: check them against the file before allocating
     start = fh.tell()
     left = os.fstat(fh.fileno()).st_size - start
@@ -84,86 +100,62 @@ def _check_end(fh, path: str) -> None:
         raise FormatError(f"{path}: trailing bytes after the payload at byte {end}")
 
 
-def write_dataset(path, dataset, digest: str = ZERO_DIGEST) -> None:
-    from .data import SequenceDataset  # local import to avoid a cycle
-
-    assert isinstance(dataset, SequenceDataset)
-    fields = [dataset.feature_width, dataset.token_width, dataset.n_tokens,
-              dataset.n_examples, dataset.n_train, dataset.seed & (2**64 - 1)]
-    with open(path, "wb") as fh:
-        fh.write(_pack_header(b"APKD", fields, digest))
-        fh.write(np.ascontiguousarray(dataset.tokens, dtype=np.float64))
-        fh.write(np.ascontiguousarray(dataset.labels, dtype=np.int8))
+def write_dataset(path, dataset: SequenceDataset, digest: str = ZERO_DIGEST) -> None:
+    n_ex, width, n_tok = dataset.tokens.shape
+    _write(path, b"APKS", [width, n_tok, n_ex, dataset.n_train], digest,
+           [dataset.tokens, dataset.labels])
 
 
 def read_dataset(path):
-    from .data import SequenceDataset
-
-    with open(path, "rb") as fh:
-        (n0, width, n_tok, n_ex, n_train, seed), digest = _read_header(fh, b"APKD", 6, str(path))
-        tokens = _read_array(fh, (n_ex, width, n_tok), str(path))
-        labels = _read_array(fh, (n_ex,), str(path), dtype=np.int8)
-        _check_end(fh, str(path))
-    ds = SequenceDataset(tokens=tokens, labels=labels, n_train=int(n_train),
-                         feature_width=int(n0), seed=int(seed))
-    return ds, digest
+    (_, _, _, n_train), (tokens, labels), digest = _read(
+        path, b"APKS", 4, lambda width, n_tok, n_ex, n_train: [
+            ((n_ex, width, n_tok), np.float64), ((n_ex,), np.int8)])
+    return SequenceDataset(tokens=tokens, labels=labels, n_train=int(n_train)), digest
 
 
 def write_attention_specs(path, logits: np.ndarray, digest: str = ZERO_DIGEST) -> None:
     """logits: (L, H, width, width), logits[l, h] the logit matrix of head h in layer l."""
     check_logits(logits)
-    with open(path, "wb") as fh:
-        fh.write(_pack_header(b"APKL", list(np.shape(logits)[:3]), digest))
-        fh.write(np.ascontiguousarray(logits, dtype=np.float64))
+    _write(path, b"APKL", list(np.shape(logits)[:3]), digest,
+           [np.asarray(logits, dtype=np.float64)])
 
 
 def read_attention_specs(path):
-    with open(path, "rb") as fh:
-        (depth, n_heads, width), digest = _read_header(fh, b"APKL", 3, str(path))
-        logits = _read_array(fh, (depth, n_heads, width, width), str(path))
-        _check_end(fh, str(path))
+    _, (logits,), digest = _read(path, b"APKL", 3, lambda depth, n_heads, width: [
+        ((depth, n_heads, width, width), np.float64)])
     return logits, digest
 
 
 def write_features(path, features: PathFeatureMatrix, digest: str = ZERO_DIGEST) -> None:
     fields = [features.n_heads, features.depth, features.width, features.n_examples,
               features.n_train]
-    with open(path, "wb") as fh:
-        fh.write(_pack_header(b"APKP", fields, digest))
-        fh.write(np.ascontiguousarray(features.values, dtype=np.float64))
+    _write(path, b"APKP", fields, digest, [features.values])
 
 
 def read_features(path):
-    with open(path, "rb") as fh:
-        (n_heads, depth, width, n_ex, n_train), digest = _read_header(fh, b"APKP", 5, str(path))
-        # clamped so a corrupt L builds no huge int; H >= 2 past 64 fails the size check
-        values = _read_array(fh, (n_heads ** min(depth, 64), width, n_ex), str(path))
-        _check_end(fh, str(path))
+    # the exponent is clamped so a corrupt L builds no huge int; H >= 2 past 64
+    # fails the size check
+    (n_heads, depth, _, _, n_train), (values,), digest = _read(
+        path, b"APKP", 5, lambda n_heads, depth, width, n_ex, n_train: [
+            ((n_heads ** min(depth, 64), width, n_ex), np.float64)])
     return PathFeatureMatrix(values=values, n_train=int(n_train), n_heads=int(n_heads),
                              depth=int(depth)), digest
 
 
 def write_order_parameters(path, params: OrderParameterSet, digest: str = ZERO_DIGEST) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_pack_header(b"APKU", [params.n_heads, params.depth,
-                                        len(params.matrices)], digest))
-        for m in params.matrices:
-            fh.write(struct.pack("<Q", m.shape[0]))
-            fh.write(np.ascontiguousarray(m, dtype=np.float64))
+    _write(path, b"APKO", [params.n_heads, params.depth], digest, params.matrices)
+
+
+def _order_levels(n_heads: int, depth: int):
+    # level i is H^(L-i) square, its exponent clamped as in read_features; a
+    # generator, so an inflated L fails at the first level the file cannot hold
+    if n_heads < 1:  # zero-size levels would let a corrupt L run on without reading
+        raise FormatError(f"order parameters need n_heads >= 1, got {n_heads} at byte 8")
+    return (((n_heads ** min(depth - i, 64),) * 2, np.float64) for i in range(depth + 1))
 
 
 def read_order_parameters(path):
-    with open(path, "rb") as fh:
-        (n_heads, depth, n_levels), digest = _read_header(fh, b"APKU", 3, str(path))
-        mats = []
-        for _ in range(n_levels):
-            start = fh.tell()
-            raw = fh.read(8)
-            if len(raw) < 8:
-                raise FormatError(f"{path}: truncated level header at byte {start + len(raw)}")
-            (side,) = struct.unpack("<Q", raw)
-            mats.append(_read_array(fh, (side, side), str(path)))
-        _check_end(fh, str(path))
+    (n_heads, depth), mats, digest = _read(path, b"APKO", 2, _order_levels)
     return OrderParameterSet(matrices=mats, n_heads=int(n_heads), depth=int(depth)), digest
 
 
@@ -217,11 +209,13 @@ def write_alignment_csv(path, eigenvalues, overlaps, digest: str = ZERO_DIGEST) 
     write_csv(path, digest, ["rank", "eigenvalue", "overlap"], rows)
 
 
-def write_head_scores_csv(path, table, digest: str = ZERO_DIGEST) -> None:
-    rows = [
-        [int(l), int(h) + 1, float(s), float(n)]
-        for l, h, s, n in zip(table.layers, table.heads, table.scores, table.normalized)
-    ]
+def write_head_scores_csv(path, scores: np.ndarray, digest: str = ZERO_DIGEST) -> None:
+    """The (L, H) head scores and each one's share of its layer's total (0 for
+    a layer whose total is 0), with one-based layers and heads."""
+    totals = scores.sum(axis=1, keepdims=True)
+    shares = np.divide(scores, totals, out=np.zeros_like(scores), where=totals > 0)
+    rows = [[layer + 1, head + 1, float(scores[layer, head]), float(shares[layer, head])]
+            for layer, head in np.ndindex(scores.shape)]
     write_csv(path, digest, ["layer", "head", "score", "normalized"], rows)
 
 

@@ -44,6 +44,8 @@ class PathFeatureMatrix:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
+        if self.n_heads < 1 or self.depth < 1:
+            raise ValueError(f"need n_heads >= 1 and depth >= 1, got {self.n_heads}, {self.depth}")
         if self.values.ndim != 3:
             raise ValueError(f"feature values must be (n_paths, width, P), got {self.values.shape}")
         if self.values.shape[0] != self.n_heads**self.depth:

@@ -61,6 +61,8 @@ class OrderParameterSet:
 
     def __post_init__(self):
         self.matrices = [np.asarray(m, dtype=float) for m in self.matrices]
+        if self.n_heads < 1 or self.depth < 1:
+            raise ValueError(f"need n_heads >= 1 and depth >= 1, got {self.n_heads}, {self.depth}")
         if len(self.matrices) != self.depth + 1:
             raise ValueError(f"need {self.depth + 1} levels, got {len(self.matrices)}")
         for i, m in enumerate(self.matrices):

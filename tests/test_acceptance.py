@@ -295,14 +295,12 @@ def test_criterion_11_pruning_determinism():
     def run_once():
         params, _ = solve_saddle(feats, y, config)
         full = evaluate_predictor(params.u1, feats, y, eval_idx, eval_labels, 0.1)
-        noop = prune_heads(params.u1, feats, y, [], eval_idx, eval_labels, 0.1)
-        table = head_scores(params.u1, 2, 2)
-        order = []
-        for layer in (1, 2):
-            mask = table.layers == layer
-            weakest = int(table.heads[mask][np.argmin(table.normalized[mask])])
-            order.append((layer, weakest))
-        pruned = prune_heads(params.u1, feats, y, order, eval_idx, eval_labels, 0.1)
+        keep = np.ones((2, 2), dtype=bool)
+        noop = prune_heads(params.u1, feats, y, keep, eval_idx, eval_labels, 0.1)
+        weakest = np.argmin(head_scores(params.u1, 2, 2), axis=1)
+        keep[np.arange(2), weakest] = False
+        order = [(layer + 1, int(head)) for layer, head in enumerate(weakest)]
+        pruned = prune_heads(params.u1, feats, y, keep, eval_idx, eval_labels, 0.1)
         return full, noop, order, pruned
 
     full_a, noop_a, order_a, pruned_a = run_once()

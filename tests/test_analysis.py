@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attnpaths.analysis import (
-    HeadScoreTable,
-    head_scores,
-    prune_heads,
-    surviving_paths,
-)
+from attnpaths.analysis import head_scores, prune_heads
 from attnpaths.kernel import PathFeatureMatrix
 from attnpaths.predictor import evaluate_predictor
 
@@ -27,12 +22,21 @@ def _paths(n_heads, depth):
     return list(itertools.product(range(n_heads), repeat=depth))
 
 
+def _keep(n_heads, depth, removed):
+    # the (L, H) mask of the heads that stay; removed holds one-based layers
+    keep = np.ones((depth, n_heads), dtype=bool)
+    for layer, head in removed:
+        keep[layer - 1, head] = False
+    return keep
+
+
 def test_head_scores_brute_force_oracle():
     rng = np.random.default_rng(0)
     for n_heads, depth in [(3, 2), (1, 1), (2, 3), (3, 3), (4, 1)]:
         n_paths = n_heads**depth
         u1 = rng.standard_normal((n_paths, n_paths))
-        table = head_scores(u1, n_heads, depth)
+        scores = head_scores(u1, n_heads, depth)
+        assert scores.shape == (depth, n_heads)
         paths = _paths(n_heads, depth)
         for layer in range(1, depth + 1):
             for head in range(n_heads):
@@ -41,19 +45,7 @@ def test_head_scores_brute_force_oracle():
                     for b, pb in enumerate(paths):
                         if pa[layer - 1] == head and pb[layer - 1] == head:
                             want += abs(u1[a, b])
-                assert abs(table.score(layer, head) - want) <= 1e-10 * (1 + want)
-        with pytest.raises(KeyError):
-            table.score(depth + 1, 0)
-
-
-def test_head_scores_normalized_per_layer():
-    rng = np.random.default_rng(1)
-    u1 = rng.standard_normal((4, 4))
-    table = head_scores(u1, 2, 2)
-    for layer in (1, 2):
-        mask = table.layers == layer
-        assert abs(table.normalized[mask].sum() - 1.0) <= 1e-12
-    assert np.all(table.normalized >= 0)
+                assert abs(scores[layer - 1, head] - want) <= 1e-10 * (1 + want)
     with pytest.raises(ValueError):
         head_scores(np.eye(3), 2, 2)
 
@@ -62,40 +54,46 @@ def test_head_scores_concentrated_diagonal():
     # all mass on path 0 = (0, 0) scores only head 0 in both layers
     u1 = np.zeros((4, 4))
     u1[0, 0] = 5.0
-    table = head_scores(u1, 2, 2)
-    for layer in (1, 2):
-        assert table.score(layer, 0) == 5.0
-        assert table.score(layer, 1) == 0.0
-        mask = table.layers == layer
-        assert np.allclose(np.sort(table.normalized[mask]), [0.0, 1.0])
+    assert np.array_equal(head_scores(u1, 2, 2), [[5.0, 0.0], [5.0, 0.0]])
 
 
-def test_surviving_paths_filter_oracle():
-    # removing (layer, head) keeps exactly the paths avoiding it
+def test_kept_paths_filter_oracle():
+    # pruning with a keep mask equals evaluating U masked to exactly the paths
+    # that avoid every removed head
+    rng = np.random.default_rng(6)
     for n_heads, depth in [(2, 2), (3, 2), (2, 3), (3, 3), (4, 1)]:
-        paths = _paths(n_heads, depth)
-        keep = surviving_paths(n_heads, depth, [(1, 0)])
-        want = [i for i, p in enumerate(paths) if p[0] != 0]
-        assert keep.tolist() == want
-        removed = [(1, 0), (depth, 1)]
-        both = surviving_paths(n_heads, depth, removed)
-        want2 = [i for i, p in enumerate(paths)
-                 if all(p[layer - 1] != head for layer, head in removed)]
-        assert both.tolist() == want2
-    with pytest.raises(ValueError, match="removed every path"):
-        surviving_paths(1, 1, [(1, 0)])
+        n_paths = n_heads**depth
+        feats = _features(rng, n_heads, depth)
+        y_train = rng.choice([-1.0, 1.0], size=6)
+        eval_idx = np.arange(6, 9)
+        eval_labels = rng.choice([-1, 1], size=3)
+        a = rng.standard_normal((n_paths, n_paths))
+        u1 = a @ a.T + n_paths * np.eye(n_paths)
+        for removed in ([(1, 0)], [(1, 0), (depth, 1)]):
+            kept = [i for i, p in enumerate(_paths(n_heads, depth))
+                    if all(p[layer - 1] != head for layer, head in removed)]
+            u_masked = np.zeros_like(u1)
+            u_masked[np.ix_(kept, kept)] = u1[np.ix_(kept, kept)]
+            want = evaluate_predictor(u_masked, feats, y_train, eval_idx, eval_labels, 0.1)
+            got = prune_heads(u1, feats, y_train, _keep(n_heads, depth, removed), eval_idx,
+                              eval_labels, 0.1)
+            assert np.array_equal(got.means, want.means)
+            assert np.array_equal(got.variances, want.variances)
 
 
-def test_surviving_paths_validation():
-    with pytest.raises(ValueError):
-        surviving_paths(2, 2, [(3, 0)])
-    with pytest.raises(ValueError):
-        surviving_paths(2, 2, [(1, 2)])
-    with pytest.raises(ValueError):
-        surviving_paths(2, 2, [(0, 0)])
+def test_prune_heads_validation():
+    rng = np.random.default_rng(7)
+    feats = _features(rng)
+    args = (rng.choice([-1.0, 1.0], size=6), np.arange(6, 9), np.array([1, -1, 1]), 0.1)
+    for shape in [(2,), (3, 2), (2, 3), (4,)]:
+        with pytest.raises(ValueError, match="keep mask shape"):
+            prune_heads(np.eye(4), feats, args[0], np.ones(shape, dtype=bool), *args[1:])
     # removing every head of a layer leaves nothing
-    with pytest.raises(ValueError):
-        surviving_paths(2, 2, [(1, 0), (1, 1)])
+    with pytest.raises(ValueError, match="removed every path"):
+        prune_heads(np.eye(4), feats, args[0], _keep(2, 2, [(1, 0), (1, 1)]), *args[1:])
+    lone = _features(rng, n_heads=1, depth=1)
+    with pytest.raises(ValueError, match="removed every path"):
+        prune_heads(np.eye(1), lone, args[0], np.zeros((1, 1), dtype=bool), *args[1:])
 
 
 def test_prune_no_heads_is_identity():
@@ -108,7 +106,7 @@ def test_prune_no_heads_is_identity():
     u1 = a @ a.T + 4 * np.eye(4)
     full = evaluate_predictor(u1, feats, y_train, eval_idx, eval_labels, 0.1)
     for renormalize in (False, True):
-        pruned = prune_heads(u1, feats, y_train, [], eval_idx, eval_labels, 0.1,
+        pruned = prune_heads(u1, feats, y_train, _keep(2, 2, []), eval_idx, eval_labels, 0.1,
                              renormalize=renormalize)
         assert np.array_equal(pruned.means, full.means)
         assert np.array_equal(pruned.variances, full.variances)
@@ -124,7 +122,7 @@ def test_prune_matches_masked_order_parameter():
     eval_labels = rng.choice([-1, 1], size=3)
     a = rng.standard_normal((4, 4))
     u1 = a @ a.T + 4 * np.eye(4)
-    pruned = prune_heads(u1, feats, y_train, [(1, 1)], eval_idx, eval_labels, 0.1)
+    pruned = prune_heads(u1, feats, y_train, _keep(2, 2, [(1, 1)]), eval_idx, eval_labels, 0.1)
     keep = [0, 1]  # paths with layer-1 head 0
     u_masked = np.zeros_like(u1)
     u_masked[np.ix_(keep, keep)] = u1[np.ix_(keep, keep)]
@@ -144,7 +142,7 @@ def test_prune_renormalize_rescales_kernel():
     eval_labels = rng.choice([-1, 1], size=3)
     a = rng.standard_normal((4, 4))
     u1 = a @ a.T + 4 * np.eye(4)
-    got = prune_heads(u1, feats, y_train, [(2, 0)], eval_idx, eval_labels, 0.1,
+    got = prune_heads(u1, feats, y_train, _keep(2, 2, [(2, 0)]), eval_idx, eval_labels, 0.1,
                       renormalize=True)
     keep = np.array([1, 3])  # paths with layer-2 head 1
     u_masked = np.zeros_like(u1)
@@ -160,7 +158,7 @@ def test_prune_single_surviving_path():
     eval_idx = np.arange(6, 9)
     eval_labels = rng.choice([-1, 1], size=3)
     u1 = np.eye(4) * 2.0
-    report = prune_heads(u1, feats, y_train, [(1, 1), (2, 1)], eval_idx,
+    report = prune_heads(u1, feats, y_train, _keep(2, 2, [(1, 1), (2, 1)]), eval_idx,
                          eval_labels, 0.1, renormalize=True)
     # one path with renormalization: K = 2 phi^T phi exactly
     phi = feats.values[0]
@@ -197,7 +195,7 @@ def test_prune_heads_matches_kept_path_sum_property(n_heads, depth, renormalize,
     want_means = k_cross @ np.linalg.solve(m, y_train)
     want_vars = np.diag(k)[6:] - np.einsum("em,me->e", k_cross, np.linalg.solve(m, k_cross.T))
 
-    got = prune_heads(u1, feats, y_train, removed, eval_idx, eval_labels, 0.1,
-                      renormalize=renormalize)
+    got = prune_heads(u1, feats, y_train, _keep(n_heads, depth, removed), eval_idx,
+                      eval_labels, 0.1, renormalize=renormalize)
     for g, w in ((got.means, want_means), (got.variances, want_vars)):
         assert np.max(np.abs(g - w)) <= 1e-12 * (1.0 + np.max(np.abs(w)))

@@ -1,4 +1,5 @@
 import csv
+import filecmp
 import json
 import os
 import shutil
@@ -329,11 +330,12 @@ def test_verify_rejects_trailing_bytes(tmp_path, capsys):
 
 # (file, header byte offset, count): each count implies a payload past 2^40 bytes
 @pytest.mark.parametrize("name,offset,count", [
-    ("dataset.apkd", 32, 2**40),      # P
+    ("dataset.apkd", 24, 2**40),      # P
     ("attention.apkw", 16, 2**40),    # H
     ("features.apkf", 8, 2**20),      # H, so H^L = 2^40 path rows
     ("features.apkf", 16, 100),       # L, so H^L = 2^100 path rows
-    ("u1.apku", 64, 2**20),           # the first level's side
+    ("u1.apku", 8, 2**20),            # H, so the first level is 2^40 square
+    ("u1.apku", 16, 100),             # L, so the first level is 2^100 square
 ])
 def test_inflated_header_counts_are_format_errors(tmp_path, capsys, name, offset, count):
     cfg, out = _gen(tmp_path, solver={"gp_limit": True})
@@ -347,6 +349,43 @@ def test_inflated_header_counts_are_format_errors(tmp_path, capsys, name, offset
         readers[Path(name).suffix](out / name)
     assert main(["verify", "--out", str(out)]) == 2
     assert "truncated payload" in capsys.readouterr().err
+
+
+def test_verify_rejects_zero_head_files(tmp_path, capsys):
+    cfg, out = _gen(tmp_path, solver={"gp_limit": True})
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+    features = (out / "features.apkf").read_bytes()
+    order = (out / "u1.apku").read_bytes()
+    # features: H = 0 with its header otherwise kept, so H^L = 0 rows and no payload;
+    # order parameters: H = 0, L = 1, so levels of 0x0 and 1x1
+    zero_features = features[:8] + struct.pack("<Q", 0) + features[16:80]
+    zero_order = order[:8] + struct.pack("<2Q", 0, 1) + order[24:56] + np.ones(1).tobytes()
+    for name, blob, whole in (("features.apkf", zero_features, features),
+                              ("u1.apku", zero_order, order)):
+        (out / name).write_bytes(blob)
+        assert main(["verify", "--out", str(out)]) == 2
+        assert "n_heads >= 1" in capsys.readouterr().err
+        (out / name).write_bytes(whole)
+    assert main(["verify", "--out", str(out)]) == 0
+
+
+def test_reruns_write_identical_files(tmp_path):
+    # the byte-identical rerun contract, over every file all four commands write
+    cfg = _write_config(tmp_path, solver={"alpha": 0.5, "max_iter": 4000},
+                        temperature_grid=[0.1, 0.5],
+                        sampler={"n_chains": 2, "n_warmup": 10, "n_samples": 10, "thin": 5,
+                                 "n_leapfrog": 4})
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        for command in ("gen-data", "pipeline", "sweep", "sample"):
+            assert main([command, "--config", str(cfg), "--out", str(out), "--force"]) == 0
+        assert main(["verify", "--out", str(out)]) == 0
+    names = sorted(p.name for p in runs[0].iterdir())
+    assert len(names) == 17
+    assert sorted(p.name for p in runs[1].iterdir()) == names
+    match, mismatch, errors = filecmp.cmpfiles(*runs, names, shallow=False)
+    assert (mismatch, errors) == ([], [])
+    assert match == names
 
 
 @pytest.mark.parametrize("removed", [

@@ -133,14 +133,11 @@ def test_dataset_determinism_and_seed_sensitivity():
 
 def test_dataset_validation():
     with pytest.raises(ValueError):
-        SequenceDataset(tokens=np.zeros((3, 4)), labels=np.zeros(3), n_train=1,
-                        feature_width=2, seed=0)
+        SequenceDataset(tokens=np.zeros((3, 4)), labels=np.zeros(3), n_train=1)
     with pytest.raises(ValueError):
-        SequenceDataset(tokens=np.zeros((3, 4, 5)), labels=np.zeros(2), n_train=1,
-                        feature_width=2, seed=0)
+        SequenceDataset(tokens=np.zeros((3, 4, 5)), labels=np.zeros(2), n_train=1)
     with pytest.raises(ValueError):
-        SequenceDataset(tokens=np.zeros((3, 4, 5)), labels=np.zeros(3), n_train=4,
-                        feature_width=2, seed=0)
+        SequenceDataset(tokens=np.zeros((3, 4, 5)), labels=np.zeros(3), n_train=4)
 
 
 def test_good_head_logit_structure():

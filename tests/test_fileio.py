@@ -1,3 +1,4 @@
+import csv
 import json
 import struct
 import tracemalloc
@@ -42,12 +43,24 @@ def test_dataset_round_trip(tmp_path):
     assert np.array_equal(back.tokens, ds.tokens)
     assert np.array_equal(back.labels, ds.labels)
     assert back.n_train == ds.n_train
-    assert back.feature_width == ds.feature_width
-    assert back.seed == ds.seed
+    # a 72-byte header (magic, version, four fields, digest), then the payload
+    assert p.stat().st_size == 72 + ds.tokens.nbytes + ds.labels.nbytes
     # identical writes are byte-identical
     p2 = tmp_path / "d2.apkd"
     fileio.write_dataset(p2, ds, DIGEST)
     assert p.read_bytes() == p2.read_bytes()
+
+
+def test_earlier_dataset_layout_is_rejected(tmp_path):
+    # the earlier layout: magic APKD, header (feature width, token width, T, P,
+    # n_train, seed), then the same payload
+    ds = _dataset()
+    p = tmp_path / "old.apkd"
+    n_ex, width, n_tok = ds.tokens.shape
+    head = struct.pack("<4sI6Q", b"APKD", 1, 6, width, n_tok, n_ex, ds.n_train, 3)
+    p.write_bytes(head + bytes.fromhex(DIGEST) + ds.tokens.tobytes() + ds.labels.tobytes())
+    with pytest.raises(FormatError, match="bad magic b'APKD' at byte 0"):
+        fileio.read_dataset(p)
 
 
 def test_attention_specs_round_trip_direct(tmp_path):
@@ -124,6 +137,20 @@ def test_order_parameters_round_trip(tmp_path):
     assert back.n_heads == 2 and back.depth == 2
     for a, b in zip(back.matrices, params.matrices):
         assert np.array_equal(a, b)
+    # a 56-byte header (magic, version, H, L, digest), then the levels
+    assert p.stat().st_size == 56 + 8 * (16 + 4 + 1)
+
+
+def test_earlier_order_parameter_layout_is_rejected(tmp_path):
+    # the earlier layout: magic APKU, header (H, L, level count), then each
+    # level's side before its values
+    head = struct.pack("<4sI3Q", b"APKU", 1, 2, 1, 2) + bytes.fromhex(DIGEST)
+    levels = (struct.pack("<Q", 2) + np.eye(2).tobytes()
+              + struct.pack("<Q", 1) + np.eye(1).tobytes())
+    p = tmp_path / "old.apku"
+    p.write_bytes(head + levels)
+    with pytest.raises(FormatError, match="bad magic b'APKU' at byte 0"):
+        fileio.read_order_parameters(p)
 
 
 def test_bad_magic_and_version_and_truncation(tmp_path):
@@ -173,12 +200,6 @@ def test_every_truncated_format_names_a_byte_offset(tmp_path):
             cut.write_bytes(blob[:size])
             with pytest.raises(FormatError, match=rf"truncated .* at byte {size}\b"):
                 read(cut)
-    # an order-parameter file cut inside its first level header, which follows
-    # the 64-byte header
-    cut = tmp_path / "cut-level.apku"
-    cut.write_bytes((tmp_path / "u.apku").read_bytes()[:68])
-    with pytest.raises(FormatError, match=r"truncated level header at byte 68\b"):
-        fileio.read_order_parameters(cut)
 
 
 def test_readers_reject_trailing_bytes(tmp_path):
@@ -278,15 +299,23 @@ def test_trace_and_predictor_and_score_csvs(tmp_path):
     assert lines2[1] == "example,mean,variance,label"
     assert lines2[2] == "0,0.5,0.1,1"
 
-    from attnpaths.analysis import head_scores
-    table = head_scores(np.eye(4), 2, 2)
+    # scores of an (L, H) = (3, 2) grid; the second layer's total is zero
+    scores = np.array([[1.0, 3.0], [0.0, 0.0], [2.5, 0.0]])
     p3 = tmp_path / "scores.csv"
-    fileio.write_head_scores_csv(p3, table, DIGEST)
+    fileio.write_head_scores_csv(p3, scores, DIGEST)
     lines3 = p3.read_text().splitlines()
     assert lines3[1] == "layer,head,score,normalized"
-    # heads are rendered one-based
-    assert lines3[2].startswith("1,1,")
-    assert lines3[3].startswith("1,2,")
+    # layers and heads are rendered one-based, each score with its layer share
+    assert lines3[2:] == ["1,1,1.0,0.25", "1,2,3.0,0.75", "2,1,0.0,0.0", "2,2,0.0,0.0",
+                          "3,1,2.5,1.0", "3,2,0.0,0.0"]
+    rng = np.random.default_rng(1)
+    fileio.write_head_scores_csv(p3, rng.random((2, 3)), DIGEST)
+    with open(p3) as fh:
+        rows = list(csv.DictReader(fh.readlines()[1:]))
+    for layer in ("1", "2"):
+        shares = [float(r["normalized"]) for r in rows if r["layer"] == layer]
+        assert len(shares) == 3 and min(shares) >= 0
+        assert abs(sum(shares) - 1.0) <= 1e-12
 
 
 def test_alignment_and_sweep_csvs(tmp_path):

@@ -192,6 +192,11 @@ def test_feature_matrix_validation():
         PathFeatureMatrix(values=rng.standard_normal((4, 3, 5)), n_train=6, n_heads=2, depth=2)
     with pytest.raises(ValueError, match=r"3 path rows, H\^L = 4"):
         PathFeatureMatrix(values=rng.standard_normal((3, 3, 5)), n_train=1, n_heads=2, depth=2)
+    # H^L matches the row count, but no writer makes a network without heads or layers
+    for n_heads, depth, rows in ((0, 2, 0), (2, 0, 1)):
+        with pytest.raises(ValueError, match="need n_heads >= 1 and depth >= 1"):
+            PathFeatureMatrix(values=np.zeros((rows, 3, 5)), n_train=1, n_heads=n_heads,
+                              depth=depth)
 
 
 def test_kernel_task_alignment_parseval():

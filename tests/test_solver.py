@@ -126,6 +126,10 @@ def test_order_parameter_set_validation():
         OrderParameterSet(matrices=[np.eye(4), np.eye(2)], n_heads=2, depth=2)
     with pytest.raises(ValueError):
         OrderParameterSet(matrices=[np.eye(3), np.eye(2), np.eye(1)], n_heads=2, depth=2)
+    # the level sides match, but no writer makes a network without heads or layers
+    for mats, n_heads, depth in (([np.eye(0), np.eye(1)], 0, 1), ([np.eye(1)], 2, 0)):
+        with pytest.raises(ValueError, match="need n_heads >= 1 and depth >= 1"):
+            OrderParameterSet(matrices=mats, n_heads=n_heads, depth=depth)
 
 
 def test_action_term_by_term_oracle():

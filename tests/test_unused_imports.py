@@ -46,10 +46,10 @@ def test_public_names_are_listed():
         "energy_term", "action", "action_gradient", "solve_saddle",
         "PredictorReport", "SweepResult", "predictor_mean", "predictor_variance",
         "classification_accuracy", "evaluate_predictor", "temperature_sweep",
-        "HeadScoreTable", "head_scores", "prune_heads",
+        "head_scores", "prune_heads",
         "HmcTaskConfig", "SequenceDataset", "state_vectors", "sample_hidden_chain",
         "gen_hmc_dataset", "build_good_heads", "build_random_head", "build_hmc_attention",
         "HmcConfig", "PosteriorSamples", "log_posterior", "leapfrog", "run_hmc", "hmc_sample",
         "empirical_order_parameter", "empirical_predictor",
     ])
-    assert len(attnpaths.__all__) == 57
+    assert len(attnpaths.__all__) == 56
