@@ -37,6 +37,13 @@ def head_scores(u1: np.ndarray, n_heads: int, depth: int) -> np.ndarray:
     return scores
 
 
+def head_shares(scores: np.ndarray) -> np.ndarray:
+    """Each head score's share of its layer's total, 0 for a layer whose total is 0."""
+    scores = np.asarray(scores, dtype=float)
+    totals = scores.sum(axis=1, keepdims=True)
+    return np.divide(scores, totals, out=np.zeros_like(scores), where=totals > 0)
+
+
 def prune_heads(u1: np.ndarray, features: PathFeatureMatrix, y_train: np.ndarray,
                 keep: np.ndarray, eval_idx: np.ndarray, eval_labels: np.ndarray,
                 temperature: float, renormalize: bool = False) -> PredictorReport:

@@ -32,6 +32,7 @@ import struct
 
 import numpy as np
 
+from .analysis import head_shares
 from .data import SequenceDataset
 from .kernel import PathFeatureMatrix
 from .model import check_logits
@@ -212,8 +213,7 @@ def write_alignment_csv(path, eigenvalues, overlaps, digest: str = ZERO_DIGEST) 
 def write_head_scores_csv(path, scores: np.ndarray, digest: str = ZERO_DIGEST) -> None:
     """The (L, H) head scores and each one's share of its layer's total (0 for
     a layer whose total is 0), with one-based layers and heads."""
-    totals = scores.sum(axis=1, keepdims=True)
-    shares = np.divide(scores, totals, out=np.zeros_like(scores), where=totals > 0)
+    shares = head_shares(scores)
     rows = [[layer + 1, head + 1, float(scores[layer, head]), float(shares[layer, head])]
             for layer, head in np.ndindex(scores.shape)]
     write_csv(path, digest, ["layer", "head", "score", "normalized"], rows)

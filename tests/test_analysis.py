@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attnpaths.analysis import head_scores, prune_heads
+from attnpaths.analysis import head_scores, head_shares, prune_heads
 from attnpaths.kernel import PathFeatureMatrix
 from attnpaths.predictor import evaluate_predictor
 
@@ -46,6 +46,18 @@ def test_head_scores_brute_force_oracle():
                         if pa[layer - 1] == head and pb[layer - 1] == head:
                             want += abs(u1[a, b])
                 assert abs(scores[layer - 1, head] - want) <= 1e-10 * (1 + want)
+    with pytest.raises(ValueError):
+        head_scores(np.eye(3), 2, 2)
+
+
+def test_head_scores_normalized_per_layer():
+    rng = np.random.default_rng(1)
+    shares = head_shares(head_scores(rng.standard_normal((4, 4)), 2, 2))
+    assert shares.shape == (2, 2)
+    assert np.all(np.abs(shares.sum(axis=1) - 1.0) <= 1e-12)
+    assert np.all(shares >= 0)
+    # a layer with no mass reads 0, not NaN
+    assert np.array_equal(head_shares(np.array([[0.0, 0.0], [1.0, 3.0]])), [[0.0, 0.0], [0.25, 0.75]])
     with pytest.raises(ValueError):
         head_scores(np.eye(3), 2, 2)
 
