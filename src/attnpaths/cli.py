@@ -247,6 +247,8 @@ def cmd_pipeline(args) -> int:
         "n_train": report.n_train, "n_eval": int(len(report.means)),
         "alpha": solver_config.alpha, "solver_used": trace is not None,
         "converged": None if trace is None else bool(trace.converged),
+        "solver_iters": None if trace is None else trace.n_iter,
+        "solver_evals": None if trace is None else trace.n_eval,
         "config_digest": digest,
     })
 

@@ -10,8 +10,7 @@ assembled by einsum from the stacked features.  total_kernel and
 kernel_blocks never materialize the H^(2L) individual pair kernels; their
 memory stays O(H^L * width * P).  path_pair_gram does materialize them, for
 the training block only: H^(2L) * P^2 doubles, which the solver builds once
-per solve and only below its memory bound.  It is the one function here that
-loads scipy.
+per solve and only below its memory bound.
 
 compute_features builds one attention stack per example, its last layer only
 at the readout's columns (see attnpaths.model).  path_features then takes
@@ -128,17 +127,10 @@ def path_pair_gram(features: PathFeatureMatrix) -> np.ndarray:
 
     One GEMM over the stacked training features; the total training kernel
     under U is then sum_{ab} U[a, b] C[a, b].  Costs A^2 P^2 doubles for A = H^L paths.
-    The GEMM runs in scipy's BLAS, the runtime of the solve that reads C: a
-    numpy GEMM would leave numpy's OpenBLAS threads spinning, competing with
-    scipy's, well into the solve.
     """
-    from scipy.linalg.blas import dgemm
-
     n_paths, width, p = features.n_paths, features.width, features.n_train
     phi = features.values[:, :, :p].transpose(1, 0, 2).reshape(width, n_paths * p)
-    # phi.T is Fortran-ordered, so dgemm reads it in place; the product is
-    # symmetric, so its C-ordered transpose is the Gram too
-    gram = dgemm(1.0 / features.n_paths, phi.T, phi.T, trans_b=True).T
+    gram = (phi.T @ phi) / n_paths
     return np.ascontiguousarray(gram.reshape(n_paths, p, n_paths, p).transpose(0, 2, 1, 3))
 
 

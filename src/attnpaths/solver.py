@@ -15,27 +15,22 @@ is the Gaussian-process point U^(l) = sigma^(2(L+2-l)) I.
 
 Minimization works on Cholesky factors U = F F^T with a softplus
 reparameterized diagonal, which keeps every iterate strictly positive
-definite.  The factors of all levels are flattened into one vector and handed,
-with the analytic gradient, to scipy's L-BFGS-B (limited-memory quasi-Newton;
-the action is smooth in these parameters).  Gradients are analytic; ln det
-and solves go through Cholesky factorizations, and no explicit inverse
-appears outside the small per-level matrices.
+definite.  The factors of all levels are flattened into one vector and
+minimized by limited-memory BFGS (Nocedal & Wright, Numerical Optimization,
+2nd ed., Alg. 7.4-7.5) with a strong-Wolfe line search (Alg. 3.5-3.6); the
+action is smooth in these parameters and has no bounds.  Gradients are
+analytic; ln det and solves go through Cholesky factorizations.
 
-The solve loop runs in one BLAS runtime.  numpy and scipy each ship their
-own OpenBLAS with its own thread pool, and L-BFGS-B already runs in scipy's,
-so two pools taking turns on every evaluation cost more than the evaluation
-itself.  solve_saddle therefore builds the path-pair Gram once, with one GEMM
-in scipy's BLAS; each evaluation then forms the training kernel and dE/dU1 by
-plain einsum over it, which calls no BLAS, and factors K + T I with
-scipy.linalg.  Above GRAM_MAX_DOUBLES the Gram is not built and evaluations
-contract the features directly, as action and action_gradient always do (one
-evaluation never repays the Gram).  scipy is imported only inside the action
-and the solve; energy_term and everything outside the action use numpy, so
-commands that never solve never load scipy.
+solve_saddle builds the path-pair Gram once, with one GEMM; each evaluation
+then forms the training kernel and dE/dU1 as matrix-vector products with it.
+Above GRAM_MAX_DOUBLES the Gram is not built and evaluations contract the
+features directly, as action and action_gradient always do (one evaluation
+never repays the Gram).  Everything here runs on numpy alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +40,13 @@ from .kernel import PathFeatureMatrix, path_pair_gram, total_kernel
 # Largest path-pair Gram (H^(2L) * P^2 doubles, 64 MiB) a solve builds; above
 # it each evaluation contracts the O(H^L * width * P) features instead.
 GRAM_MAX_DOUBLES = 2**23
+
+# L-BFGS correction pairs kept, trial steps per line search, and the
+# strong-Wolfe constants of sufficient decrease and curvature
+LBFGS_MEMORY = 10
+LINE_SEARCH_TRIALS = 20
+WOLFE_C1 = 1e-4
+WOLFE_C2 = 0.9
 
 
 class SolverFailure(RuntimeError):
@@ -193,8 +195,6 @@ def _action_pieces(mats: list, features: PathFeatureMatrix, y: np.ndarray,
     when given, is path_pair_gram(features) and the kernel is read from it;
     otherwise the features are contracted directly.
     """
-    from scipy.linalg import cho_solve, cholesky
-
     s2inv = 1.0 / config.sigma2
     depth = len(mats) - 1
     mats = [0.5 * (m + m.T) for m in mats]
@@ -224,21 +224,19 @@ def _action_pieces(mats: list, features: PathFeatureMatrix, y: np.ndarray,
     if gram is None:
         k = total_kernel(mats[0], features)
     else:
-        # plain einsum: no BLAS call, so numpy's thread pool stays idle
-        k = np.einsum("ab,abmn->mn", mats[0], gram)
+        k = (mats[0].ravel() @ gram.reshape(-1, p * p)).reshape(p, p)
         k = 0.5 * (k + k.T)
-    # raises scipy.linalg.LinAlgError, which is np.linalg.LinAlgError, on non-PD input
-    c_m = cholesky(k + config.temperature * np.eye(p), lower=True, check_finite=False)
-    alpha_vec = cho_solve((c_m, True), y, check_finite=False)
+    c_m = _chol(k + config.temperature * np.eye(p))
+    alpha_vec = _chol_solve(c_m, y)
     energy = (_chol_logdet(c_m) + float(y @ alpha_vec)) / p
     if want_grad and config.alpha != 0.0:
-        m_inv = cho_solve((c_m, True), np.eye(p), check_finite=False)
+        m_inv = _chol_solve(c_m, np.eye(p))
         g_k = (0.5 * (m_inv + m_inv.T) - np.outer(alpha_vec, alpha_vec)) / p
         if gram is None:
             lifted = np.einsum("mn,bin->bim", g_k, features.values, optimize=True)
             g_u = np.einsum("aim,bim->ab", features.values, lifted, optimize=True) / features.n_paths
         else:
-            g_u = np.einsum("abmn,mn->ab", gram, g_k)
+            g_u = (gram.reshape(-1, p * p) @ g_k.ravel()).reshape(mats[0].shape)
         grads[0] += config.alpha * g_u
 
     act = entropy + config.alpha * energy
@@ -337,24 +335,82 @@ def _evaluate(x: np.ndarray, sizes: list, features: PathFeatureMatrix, y: np.nda
     return (act, ent, ene, gmax), mats, flat
 
 
+def _lbfgs_direction(grad: np.ndarray, pairs: list) -> np.ndarray:
+    """-H grad by the two-loop recursion (Nocedal & Wright Alg. 7.4).
+
+    pairs holds (s, y, 1 / s.y) oldest first; the initial H is (s.y / y.y) I
+    from the newest pair, or I when there is none.
+    """
+    q = grad.copy()
+    coeffs = []
+    for s, y, rho in reversed(pairs):
+        coeffs.append(rho * (s @ q))
+        q -= coeffs[-1] * y
+    if pairs:
+        s, y, _ = pairs[-1]
+        q *= (s @ y) / (y @ y)
+    for (s, y, rho), coeff in zip(pairs, reversed(coeffs)):
+        q += (coeff - rho * (y @ q)) * s
+    return -q
+
+
+def _line_search(phi, f0: float, slope0: float, step: float):
+    """Strong-Wolfe line search (Nocedal & Wright Alg. 3.5-3.6, zooming in by
+    bisection) over at most LINE_SEARCH_TRIALS trial steps.
+
+    phi(a) returns (value, slope, point) at step a, or None where the action
+    is not finite; such a trial counts as no lower value.  Returns the point of
+    the first trial that meets both Wolfe conditions; failing that, the trial
+    point of lowest value if it is below f0, else None.
+    """
+    prev = (0.0, f0, slope0)
+    lo = hi = None
+    best_f, best = f0, None
+    for trial in range(LINE_SEARCH_TRIALS):
+        if lo is not None:
+            step = 0.5 * (lo[0] + hi[0])
+        got = phi(step)
+        f, slope, point = (math.inf, math.nan, None) if got is None else got
+        if f < best_f:
+            best_f, best = f, point
+        now = (step, f, slope)
+        rises = f > f0 + WOLFE_C1 * step * slope0
+        if lo is None:
+            # bracketing: grow the step until an interval holds a Wolfe point
+            if rises or (trial > 0 and f >= prev[1]):
+                lo, hi = prev, now
+            elif abs(slope) <= -WOLFE_C2 * slope0:
+                return point
+            elif slope >= 0:
+                lo, hi = now, prev
+            else:
+                prev = now
+                step *= 2.0
+        elif rises or f >= lo[1]:
+            hi = now
+        elif abs(slope) <= -WOLFE_C2 * slope0:
+            return point
+        else:
+            if slope * (hi[0] - lo[0]) >= 0:
+                hi = lo
+            lo = now
+    return best
+
+
 def solve_saddle(features: PathFeatureMatrix, y: np.ndarray,
                  config: SolverConfig) -> tuple[OrderParameterSet, SolveTrace]:
     """Minimize the action; returns the order parameters and the full trace.
 
     Starts at the GP fixed point plus a small seeded jitter on the raw factors
-    and runs one L-BFGS-B minimization over the flattened factors.  It stops
-    at the first iterate whose U-space action gradient infinity norm is at
-    most tolerance * (1 + |action|), after max_iter iterates, or when the line
+    and runs L-BFGS over the flattened factors.  It stops at the first iterate
+    whose U-space action gradient infinity norm is at most
+    tolerance * (1 + |action|), after max_iter iterates, or when the line
     search finds no lower action (a trial point where the action is not finite
     counts as no lower action).  converged reports the gradient test at the
     returned iterate, which is the last one accepted.  A starting point where
     the action is not finite raises SolverFailure.  Identical (features, y,
     config) reruns are bit-identical.
     """
-    # imported here: scipy.optimize adds about 0.4 s and 20 MB to every process
-    # that loads it, and the commands that never solve should not pay that
-    from scipy.optimize import minimize
-
     y = np.asarray(y, dtype=float)
     feats = features.train()
     if feats.n_examples < 1:
@@ -366,49 +422,50 @@ def solve_saddle(features: PathFeatureMatrix, y: np.ndarray,
     gram = path_pair_gram(feats) if fits else None
     raws = _init_raws(features.n_heads, features.depth, config, np.random.default_rng(config.seed))
     sizes = [r.shape[0] for r in raws]
-    x0 = np.concatenate([r.ravel() for r in raws])
-    last = {"key": None, "point": None}
-    n_eval = 0
-
-    def at(x):
-        # the callback asks again for the point the line search just accepted
-        nonlocal n_eval
-        key = x.tobytes()
-        if key != last["key"]:
-            n_eval += 1
-            last.update(key=key, point=_evaluate(x, sizes, feats, y, config, gram))
-        return last["point"]
-
-    def objective(x):
-        point = at(x)
-        return (np.inf, np.zeros_like(x)) if point is None else (point[0][0], point[2])
+    x = np.concatenate([r.ravel() for r in raws])
+    point = _evaluate(x, sizes, feats, y, config, gram)
+    if point is None:
+        raise SolverFailure("the action is not finite at the starting point")
+    n_eval = 1
 
     def converged(point):
         act, _, _, gmax = point[0]
         return gmax <= config.tolerance * (1.0 + abs(act))
 
-    accepted = [at(x0)]
-    if accepted[0] is None:
-        raise SolverFailure("the action is not finite at the starting point")
+    accepted = [point]
+    pairs = []
+    while not converged(point) and len(accepted) < config.max_iter:
+        grad = point[2]
+        direction = _lbfgs_direction(grad, pairs)
+        if grad @ direction >= 0:
+            # rounding in the pairs cost descent; start over from steepest descent
+            pairs, direction = [], -grad
 
-    def accept(intermediate_result):
-        accepted.append(at(intermediate_result.x))
-        if converged(accepted[-1]) or len(accepted) >= config.max_iter:
-            raise StopIteration
+        def phi(step):
+            nonlocal n_eval
+            n_eval += 1
+            x_new = x + step * direction
+            got = _evaluate(x_new, sizes, feats, y, config, gram)
+            return None if got is None else (got[0][0], float(got[2] @ direction), (x_new, got))
 
-    if not converged(accepted[0]) and config.max_iter > 1:
-        # L-BFGS-B's own stopping tests are off; accept() applies the one above.
-        # A line search tries at most 20 points, so maxfun never binds first.
-        minimize(objective, x0, jac=True, method="L-BFGS-B", callback=accept,
-                 options={"maxiter": config.max_iter, "maxfun": 20 * config.max_iter,
-                          "ftol": 0.0, "gtol": 0.0})
+        # without pairs H = I sets no scale, so the first trial step has unit length
+        step = 1.0 if pairs else 1.0 / float(np.linalg.norm(direction))
+        found = _line_search(phi, point[0][0], float(grad @ direction), step)
+        if found is None:
+            break
+        x_new, point = found
+        s, dy = x_new - x, point[2] - grad
+        sy = float(s @ dy)
+        if sy > 0:
+            pairs = (pairs + [(s, dy, 1.0 / sy)])[-LBFGS_MEMORY:]
+        x = x_new
+        accepted.append(point)
 
     rows = np.array([point[0] for point in accepted])
-    params = OrderParameterSet(matrices=accepted[-1][1], n_heads=features.n_heads,
-                               depth=features.depth)
+    params = OrderParameterSet(matrices=point[1], n_heads=features.n_heads, depth=features.depth)
     trace = SolveTrace(
         actions=rows[:, 0], entropies=rows[:, 1], energies=rows[:, 2], grad_norms=rows[:, 3],
-        converged=converged(accepted[-1]), n_iter=len(rows), n_eval=n_eval,
+        converged=converged(point), n_iter=len(rows), n_eval=n_eval,
     )
     return params, trace
 

@@ -222,6 +222,11 @@ def test_pipeline_end_to_end(tmp_path):
     summary = json.loads((out / "predictor_summary.json").read_text())
     assert summary["solver_used"] is True
     assert summary["n_train"] == 12 and summary["n_eval"] == 8
+    # the solve's effort: one trace row per iterate, line-search trial points on top
+    with open(out / "trace.csv") as fh:
+        trace_rows = list(csv.reader(fh))[2:]  # after the digest line and the header
+    assert summary["solver_iters"] == len(trace_rows) >= 1
+    assert summary["solver_evals"] >= summary["solver_iters"]
     assert 0.0 <= summary["accuracy"] <= 1.0
     params, _ = fileio.read_order_parameters(out / "u1.apku")
     assert params.u1.shape == (4, 4)
@@ -235,6 +240,7 @@ def test_pipeline_gp_limit_skips_solver(tmp_path):
     assert rc == 0
     summary = json.loads((out / "predictor_summary.json").read_text())
     assert summary["solver_used"] is False and summary["converged"] is None
+    assert summary["solver_iters"] is None and summary["solver_evals"] is None
     params, _ = fileio.read_order_parameters(out / "u1.apku")
     assert np.array_equal(params.u1, np.eye(4))
     assert not (out / "trace.csv").exists()
@@ -477,6 +483,29 @@ def test_commands_that_never_solve_leave_scipy_unloaded(tmp_path):
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[False, False, False, False]"
+
+
+def test_solving_commands_leave_scipy_unloaded(tmp_path):
+    # the saddle-point solve runs on numpy alone
+    cfg = _write_config(tmp_path, solver={"alpha": 0.5, "max_iter": 200},
+                        temperature_grid=[0.1, 0.5])
+    probe = (
+        "import sys\n"
+        "from attnpaths.cli import main\n"
+        "loaded = []\n"
+        "for command in ('gen-data', 'pipeline', 'sweep'):\n"
+        f"    assert main([command, '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'run')!r},"
+        " '--force']) == 0\n"
+        "    loaded.append('scipy' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    src = str(Path(attnpaths.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[False, False, False]"
+    summary = json.loads((tmp_path / "run" / "predictor_summary.json").read_text())
+    assert summary["solver_used"] is True
 
 
 def test_missing_input_files(tmp_path, capsys):

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import attnpaths.solver as solver_mod
-from attnpaths.kernel import PathFeatureMatrix, path_pair_gram, total_kernel
+from attnpaths.data import HmcTaskConfig, build_hmc_attention, gen_hmc_dataset
+from attnpaths.kernel import PathFeatureMatrix, compute_features, path_pair_gram, total_kernel
+from attnpaths.model import Readout
 from attnpaths.paths import extend_order_parameter
 from attnpaths.solver import (
     OrderParameterSet,
@@ -393,7 +395,7 @@ def test_solve_max_iter_caps_iterates():
     rng = np.random.default_rng(17)
     feats = _features(rng, 2, 2, n_ex=8)
     y = _labels(rng, 8)
-    for max_iter in (1, 3):
+    for max_iter in (1, 2, 3):
         config = SolverConfig(alpha=2.0, temperature=0.1, max_iter=max_iter)
         _, trace = solve_saddle(feats, y, config)
         assert not trace.converged
@@ -421,3 +423,89 @@ def test_solve_input_validation():
     empty = PathFeatureMatrix(values=feats.values, n_train=0, n_heads=2, depth=1)
     with pytest.raises(ValueError):
         solve_saddle(empty, np.ones(0), config)
+
+
+def _scipy_solve(features, y, config):
+    """The final (action, U1, converged) of scipy's L-BFGS-B on the same objective,
+    from the same start, stopped by the same gradient test."""
+    from scipy.optimize import minimize
+
+    train = features.train()
+    gram = path_pair_gram(train)
+    raws = solver_mod._init_raws(features.n_heads, features.depth, config,
+                                 np.random.default_rng(config.seed))
+    sizes = [r.shape[0] for r in raws]
+    x0 = np.concatenate([r.ravel() for r in raws])
+
+    def evaluate(x):
+        return solver_mod._evaluate(x, sizes, train, y, config, gram)
+
+    def objective(x):
+        point = evaluate(x)
+        return (np.inf, np.zeros_like(x)) if point is None else (point[0][0], point[2])
+
+    def converged(point):
+        act, _, _, gmax = point[0]
+        return gmax <= config.tolerance * (1.0 + abs(act))
+
+    last = [evaluate(x0)]
+
+    def accept(intermediate_result):
+        last.append(evaluate(intermediate_result.x))
+        if converged(last[-1]):
+            raise StopIteration
+
+    minimize(objective, x0, jac=True, method="L-BFGS-B", callback=accept,
+             options={"maxiter": config.max_iter, "maxfun": 20 * config.max_iter,
+                      "ftol": 0.0, "gtol": 0.0})
+    return last[-1][0][0], last[-1][1][0], converged(last[-1])
+
+
+@pytest.mark.parametrize("data_seed, attention_seed, n_heads", [
+    (0, 0, 2),     # the default pipeline's instance
+    (100, 9, 2),   # the acceptance suite's criterion-6 instance
+    (0, 0, 4),
+], ids=["pinned", "criterion-6", "four-heads"])
+def test_solve_matches_scipy_lbfgsb(data_seed, attention_seed, n_heads):
+    task = HmcTaskConfig()
+    ds = gen_hmc_dataset(task, seed=data_seed)
+    logits = build_hmc_attention(task, n_heads=n_heads, depth=2, seed=attention_seed)
+    # the solve reads the training block only
+    feats = compute_features(ds.tokens[: ds.n_train], logits, Readout.token(1), ds.n_train)
+    y = ds.train_labels.astype(float)
+    config = SolverConfig(alpha=ds.n_train / 10, temperature=0.01, seed=0)
+    params, trace = solve_saddle(feats, y, config)
+    want_action, want_u1, want_converged = _scipy_solve(feats, y, config)
+    assert trace.converged and want_converged
+    assert abs(trace.actions[-1] - want_action) <= 1e-9 * abs(want_action)
+    assert np.max(np.abs(params.u1 - want_u1)) <= 1e-5 * np.max(np.abs(want_u1))
+
+
+def test_solve_never_accepts_a_nonfinite_trial_point(monkeypatch):
+    # the action turns non-finite past a distance from the start that the
+    # minimum lies beyond: line searches shorten their steps, and the solve
+    # ends at an accepted iterate inside without raising
+    rng = np.random.default_rng(20)
+    feats = _features(rng, 2, 2, n_ex=8)
+    y = _labels(rng, 8)
+    config = SolverConfig(alpha=2.0, temperature=0.1, max_iter=300)
+    free, _ = solve_saddle(feats, y, config)
+    radius = 0.5 * np.max(np.abs(free.u1 - np.eye(4)))
+    pieces = solver_mod._action_pieces
+    refused = []
+
+    def walled(mats, *args):
+        act, ent, ene, grads = pieces(mats, *args)
+        if np.max(np.abs(mats[0] - np.eye(4))) > radius:
+            refused.append(act)
+            act = np.nan
+        return act, ent, ene, grads
+
+    monkeypatch.setattr(solver_mod, "_action_pieces", walled)
+    params, trace = solve_saddle(feats, y, config)
+    assert refused and trace.n_iter > 2
+    assert np.all(np.isfinite(trace.actions))
+    assert np.all(np.diff(trace.actions) < 0)
+    assert np.max(np.abs(params.u1 - np.eye(4))) <= radius
+    assert not trace.converged
+    assert trace.n_eval >= trace.n_iter + len(refused)

@@ -23,14 +23,41 @@ def _unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in bound.items() if name not in used]
 
 
+def _scipy_imports(source: str) -> list[int]:
+    """Lines of every scipy import in the module, function-local ones included."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        if any(m.split(".")[0] == "scipy" for m in modules):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
 def test_detector_flags_an_unused_import():
     assert _unused_imports("import os\nfrom x import a, b as c\nprint(a)\n") == [
         "os (line 1)", "c (line 2)"]
 
 
+def test_detector_flags_a_scipy_import():
+    source = ("import os, scipy.linalg\nfrom . import scipy\n"
+              "def f():\n    from scipy.optimize import minimize\n    import scipy as sp\n")
+    assert _scipy_imports(source) == [1, 4, 5]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_scipy_imports(path):
+    # the package runs on numpy alone; scipy is a test-only oracle
+    assert _scipy_imports(path.read_text()) == []
 
 
 def test_public_names_are_listed():
