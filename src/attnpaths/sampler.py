@@ -15,7 +15,10 @@ a product tree over layers for the effective rows Veff, never through the
 layerwise network.  The sampler is plain fixed-length leapfrog HMC with identity
 mass and dual-averaging step-size adaptation during warmup (target acceptance
 0.8); a proposal whose energy error exceeds the divergence threshold is
-rejected and counted.  Chains run independently, initialized at prior draws.
+rejected and counted.  Chains are independent and start at prior draws.  They
+run in lockstep: every chain takes the same number of leapfrog steps, so each
+step evaluates the log posterior of all chains in one batched call, and each
+chain's draws are bit-identical to those of a run of that chain alone.
 Streams are spawned from one root seed: the first n_chains substreams drive
 the chains (momenta and accept tests), the next n_chains draw the initial
 points, so no chain's momenta repeat its own starting point.
@@ -61,6 +64,8 @@ class HmcConfig:
             raise ValueError(f"sigma2 must be > 0, got {self.sigma2}")
         if min(self.n_chains, self.n_samples, self.thin, self.n_leapfrog) < 1 or self.n_warmup < 0:
             raise ValueError("invalid sampler sizes")
+        if self.thin > self.n_samples:
+            raise ValueError("thin exceeds n_samples: no draws would be kept")
         if self.step_size <= 0:
             raise ValueError(f"step_size must be > 0, got {self.step_size}")
 
@@ -80,43 +85,52 @@ def log_posterior(q: np.ndarray, shape: tuple, phi: np.ndarray | None, labels: n
                   temperature: float, sigma2: float = 1.0):
     """Gibbs log posterior (up to a constant) and its gradient, on flat weights.
 
-    shape is (n_hidden, width, depth, n_heads) of the flattened weights q.
-    phi holds the training path features flattened to (H^L * width, P); with
-    phi None the likelihood is off and only the Gaussian prior remains.
+    q is (..., D): one weight vector or a batch of them (one per chain), and the
+    log posterior has q's leading shape.  shape is (n_hidden, width, depth,
+    n_heads) of the flattened weights.  phi holds the training path features
+    flattened to (H^L * width, P); with phi None the likelihood is off and only
+    the Gaussian prior remains.  Each row's value and gradient are bit-identical
+    to a call on that row alone: sums run over each row's trailing axes, and
+    the products with phi are stacked matrix-vector products, never one GEMM
+    across rows, whose blocking would move the last bits.
     """
     v0, values, readout = weight_parts(q, *shape)
     # summed part by part, in a fixed order: warmup's step-size adaptation
     # amplifies a last-bit change in the potential into a different chain
-    logp = -0.5 * (float(np.sum(v0**2)) + float(np.sum(values**2))
-                   + float(np.sum(readout**2))) / sigma2
+    logp = -0.5 * (np.sum(v0**2, axis=(-2, -1)) + np.sum(values**2, axis=(-4, -3, -2, -1))
+                   + np.sum(readout**2, axis=-1)) / sigma2
     grad = -q / sigma2
     if phi is None:
         return logp, grad
     n, width, depth, n_heads = shape
     levels = _row_tree(readout, values)
     scale = (n_heads**depth * n ** (depth + 1)) ** -0.5
-    resid = scale * ((levels[-1] @ v0).ravel() @ phi) - labels
-    logp -= 0.5 * float(resid @ resid) / temperature
+    rows = (levels[-1] @ v0).reshape(*q.shape[:-1], 1, -1)
+    resid = scale * (rows @ phi)[..., 0, :] - labels
+    logp -= 0.5 * np.vecdot(resid, resid) / temperature
     # d logp / d(rows @ v0), then back through v0 and the tree
-    d_m = (-scale / temperature) * (phi @ resid).reshape(-1, width)
+    d_m = (-scale / temperature) * (phi @ resid[..., None]).reshape(*q.shape[:-1], -1, width)
     g_v0, g_values, g_readout = weight_parts(grad, *shape)
-    g_v0 += levels[-1].T @ d_m
-    d_rows = d_m @ v0.T
+    g_v0 += levels[-1].swapaxes(-1, -2) @ d_m
+    d_rows = d_m @ v0.swapaxes(-1, -2)
     for layer in range(depth):
-        d3 = d_rows.reshape(n_heads, -1, n)
-        g_values[layer] += levels[depth - 1 - layer].T @ d3
-        d_rows = np.matmul(d3, values[layer].transpose(0, 2, 1)).sum(axis=0)
-    g_readout += d_rows[0]
+        d3 = d_rows.reshape(*d_rows.shape[:-2], n_heads, -1, n)
+        level_t = levels[depth - 1 - layer].swapaxes(-1, -2)[..., None, :, :]
+        g_values[..., layer, :, :, :] += level_t @ d3
+        d_rows = np.matmul(d3, values[..., layer, :, :, :].swapaxes(-1, -2)).sum(axis=-3)
+    g_readout += d_rows[..., 0, :]
     return logp, grad
 
 
 def leapfrog(logp_and_grad, q: np.ndarray, p: np.ndarray, grad: np.ndarray,
-             step_size: float, n_steps: int):
+             step_size, n_steps: int):
     """Standard leapfrog for H = -logp(q) + |p|^2/2; time-reversible.
 
     logp_and_grad(q) returns the log density and its gradient, and grad is that
-    gradient at the start point q.  Each step evaluates the density once; the
-    result is (q, p, logp, grad) at the end point.
+    gradient at the start point q.  q and p are (C, D) for C chains advanced
+    together, with step_size a (C, 1) column of per-chain steps, or one point
+    with a scalar step.  Each step evaluates the density once; the result is
+    (q, p, logp, grad) at the end point.
     """
     q = q.copy()
     p = p + 0.5 * step_size * grad
@@ -131,74 +145,88 @@ def leapfrog(logp_and_grad, q: np.ndarray, p: np.ndarray, grad: np.ndarray,
 
 
 @dataclass
-class _ChainResult:
-    samples: np.ndarray
-    potentials: np.ndarray
-    acceptance: float
-    divergences: int
-    step_size: float
+class _Chains:
+    """Per-chain results of run_hmc, chain along the first axis."""
+
+    samples: np.ndarray  # (C, n_kept, D)
+    potentials: np.ndarray  # (C, n_kept)
+    acceptance: np.ndarray
+    divergences: np.ndarray
+    step_sizes: np.ndarray
 
 
-def _run_chain(logp_and_grad, q0: np.ndarray, config: HmcConfig,
-               rng: np.random.Generator) -> _ChainResult:
-    q = q0.copy()
+def run_hmc(logp_and_grad, q0: np.ndarray, config: HmcConfig) -> _Chains:
+    """Independent chains from the initial points q0 (C, D), advanced in lockstep.
+
+    logp_and_grad maps a (C, D) batch to its (C,) log densities and (C, D)
+    gradients, row by row.  Every chain runs the same number of leapfrog steps,
+    so each step makes one batched density call.  Momenta and accept draws come
+    from per-chain seed substreams, and step-size adaptation, the accept test
+    and the divergence test run on each chain's own scalars, so a chain's draws
+    do not depend on the chains beside it.
+    """
+    n_chains = len(q0)
+    rngs = np.random.default_rng(config.seed).spawn(n_chains)
+    q = np.array(q0, dtype=float)
     logp, grad = logp_and_grad(q)
+    p0 = np.empty_like(q)
 
     # dual averaging constants (gamma, t0, kappa as in the standard scheme)
     gamma, t0, kappa = 0.05, 10.0, 0.75
     mu = np.log(10.0 * config.step_size)
-    log_eps = np.log(config.step_size)
-    log_eps_bar = log_eps
-    h_bar = 0.0
+    log_eps = [np.log(config.step_size)] * n_chains
+    log_eps_bar = list(log_eps)
+    h_bar = [0.0] * n_chains
 
-    kept = []
-    potentials = []
-    n_accept = 0
-    n_diverge = 0
-    total = config.n_warmup + config.n_samples
-    for it in range(1, total + 1):
+    n_kept = config.n_samples // config.thin
+    samples = np.empty((n_chains, n_kept, q.shape[1]))
+    potentials = np.empty((n_chains, n_kept))
+    n_accept = [0] * n_chains
+    n_diverge = [0] * n_chains
+    kept = 0
+    for it in range(1, config.n_warmup + config.n_samples + 1):
         warming = it <= config.n_warmup
-        eps = float(np.exp(log_eps)) if warming else float(np.exp(log_eps_bar))
-        p0 = rng.standard_normal(q.shape)
-        h0 = -logp + 0.5 * float(p0 @ p0)
+        # exp one chain at a time: an array exp may take a vector path with other bits
+        eps = np.array([[float(np.exp(x))] for x in (log_eps if warming else log_eps_bar)])
+        for rng, row in zip(rngs, p0):
+            rng.standard_normal(out=row)
+        h0 = -logp + 0.5 * np.vecdot(p0, p0)
         # overflow in an exploding trajectory is caught by the divergence check
         with np.errstate(over="ignore", invalid="ignore"):
             q_new, p_new, logp_new, grad_new = leapfrog(logp_and_grad, q, p0, grad, eps,
                                                         config.n_leapfrog)
-            h_new = -logp_new + 0.5 * float(p_new @ p_new)
-        delta = h_new - h0
-        diverged = not np.isfinite(delta) or delta > MAX_ENERGY_ERROR
-        # min(1, exp(-delta)) without exp overflowing when the energy drops by
-        # more than 709
-        accept_prob = 0.0 if diverged else float(np.exp(min(0.0, -delta)))
-        if diverged:
-            n_diverge += 1
-        elif rng.random() < accept_prob:
-            q, logp, grad = q_new, logp_new, grad_new
-            if not warming:
-                n_accept += 1
-        if warming:
-            m = it
-            h_bar = (1.0 - 1.0 / (m + t0)) * h_bar + (TARGET_ACCEPT - accept_prob) / (m + t0)
-            log_eps = mu - np.sqrt(m) / gamma * h_bar
-            eta = m**-kappa
-            log_eps_bar = eta * log_eps + (1.0 - eta) * log_eps_bar
-        else:
-            if (it - config.n_warmup) % config.thin == 0:
-                kept.append(q.copy())
-                potentials.append(-logp)
-    return _ChainResult(
-        samples=np.array(kept), potentials=np.array(potentials),
-        acceptance=n_accept / config.n_samples, divergences=n_diverge,
-        step_size=float(np.exp(log_eps_bar)) if config.n_warmup > 0 else config.step_size,
+            delta = (-logp_new + 0.5 * np.vecdot(p_new, p_new) - h0).tolist()
+        accept = np.zeros(n_chains, dtype=bool)
+        for c, rng in enumerate(rngs):
+            diverged = not np.isfinite(delta[c]) or delta[c] > MAX_ENERGY_ERROR
+            # min(1, exp(-delta)) without exp overflowing when the energy drops
+            # by more than 709
+            accept_prob = 0.0 if diverged else float(np.exp(min(0.0, -delta[c])))
+            if diverged:
+                n_diverge[c] += 1
+            elif rng.random() < accept_prob:
+                accept[c] = True
+                if not warming:
+                    n_accept[c] += 1
+            if warming:
+                h_bar[c] = ((1.0 - 1.0 / (it + t0)) * h_bar[c]
+                            + (TARGET_ACCEPT - accept_prob) / (it + t0))
+                log_eps[c] = mu - np.sqrt(it) / gamma * h_bar[c]
+                eta = it**-kappa
+                log_eps_bar[c] = eta * log_eps[c] + (1.0 - eta) * log_eps_bar[c]
+        q[accept] = q_new[accept]
+        logp[accept] = logp_new[accept]
+        grad[accept] = grad_new[accept]
+        if not warming and (it - config.n_warmup) % config.thin == 0:
+            samples[:, kept] = q
+            potentials[:, kept] = -logp
+            kept += 1
+    return _Chains(
+        samples=samples, potentials=potentials,
+        acceptance=np.array(n_accept) / config.n_samples, divergences=np.array(n_diverge),
+        step_sizes=np.array([float(np.exp(x)) if config.n_warmup > 0 else config.step_size
+                             for x in log_eps_bar]),
     )
-
-
-def run_hmc(logp_and_grad, q0s: list, config: HmcConfig) -> list:
-    """Independent chains from the given initial points; per-chain seed substreams."""
-    root = np.random.default_rng(config.seed)
-    rngs = root.spawn(len(q0s))
-    return [_run_chain(logp_and_grad, q0, config, rng) for q0, rng in zip(q0s, rngs)]
 
 
 @dataclass
@@ -250,16 +278,15 @@ def hmc_sample(tokens: np.ndarray, labels: np.ndarray, logits: np.ndarray,
 
     root = np.random.default_rng(config.seed)
     root.spawn(config.n_chains)  # the chain streams, which run_hmc spawns again
-    init_rngs = root.spawn(config.n_chains)
-    q0s = [np.sqrt(config.sigma2) * r.standard_normal(weight_count(*shape)) for r in init_rngs]
-    results = run_hmc(logp_and_grad, q0s, config)
+    q0 = np.empty((config.n_chains, weight_count(*shape)))
+    for r, row in zip(root.spawn(config.n_chains), q0):
+        row[:] = np.sqrt(config.sigma2) * r.standard_normal(len(row))
+    chains = run_hmc(logp_and_grad, q0, config)
     return PosteriorSamples(
-        samples=np.concatenate([r.samples for r in results]),
+        samples=chains.samples.reshape(-1, q0.shape[1]),
         n_hidden=n, width=width, depth=depth, n_heads=n_heads,
-        acceptance=np.array([r.acceptance for r in results]),
-        divergences=np.array([r.divergences for r in results]),
-        step_sizes=np.array([r.step_size for r in results]),
-        potentials=np.concatenate([r.potentials for r in results]),
+        acceptance=chains.acceptance, divergences=chains.divergences,
+        step_sizes=chains.step_sizes, potentials=chains.potentials.ravel(),
         config=config,
     )
 

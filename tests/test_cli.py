@@ -139,6 +139,7 @@ def test_gen_data_writes_nothing_when_attention_is_rejected(tmp_path, capsys):
     ("sweep", {"temperature_grid": [0.1, -1.0]}, "temperature must be > 0"),
     ("sample", {"sampler": {"n_chains": 0}}, "invalid sampler sizes"),
     ("sample", {"model": {"depth": 3}}, "config wants 3 x 2"),
+    ("sample", {"sampler": {"n_samples": 4, "thin": 5}}, "thin exceeds n_samples"),
 ])
 def test_rejected_command_keeps_the_run_record(tmp_path, capsys, command, section, message):
     _, out = _gen(tmp_path)
@@ -266,6 +267,20 @@ def test_strict_fails_on_unconverged_solve(tmp_path, capsys):
     assert "did not converge" in capsys.readouterr().err
     assert main(["sweep", "--config", str(cfg), "--out", str(out), "--force"]) == 0
     assert main(["sweep", "--config", str(cfg), "--out", str(out), "--force", "--strict"]) == 3
+
+
+def test_strict_sample_fails_on_divergent_chains(tmp_path, capsys):
+    healthy = {"n_chains": 2, "n_warmup": 0, "n_samples": 10, "thin": 5, "n_leapfrog": 4,
+               "step_size": 0.001}
+    cfg, out = _gen(tmp_path, sampler=healthy)
+    assert main(["sample", "--config", str(cfg), "--out", str(out), "--strict"]) == 0
+    assert json.loads((out / "sample_summary.json").read_text())["divergence_fraction"] <= 0.10
+    # a fixed enormous step explodes every trajectory
+    cfg = _write_config(tmp_path, sampler={**healthy, "step_size": 1e10})
+    assert main(["sample", "--config", str(cfg), "--out", str(out), "--force"]) == 0
+    assert json.loads((out / "sample_summary.json").read_text())["divergence_fraction"] == 1.0
+    assert main(["sample", "--config", str(cfg), "--out", str(out), "--force", "--strict"]) == 3
+    assert "strict mode: divergence fraction 1 exceeds 10%" in capsys.readouterr().err
 
 
 def test_sweep_end_to_end(tmp_path):
