@@ -123,7 +123,7 @@ def log_posterior(q: np.ndarray, shape: tuple, phi: np.ndarray | None, labels: n
 
 
 def leapfrog(logp_and_grad, q: np.ndarray, p: np.ndarray, grad: np.ndarray,
-             step_size, n_steps: int):
+             step_size: float | np.ndarray, n_steps: int):
     """Standard leapfrog for H = -logp(q) + |p|^2/2; time-reversible.
 
     logp_and_grad(q) returns the log density and its gradient, and grad is that

@@ -242,14 +242,6 @@ def _oracle_hmc(logp_and_grad, q0s, config):
     return [_oracle_chain(logp_and_grad, q0, config, rng) for q0, rng in zip(q0s, rngs)]
 
 
-def _assert_chains_equal(chains, oracle):
-    assert np.array_equal(chains.samples, np.stack([r.samples for r in oracle]))
-    assert np.array_equal(chains.potentials, np.stack([r.potentials for r in oracle]))
-    assert np.array_equal(chains.step_sizes, [r.step_size for r in oracle])
-    assert np.array_equal(chains.acceptance, [r.acceptance for r in oracle])
-    assert np.array_equal(chains.divergences, [r.divergences for r in oracle])
-
-
 def _standard_normal(q):
     """log density and gradient of a standard normal, row by row."""
     return -0.5 * np.vecdot(q, q), -q
@@ -342,7 +334,12 @@ def test_run_hmc_matches_per_chain_oracle_on_a_toy_density():
     q0 = 3.0 * rng.standard_normal((3, 4))
     chains = run_hmc(_standard_normal, q0, config)
     assert 0 < chains.divergences.min() and chains.divergences.max() < 60
-    _assert_chains_equal(chains, _oracle_hmc(_standard_normal, list(q0), config))
+    oracle = _oracle_hmc(_standard_normal, list(q0), config)
+    assert np.array_equal(chains.samples, np.stack([r.samples for r in oracle]))
+    assert np.array_equal(chains.potentials, np.stack([r.potentials for r in oracle]))
+    assert np.array_equal(chains.step_sizes, [r.step_size for r in oracle])
+    assert np.array_equal(chains.acceptance, [r.acceptance for r in oracle])
+    assert np.array_equal(chains.divergences, [r.divergences for r in oracle])
 
 
 def _task(rng, n_ex, width=4, n_tokens=3, depth=2, n_heads=2):
