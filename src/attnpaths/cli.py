@@ -35,7 +35,8 @@ import numpy as np
 from . import fileio
 from .analysis import head_scores
 from .data import HmcTaskConfig, build_hmc_attention, gen_hmc_dataset
-from .kernel import PathFeatureMatrix, compute_features, kernel_task_alignment, total_kernel
+from .kernel import (FEATURE_BLOCK, PathFeatureMatrix, compute_features, kernel_task_alignment,
+                     total_kernel)
 from .model import Readout, check_logits
 from .predictor import DEFAULT_TEMPERATURE_GRID, evaluate_predictor, temperature_sweep
 from .sampler import HmcConfig, empirical_order_parameter, empirical_predictor, hmc_sample
@@ -177,14 +178,19 @@ def _load_inputs(out: Path, config: dict):
     return dataset, logits, _readout(config, dataset.tokens.shape[2])
 
 
-def _features_threaded(tokens: np.ndarray, logits: np.ndarray, readout: Readout, n_train: int,
+def _features_threaded(tokens, logits: np.ndarray, readout: Readout, n_train: int,
                        threads: int) -> PathFeatureMatrix:
-    if threads <= 1 or len(tokens) < 2 * threads:
+    n_blocks = -(-len(tokens) // FEATURE_BLOCK)
+    if threads <= 1 or n_blocks < 2:
         return compute_features(tokens, logits, readout, n_train)
-    splits = np.array_split(np.arange(len(tokens)), threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    # each worker takes a contiguous run of whole blocks, so every block, and
+    # so every feature bit, is the serial run's
+    runs = np.array_split(np.arange(n_blocks), min(threads, n_blocks))
+    starts = [FEATURE_BLOCK * int(run[0]) for run in runs] + [len(tokens)]
+    with ThreadPoolExecutor(max_workers=len(runs)) as pool:
         parts = list(pool.map(
-            lambda idx: compute_features(tokens[idx], logits, readout, 0).values, splits))
+            lambda a, b: compute_features(tokens[a:b], logits, readout, 0).values,
+            starts[:-1], starts[1:]))
     values = np.concatenate(parts, axis=2)
     return PathFeatureMatrix(values=values, n_train=n_train,
                              n_heads=logits.shape[1], depth=logits.shape[0])
@@ -319,7 +325,8 @@ def cmd_sample(args) -> int:
     rows = []
     if dataset.n_examples > dataset.n_train:
         idx = dataset.test_indices
-        means, variances = empirical_predictor(samples, dataset.tokens[idx], logits, readout)
+        test = dataset.tokens[dataset.n_train :]
+        means, variances = empirical_predictor(samples, test, logits, readout)
         rows = [[int(i), float(m), float(v), int(l)] for i, m, v, l in
                 zip(idx, means, variances, dataset.labels[idx])]
     fileio.write_csv(out / "predictor_empirical.csv", digest,

@@ -26,6 +26,7 @@ entries 1/sqrt(N0).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,22 +69,59 @@ class HmcTaskConfig:
         return self.chain_length + 1
 
 
+class TokenRows:
+    """Tokens (P, width, T) left in a file: float64 rows from a byte offset on.
+
+    Slicing a contiguous row range gives the rows' view, reading nothing;
+    np.asarray reads the view's rows.  Consumers read row blocks, so a
+    dataset's token payload need not be in memory all at once.
+    """
+
+    def __init__(self, path, offset: int, shape: tuple):
+        self.path, self.offset, self.shape = str(path), offset, tuple(shape)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, rows: slice) -> "TokenRows":
+        start, stop, step = rows.indices(len(self))
+        if step != 1:
+            raise ValueError(f"token rows are read by contiguous slices, got step {step}")
+        row_bytes = math.prod(self.shape[1:]) * 8
+        return TokenRows(self.path, self.offset + start * row_bytes,
+                         (max(stop - start, 0), *self.shape[1:]))
+
+    def __array__(self, dtype=None, copy=None):
+        out = np.empty(self.shape)
+        with open(self.path, "rb") as fh:
+            fh.seek(self.offset)
+            got = fh.readinto(out)
+        if got != out.nbytes:
+            raise OSError(f"{self.path}: token rows end at byte {self.offset + got}, "
+                          f"wanted {out.nbytes} bytes from byte {self.offset}")
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+
 @dataclass
 class SequenceDataset:
-    """Tokens (P, width, T_tot), labels in {-1, +1}; first n_train are training."""
+    """Tokens (P, width, T_tot), labels in {-1, +1}; first n_train are training.
 
-    tokens: np.ndarray
+    tokens is an array, or TokenRows that stay in their file."""
+
+    tokens: np.ndarray | TokenRows
     labels: np.ndarray
     n_train: int
 
     def __post_init__(self):
-        self.tokens = np.asarray(self.tokens, dtype=float)
+        if not isinstance(self.tokens, TokenRows):
+            self.tokens = np.asarray(self.tokens, dtype=float)
         self.labels = np.asarray(self.labels, dtype=np.int8)
-        if self.tokens.ndim != 3:
-            raise ValueError(f"tokens must be (P, width, T), got {self.tokens.shape}")
-        if self.labels.shape != (self.tokens.shape[0],):
+        shape = np.shape(self.tokens)
+        if len(shape) != 3:
+            raise ValueError(f"tokens must be (P, width, T), got {shape}")
+        if self.labels.shape != shape[:1]:
             raise ValueError("labels length must match the example count")
-        if not 0 <= self.n_train <= self.tokens.shape[0]:
+        if not 0 <= self.n_train <= shape[0]:
             raise ValueError(f"n_train={self.n_train} out of range")
 
     @property

@@ -14,6 +14,10 @@ trailing bytes):
 
 Each header holds only what a reader cannot derive: the array shapes follow
 from the fields.  A file of an earlier layout fails with "bad magic".
+Readers check every size against the file before reading.  Arrays are read
+into their own memory, except a dataset's tokens: read_dataset leaves them in
+the file as TokenRows, which the feature and sampler stages read in row
+blocks.
 
 CSV exports start with a `# config_digest=<hex>` comment line, then a header
 row; floats are written with repr so reads round-trip exactly and reruns are
@@ -33,7 +37,7 @@ import struct
 import numpy as np
 
 from .analysis import head_shares
-from .data import SequenceDataset
+from .data import SequenceDataset, TokenRows
 from .kernel import PathFeatureMatrix
 from .model import check_logits
 from .paths import path_heads, path_label
@@ -82,14 +86,21 @@ def _read(path, magic: bytes, n_fields: int, layout):
     return fields, arrays, raw[8 + 8 * n_fields :].hex()
 
 
-def _read_array(fh, shape: tuple, path: str, dtype) -> np.ndarray:
+def _read_array(fh, shape: tuple, path: str, dtype):
+    """The next array of the file; dtype TokenRows leaves float64 rows in the
+    file and returns their view."""
     # header sizes are untrusted: check them against the file before allocating
     start = fh.tell()
     left = os.fstat(fh.fileno()).st_size - start
-    nbytes = math.prod(int(d) for d in shape) * np.dtype(dtype).itemsize
+    on_disk = dtype is TokenRows
+    itemsize = np.dtype(np.float64 if on_disk else dtype).itemsize
+    nbytes = math.prod(int(d) for d in shape) * itemsize
     if nbytes > left:
         raise FormatError(f"{path}: truncated payload at byte {start + left}, "
                           f"wanted {nbytes} bytes from byte {start}")
+    if on_disk:
+        fh.seek(start + nbytes)
+        return TokenRows(path, start, shape)
     out = np.empty(shape, dtype=dtype)
     fh.readinto(out)
     return out
@@ -108,9 +119,10 @@ def write_dataset(path, dataset: SequenceDataset, digest: str = ZERO_DIGEST) -> 
 
 
 def read_dataset(path):
+    """(dataset, digest); the tokens stay in the file as TokenRows, the labels are read."""
     (_, _, _, n_train), (tokens, labels), digest = _read(
         path, b"APKS", 4, lambda width, n_tok, n_ex, n_train: [
-            ((n_ex, width, n_tok), np.float64), ((n_ex,), np.int8)])
+            ((n_ex, width, n_tok), TokenRows), ((n_ex,), np.int8)])
     return SequenceDataset(tokens=tokens, labels=labels, n_train=int(n_train)), digest
 
 

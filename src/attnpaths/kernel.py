@@ -87,28 +87,35 @@ def path_features(tokens: np.ndarray, omegas: np.ndarray, readout: Readout) -> n
     return np.matmul(tokens, vecs).transpose(2, 1, 0) / np.sqrt(width)
 
 
+FEATURE_BLOCK = 256  # examples per attention-stack batch in compute_features
+
+
 def compute_features(tokens: np.ndarray, logits: np.ndarray, readout: Readout,
-                     n_train: int, chunk: int = 256) -> PathFeatureMatrix:
+                     n_train: int, chunk: int = FEATURE_BLOCK) -> PathFeatureMatrix:
     """Path features of tokens (P, width, T) under logits (L, H, width, width).
 
-    Examples are processed in chunks: each chunk's attention stack is built,
-    its last layer at the readout's columns only, and handed to path_features,
-    which bounds the intermediate storage by the chunk's (L, H, T, T) attention
-    matrices.  Features are independent of all value weights and of N by
-    construction.
+    Examples are processed in blocks of chunk rows: each block is read (tokens
+    may be TokenRows left in their file), its attention stack is built, its
+    last layer at the readout's columns only, and handed to path_features,
+    which bounds the intermediate storage by the block's (L, H, T, T)
+    attention matrices.  A block's features do not depend on the rows around
+    it, but their last bits depend on the block's size, so callers that split
+    the rows split at multiples of chunk.  Features are independent of all
+    value weights and of N by construction.
     """
-    tokens = np.asarray(tokens, dtype=float)
-    if tokens.ndim != 3:
-        raise ValueError(f"tokens must be (P, width, T), got {tokens.shape}")
-    n_ex, width, _ = tokens.shape
+    shape = np.shape(tokens)
+    if len(shape) != 3:
+        raise ValueError(f"tokens must be (P, width, T), got {shape}")
+    n_ex, width, _ = shape
     check_logits(logits, width)
     depth, n_heads = np.shape(logits)[:2]
 
     values = np.empty((n_heads**depth, width, n_ex))
     for start in range(0, n_ex, chunk):
-        block = tokens[start : start + chunk]
+        block = np.asarray(tokens[start : start + chunk], dtype=float)
         omegas = attention_stack_batch(block, logits, readout)
-        values[:, :, start : start + block.shape[0]] = path_features(block, omegas, readout)
+        values[:, :, start : start + len(block)] = path_features(block, omegas, readout)
+        del block, omegas  # freed before the next block is read
     return PathFeatureMatrix(values=values, n_train=n_train, n_heads=n_heads, depth=depth)
 
 

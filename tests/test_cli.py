@@ -257,6 +257,58 @@ def test_pipeline_threads_match_serial(tmp_path):
     assert (out1 / "features.apkf").read_bytes() == (out2 / "features.apkf").read_bytes()
 
 
+def test_pipeline_threads_match_serial_across_feature_blocks(tmp_path):
+    # 532 examples span three 256-row feature blocks; a split at P / threads
+    # moves the block edges, and with them the last bits of some features
+    task = {"chain_length": 8, "feature_width": 40, "n_train": 12, "n_test": 520}
+    cfg, out = _gen(tmp_path, task=task, solver={"gp_limit": True})
+    artifacts = {}
+    for threads in (1, 2, 3):
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out), "--force",
+                     "--threads", str(threads)]) == 0
+        artifacts[threads] = [(out / name).read_bytes()
+                              for name in ("features.apkf", "predictor.csv")]
+    assert artifacts[2] == artifacts[1]
+    assert artifacts[3] == artifacts[1]
+
+
+def test_commands_never_read_the_whole_token_payload(tmp_path, monkeypatch):
+    # 272 examples: more than one feature block, so no block is the whole payload
+    task = {"chain_length": 3, "feature_width": 4, "n_train": 12, "n_test": 260}
+    cfg, out = _gen(tmp_path, task=task, solver={"gp_limit": True},
+                    temperature_grid=[0.1, 0.5],
+                    sampler={"n_chains": 2, "n_warmup": 4, "n_samples": 4, "thin": 2,
+                             "n_leapfrog": 4})
+    read = fileio.TokenRows.__array__
+    rows_read = []
+
+    def guarded(rows, *args, **kwargs):
+        assert len(rows) < 272, "the whole token payload was read"
+        rows_read.append(len(rows))
+        return read(rows, *args, **kwargs)
+
+    monkeypatch.setattr(fileio.TokenRows, "__array__", guarded)
+    for command in ("pipeline", "sweep", "sample"):
+        assert main([command, "--config", str(cfg), "--out", str(out), "--force"]) == 0
+    assert main(["verify", "--out", str(out)]) == 0
+    # pipeline and sweep read 256 + 16 rows each; sample the 12 training
+    # rows, then its 260 test rows as 256 + 4
+    assert rows_read == [256, 16, 256, 16, 12, 256, 4]
+
+
+def test_pipeline_rejects_a_cut_token_payload_before_writing(tmp_path, capsys):
+    _, out = _gen(tmp_path)
+    record = (out / "config.resolved.json").read_bytes()
+    blob = (out / "dataset.apkd").read_bytes()
+    (out / "dataset.apkd").write_bytes(blob[: 72 + 1000])  # mid token payload
+    cfg = _write_config(tmp_path, solver={"gp_limit": True})
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out), "--force"]) == 2
+    assert "truncated payload at byte 1072" in capsys.readouterr().err
+    assert (out / "config.resolved.json").read_bytes() == record
+    assert sorted(p.name for p in out.iterdir()) == [
+        "attention.apkw", "config.resolved.json", "dataset.apkd"]
+
+
 def test_strict_fails_on_unconverged_solve(tmp_path, capsys):
     cfg, out = _gen(tmp_path, solver={"max_iter": 3}, temperature_grid=[0.1])
     assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from attnpaths import fileio
-from attnpaths.data import HmcTaskConfig, gen_hmc_dataset
+from attnpaths.data import HmcTaskConfig, TokenRows, gen_hmc_dataset
 from attnpaths.fileio import FormatError, ZERO_DIGEST, config_digest
 from attnpaths.kernel import PathFeatureMatrix
 from attnpaths.solver import OrderParameterSet, SolveTrace
@@ -49,6 +49,33 @@ def test_dataset_round_trip(tmp_path):
     p2 = tmp_path / "d2.apkd"
     fileio.write_dataset(p2, ds, DIGEST)
     assert p.read_bytes() == p2.read_bytes()
+
+
+def test_dataset_tokens_stay_in_the_file(tmp_path):
+    # read_dataset reads the labels only; a contiguous row slice reads its own rows
+    ds = gen_hmc_dataset(HmcTaskConfig(chain_length=20, feature_width=100, n_train=4,
+                                       n_test=2), seed=3)
+    p = tmp_path / "d.apkd"
+    fileio.write_dataset(p, ds, DIGEST)
+    tracemalloc.start()
+    try:
+        back, _ = fileio.read_dataset(p)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert read_peak < 0.1 * ds.tokens.nbytes
+    assert isinstance(back.tokens, TokenRows)
+    assert back.tokens.shape == ds.tokens.shape and len(back.tokens) == ds.n_examples
+    for rows in (slice(None), slice(2, 5), slice(4, None), slice(-1, None), slice(3, 3)):
+        got = np.asarray(back.tokens[rows])
+        assert got.shape == ds.tokens[rows].shape and np.array_equal(got, ds.tokens[rows])
+    with pytest.raises(ValueError, match="contiguous slices"):
+        back.tokens[::2]
+    # a file cut after read_dataset checked it fails when the rows are read
+    blob = p.read_bytes()
+    p.write_bytes(blob[: 72 + ds.tokens[0].nbytes + 8])
+    with pytest.raises(OSError, match=f"token rows end at byte {72 + ds.tokens[0].nbytes + 8}"):
+        np.asarray(back.tokens[1:3])
 
 
 def test_earlier_dataset_layout_is_rejected(tmp_path):

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from attnpaths import fileio
+from attnpaths.data import HmcTaskConfig, TokenRows, build_hmc_attention, gen_hmc_dataset
 from attnpaths.kernel import (
     PathFeatureMatrix,
     compute_features,
@@ -76,6 +78,25 @@ def test_compute_features_chunking_invariance():
     a = compute_features(tokens, logits, readout, n_train=5, chunk=256)
     b = compute_features(tokens, logits, readout, n_train=5, chunk=2)
     assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("readout", [Readout.token(1), Readout.average()],
+                         ids=["token", "average"])
+def test_streamed_features_match_in_memory_bit_for_bit(tmp_path, readout):
+    # 22 examples in blocks of 5: four full blocks and a short last one
+    cfg = HmcTaskConfig(chain_length=6, feature_width=20, n_train=10, n_test=12)
+    ds = gen_hmc_dataset(cfg, seed=4)
+    logits = build_hmc_attention(cfg, n_heads=2, depth=2, seed=4)
+    fileio.write_dataset(tmp_path / "d.apkd", ds)
+    rows, _ = fileio.read_dataset(tmp_path / "d.apkd")
+    assert isinstance(rows.tokens, TokenRows)
+    streamed = compute_features(rows.tokens, logits, readout, ds.n_train, chunk=5)
+    in_memory = compute_features(ds.tokens, logits, readout, ds.n_train, chunk=5)
+    assert np.array_equal(streamed.values, in_memory.values)
+    # a slice of the rows, as `sample` passes its test rows
+    tail = compute_features(rows.tokens[ds.n_train:], logits, readout, 0, chunk=5)
+    assert np.array_equal(tail.values, compute_features(ds.tokens[ds.n_train:], logits,
+                                                        readout, 0, chunk=5).values)
 
 
 def test_compute_features_validation():
