@@ -8,6 +8,16 @@ concatenated, so tokens have width N0 + T + 1.  Position 0 holds a bos token
 with zero features.  Classes are balanced exactly (P/2 each, P even) and
 shuffled under the seed.
 
+Generation is one pass over one (P, width, T+1) token array.  Each split is
+written unshuffled into its own rows, class by class, and then shuffled in
+place.  A class's Gaussian draws fill the front of its rows; the noise is
+combined and stored NOISE_BLOCK examples at a time, back to front, so the
+scratch memory is two blocks and peak memory the token payload plus those
+blocks.  The random draws come in the order of the whole-array recipe (per
+split: the +1 chains, their noise, the -1 chains, their noise, the shuffle;
+train before test), and each token is the same IEEE operations on the same
+draws, so a (config, seed) pair gives the same bits as that recipe.
+
 The handcrafted attention heads follow the block parameterization
 W = beta [[W_ff, W_fp], [W_pf, W_pp]] over the (feature, positional)
 coordinates with hardness beta = 10 for every head.
@@ -121,6 +131,11 @@ class SequenceDataset:
             raise ValueError(f"tokens must be (P, width, T), got {shape}")
         if self.labels.shape != shape[:1]:
             raise ValueError("labels length must match the example count")
+        # a Python scan: a first int8 ufunc call here pages in about 0.2 MB more of
+        # numpy's code, which every command's peak RSS would show
+        bad = next((i for i, y in enumerate(self.labels.tolist()) if y not in (-1, 1)), None)
+        if bad is not None:
+            raise ValueError(f"labels must be -1 or +1, got {self.labels[bad]} at example {bad}")
         if not 0 <= self.n_train <= shape[0]:
             raise ValueError(f"n_train={self.n_train} out of range")
 
@@ -171,54 +186,84 @@ def sample_hidden_chain(p_flip: float, length: int, rng: np.random.Generator) ->
     return states
 
 
-def _noise(shape: tuple, v_plus: np.ndarray, v_minus: np.ndarray,
-           sigma_par: float, sigma_perp: float, rng: np.random.Generator) -> np.ndarray:
-    """Anisotropic noise sigma_par^2 P_par + sigma_perp^2 P_perp over the last axis."""
-    g = rng.standard_normal(shape)
-    u1 = v_plus / np.linalg.norm(v_plus)
-    u2 = v_minus / np.linalg.norm(v_minus)
-    par = np.tensordot(g, u1, axes=(-1, 0))[..., None] * u1 \
-        + np.tensordot(g, u2, axes=(-1, 0))[..., None] * u2
-    return sigma_par * par + sigma_perp * (g - par)
+NOISE_BLOCK = 16  # examples per block of the noise pass in gen_hmc_dataset
 
 
-def _class_block(n: int, p_flip: float, config: HmcTaskConfig,
-                 rng: np.random.Generator) -> np.ndarray:
-    t = config.chain_length
-    n0 = config.feature_width
+def _fill_class(rows: np.ndarray, p_flip: float, config: HmcTaskConfig,
+                rng: np.random.Generator) -> None:
+    """Write one class's examples into rows (n, width, T+1), a C-contiguous array."""
+    n, t, n0 = len(rows), config.chain_length, config.feature_width
     v_plus, v_minus = state_vectors(n0)
     vs = np.stack([v_plus, v_minus])
-    states = np.stack([sample_hidden_chain(p_flip, t, rng) for _ in range(n)])
-    feats = vs[states] + _noise((n, t, n0), v_plus, v_minus,
-                                config.sigma_par, config.sigma_perp, rng)
-    tokens = np.zeros((n, config.token_width, t + 1))
-    tokens[:, :n0, 1:] = feats.transpose(0, 2, 1)
-    # one-hot positional code, bos at position 0
-    for pos in range(t + 1):
-        tokens[:, n0 + pos, pos] = 1.0
-    return tokens
+    u1 = v_plus / np.linalg.norm(v_plus)
+    u2 = v_minus / np.linalg.norm(v_minus)
+    states = np.array([sample_hidden_chain(p_flip, t, rng) for _ in range(n)],
+                      dtype=np.int64).reshape(n, t)
+    # The draws g (n, T, N0) fill the front of the rows' own memory, and each
+    # projection is one BLAS call over all n T tokens: a BLAS dot product's
+    # bits can depend on the row count of the call it is part of.
+    g = rows.reshape(-1)[: n * t * n0].reshape(n, t, n0)
+    rng.standard_normal(out=g)
+    c1 = np.tensordot(g, u1, axes=(-1, 0))[..., None]
+    c2 = np.tensordot(g, u2, axes=(-1, 0))[..., None]
+    par = np.empty((min(NOISE_BLOCK, n), t, n0))
+    tmp = np.empty_like(par)
+    # Example i's draws end before its row does, so a block written back to
+    # front overwrites only draws already read.
+    for a in reversed(range(0, n, NOISE_BLOCK)):
+        b = min(a + NOISE_BLOCK, n)
+        p, q = par[: b - a], tmp[: b - a]
+        np.multiply(c1[a:b], u1, out=p)
+        np.multiply(c2[a:b], u2, out=q)
+        p += q                                # par = (g.u1) u1 + (g.u2) u2
+        np.subtract(g[a:b], p, out=q)
+        q *= config.sigma_perp
+        p *= config.sigma_par
+        p += q                                # sigma_par par + sigma_perp (g - par)
+        p += np.take(vs, states[a:b], axis=0, out=q, mode="clip")  # v_q + noise
+        block = rows[a:b]
+        block[:, :n0, 0] = 0.0                # bos features
+        block[:, :n0, 1:] = p.transpose(0, 2, 1)
+        block[:, n0:] = np.eye(t + 1)         # one-hot positional code
+
+
+def _permute_rows(a: np.ndarray, perm: np.ndarray) -> None:
+    """a[:] = a[perm] in place, walking each cycle of perm with one row held aside."""
+    perm = perm.tolist()
+    done = [False] * len(perm)
+    held = np.empty(a.shape[1:])
+    for start in range(len(perm)):
+        if done[start]:
+            continue
+        held[...] = a[start]
+        i = start
+        while perm[i] != start:
+            a[i] = a[perm[i]]
+            done[i], i = True, perm[i]
+        a[i] = held
+        done[i] = True
 
 
 def gen_hmc_dataset(config: HmcTaskConfig, seed: int) -> SequenceDataset:
     """Balanced train + test splits; bit-identical for identical (config, seed).
 
-    Draw order: train +1 block, train -1 block, train shuffle, then the same
-    for test.
+    Draw order: train +1 chains, then their noise; train -1 chains, then their
+    noise; the train shuffle; then the same for test.  Each split is written
+    unshuffled into its rows of the output and shuffled there, so memory peaks
+    at the token payload plus two blocks of NOISE_BLOCK examples.
     """
     rng = np.random.default_rng(seed)
-    blocks = []
-    labels = []
-    for n in (config.n_train, config.n_test):
-        if n == 0:
-            continue
-        plus = _class_block(n // 2, config.p_plus, config, rng)
-        minus = _class_block(n - n // 2, config.p_minus, config, rng)
-        lab = np.concatenate([np.ones(n // 2, dtype=np.int8), -np.ones(n - n // 2, dtype=np.int8)])
+    n_ex = config.n_train + config.n_test
+    tokens = np.empty((n_ex, config.token_width, config.n_tokens))
+    labels = np.empty(n_ex, dtype=np.int8)
+    for start, n in ((0, config.n_train), (config.n_train, config.n_test)):
+        split = tokens[start : start + n]
+        _fill_class(split[: n // 2], config.p_plus, config, rng)
+        _fill_class(split[n // 2 :], config.p_minus, config, rng)
         perm = rng.permutation(n)
-        blocks.append(np.concatenate([plus, minus])[perm])
-        labels.append(lab[perm])
-    return SequenceDataset(tokens=np.concatenate(blocks), labels=np.concatenate(labels),
-                           n_train=config.n_train)
+        _permute_rows(split, perm)
+        labels[start : start + n] = np.where(perm < n // 2, 1, -1)
+    return SequenceDataset(tokens=tokens, labels=labels, n_train=config.n_train)
 
 
 def _block_matrix(w_ff: np.ndarray, w_fp: np.ndarray, w_pf: np.ndarray,

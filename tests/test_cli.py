@@ -130,6 +130,14 @@ def test_gen_data_writes_nothing_when_attention_is_rejected(tmp_path, capsys):
         assert not out.exists()
 
 
+def _set_label(out, example, value):
+    """Overwrite one label of a run's dataset.apkd; the int8 labels end the file."""
+    path = out / "dataset.apkd"
+    blob = bytearray(path.read_bytes())
+    blob[len(blob) - TINY_TASK["n_train"] - TINY_TASK["n_test"] + example] = value
+    path.write_bytes(bytes(blob))
+
+
 @pytest.mark.parametrize("command,section,message", [
     ("pipeline", {"model": {"readout": "averge"}}, "readout kind must be"),
     ("pipeline", {"model": {"t_star": 99}}, "t_star=99 out of range"),
@@ -140,10 +148,17 @@ def test_gen_data_writes_nothing_when_attention_is_rejected(tmp_path, capsys):
     ("sample", {"sampler": {"n_chains": 0}}, "invalid sampler sizes"),
     ("sample", {"model": {"depth": 3}}, "config wants 3 x 2"),
     ("sample", {"sampler": {"n_samples": 4, "thin": 5}}, "thin exceeds n_samples"),
+    # a callable corrupts the dataset instead: here the first test label
+    pytest.param("pipeline", lambda out: _set_label(out, TINY_TASK["n_train"], 5),
+                 "labels must be -1 or +1, got 5 at example 12", id="pipeline-test-label-5"),
 ])
 def test_rejected_command_keeps_the_run_record(tmp_path, capsys, command, section, message):
     _, out = _gen(tmp_path)
     assert main(["verify", "--out", str(out)]) == 0
+    dataset = (out / "dataset.apkd").read_bytes()
+    if callable(section):
+        section(out)
+        section = {}
     before = sorted(p.name for p in out.iterdir())
     record = (out / "config.resolved.json").read_bytes()
     cfg = _write_config(tmp_path, **section)
@@ -151,7 +166,18 @@ def test_rejected_command_keeps_the_run_record(tmp_path, capsys, command, sectio
     assert message in capsys.readouterr().err
     assert sorted(p.name for p in out.iterdir()) == before
     assert (out / "config.resolved.json").read_bytes() == record
+    (out / "dataset.apkd").write_bytes(dataset)
     assert main(["verify", "--out", str(out)]) == 0
+
+
+def test_verify_rejects_labels_other_than_plus_minus_one(tmp_path, capsys):
+    cfg, out = _gen(tmp_path)
+    _set_label(out, 0, 5)  # the first training label
+    assert main(["verify", "--out", str(out)]) == 2
+    assert "labels must be -1 or +1, got 5 at example 0" in capsys.readouterr().err
+    before = sorted(p.name for p in out.iterdir())
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out), "--force"]) == 2
+    assert sorted(p.name for p in out.iterdir()) == before
 
 
 def test_gen_data_writes_artifacts(tmp_path):

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from attnpaths import data
 from attnpaths.data import (
     HmcTaskConfig,
     SequenceDataset,
@@ -132,12 +135,93 @@ def test_dataset_determinism_and_seed_sensitivity():
 
 
 def test_dataset_validation():
-    with pytest.raises(ValueError):
-        SequenceDataset(tokens=np.zeros((3, 4)), labels=np.zeros(3), n_train=1)
-    with pytest.raises(ValueError):
-        SequenceDataset(tokens=np.zeros((3, 4, 5)), labels=np.zeros(2), n_train=1)
-    with pytest.raises(ValueError):
-        SequenceDataset(tokens=np.zeros((3, 4, 5)), labels=np.zeros(3), n_train=4)
+    with pytest.raises(ValueError, match="tokens must be"):
+        SequenceDataset(tokens=np.zeros((3, 4)), labels=np.ones(3), n_train=1)
+    with pytest.raises(ValueError, match="labels length"):
+        SequenceDataset(tokens=np.zeros((3, 4, 5)), labels=np.ones(2), n_train=1)
+    with pytest.raises(ValueError, match="n_train=4 out of range"):
+        SequenceDataset(tokens=np.zeros((3, 4, 5)), labels=np.ones(3), n_train=4)
+
+
+@pytest.mark.parametrize("labels", [[1, -1, 0], [5, 1, -1], [1, 1, -2]])
+def test_dataset_rejects_labels_other_than_plus_minus_one(labels):
+    with pytest.raises(ValueError, match="labels must be -1 or \\+1"):
+        SequenceDataset(tokens=np.zeros((3, 4, 5)), labels=labels, n_train=2)
+    SequenceDataset(tokens=np.zeros((3, 4, 5)), labels=[1, -1, 1], n_train=2)
+
+
+def _oracle_noise(shape, v_plus, v_minus, sigma_par, sigma_perp, rng):
+    g = rng.standard_normal(shape)
+    u1 = v_plus / np.linalg.norm(v_plus)
+    u2 = v_minus / np.linalg.norm(v_minus)
+    par = np.tensordot(g, u1, axes=(-1, 0))[..., None] * u1 \
+        + np.tensordot(g, u2, axes=(-1, 0))[..., None] * u2
+    return sigma_par * par + sigma_perp * (g - par)
+
+
+def _oracle_class_block(n, p_flip, config, rng):
+    t = config.chain_length
+    n0 = config.feature_width
+    v_plus, v_minus = state_vectors(n0)
+    vs = np.stack([v_plus, v_minus])
+    states = np.stack([sample_hidden_chain(p_flip, t, rng) for _ in range(n)])
+    feats = vs[states] + _oracle_noise((n, t, n0), v_plus, v_minus,
+                                       config.sigma_par, config.sigma_perp, rng)
+    tokens = np.zeros((n, config.token_width, t + 1))
+    tokens[:, :n0, 1:] = feats.transpose(0, 2, 1)
+    for pos in range(t + 1):
+        tokens[:, n0 + pos, pos] = 1.0
+    return tokens
+
+
+def _oracle_gen_hmc_dataset(config, seed):
+    """The whole-array generator: each class block with all its noise at once,
+    concatenated, then shuffled.  gen_hmc_dataset must reproduce its tokens
+    and labels bit for bit."""
+    rng = np.random.default_rng(seed)
+    blocks, labels = [], []
+    for n in (config.n_train, config.n_test):
+        if n == 0:
+            continue
+        plus = _oracle_class_block(n // 2, config.p_plus, config, rng)
+        minus = _oracle_class_block(n - n // 2, config.p_minus, config, rng)
+        lab = np.concatenate([np.ones(n // 2, dtype=np.int8),
+                              -np.ones(n - n // 2, dtype=np.int8)])
+        perm = rng.permutation(n)
+        blocks.append(np.concatenate([plus, minus])[perm])
+        labels.append(lab[perm])
+    return np.concatenate(blocks), np.concatenate(labels)
+
+
+@pytest.mark.parametrize("noise_block", [1, 7, data.NOISE_BLOCK, 10_000])
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"n_test": 0},
+    {"n_train": 6, "n_test": 10},                  # odd class halves
+    {"sigma_par": 0.0},
+    {"sigma_perp": 0.0},
+    {"chain_length": 30, "feature_width": 200, "n_train": 10, "n_test": 6},
+])
+def test_dataset_matches_whole_array_oracle(monkeypatch, noise_block, overrides):
+    cfg = _small_config(**overrides)
+    monkeypatch.setattr(data, "NOISE_BLOCK", noise_block)
+    for seed in (0, 3):
+        ds = gen_hmc_dataset(cfg, seed)
+        tokens, labels = _oracle_gen_hmc_dataset(cfg, seed)
+        assert ds.tokens.tobytes() == tokens.tobytes()
+        assert ds.labels.tobytes() == labels.tobytes()
+
+
+def test_dataset_memory_peak_is_about_one_token_payload():
+    # the splits are shuffled in place: no second copy of a split, let alone
+    # of the payload (the whole-array generator peaks at 2.9 payloads)
+    tracemalloc.start()
+    try:
+        ds = gen_hmc_dataset(HmcTaskConfig(), 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * ds.tokens.nbytes
 
 
 def test_good_head_logit_structure():
