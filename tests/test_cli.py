@@ -155,10 +155,12 @@ def _set_label(out, example, value):
 def test_rejected_command_keeps_the_run_record(tmp_path, capsys, command, section, message):
     _, out = _gen(tmp_path)
     assert main(["verify", "--out", str(out)]) == 0
-    dataset = (out / "dataset.apkd").read_bytes()
-    if callable(section):
+    original = (out / "dataset.apkd").read_bytes()
+    corrupt = callable(section)
+    if corrupt:
         section(out)
         section = {}
+    dataset = (out / "dataset.apkd").read_bytes()
     before = sorted(p.name for p in out.iterdir())
     record = (out / "config.resolved.json").read_bytes()
     cfg = _write_config(tmp_path, **section)
@@ -166,7 +168,9 @@ def test_rejected_command_keeps_the_run_record(tmp_path, capsys, command, sectio
     assert message in capsys.readouterr().err
     assert sorted(p.name for p in out.iterdir()) == before
     assert (out / "config.resolved.json").read_bytes() == record
-    (out / "dataset.apkd").write_bytes(dataset)
+    assert (out / "dataset.apkd").read_bytes() == dataset
+    if corrupt:
+        (out / "dataset.apkd").write_bytes(original)
     assert main(["verify", "--out", str(out)]) == 0
 
 
