@@ -6,17 +6,8 @@ kernel machine built from path features, and the finite-width posterior is
 characterized by a path-pair order parameter solved from a saddle-point action.
 """
 
-from .paths import (
-    path_heads,
-    extend_order_parameter,
-)
-from .model import (
-    Readout,
-    attentioned_input,
-    effective_weights,
-    network_output,
-    forward_layerwise,
-)
+from .paths import path_heads
+from .model import Readout
 from .kernel import (
     PathFeatureMatrix,
     compute_features,
@@ -31,8 +22,6 @@ from .solver import (
     SolverConfig,
     SolveTrace,
     SolverFailure,
-    entropy_term,
-    energy_term,
     action,
     action_gradient,
     solve_saddle,

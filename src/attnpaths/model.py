@@ -22,8 +22,11 @@ The same output decomposes over attention paths pi = (h_1, ..., h_L):
 
 with effective weights Veff_pi = N^(-L/2) a @ V_{L,h_L} @ ... @ V_{1,h_1} and
 attentioned inputs xi_pi = x0 @ Omega_{1,h_1} @ ... @ Omega_{L,h_L} read out
-at t*.  Both routes are implemented, on the (v0, values, readout) parts of a
-flat weight vector (weight_parts); they agree to floating-point accuracy.
+at t*.  The package runs only this path route, on the (v0, values, readout)
+parts of a flat weight vector (weight_parts): kernel.path_features builds
+the xi_pi / sqrt(width) and sampler._row_tree the N^(L/2) Veff_pi.  The
+layerwise recursion lives in tests/oracles.py as the test oracle; the two
+routes agree to floating-point accuracy.
 
 Cost: per example and head, a full T x T attention layer takes w^2 T + w T^2
 multiply-adds for token width w (x^T M x), and one column of it w^2 + w T.
@@ -38,8 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .paths import path_heads
 
 
 @dataclass(frozen=True)
@@ -140,54 +141,3 @@ def attention_stack_batch(tokens: np.ndarray, logits: np.ndarray,
                                optimize=True)
             omegas[:, layer, head][..., cols] = _softmax_columns(scores)
     return omegas
-
-
-def attentioned_input(x0: np.ndarray, omegas: np.ndarray, path: tuple[int, ...],
-                      readout: Readout) -> np.ndarray:
-    """xi_pi: the input sequence propagated through one path's attention chain.
-
-    Equals x0 @ Omega_{1,h1} @ ... @ Omega_{L,hL} read out at the readout
-    column; shape (width,).
-    """
-    mat = np.asarray(x0, dtype=float)
-    for layer, head in enumerate(path):
-        mat = mat @ omegas[layer, head]
-    return mat @ readout.column_weights(mat.shape[1])
-
-
-def effective_weights(weights: tuple, path: tuple[int, ...]) -> np.ndarray:
-    """Veff_pi = N^(-L/2) a @ V_{L,hL} @ ... @ V_{1,h1}; shape (N,)."""
-    _, values, vec = weights
-    depth = values.shape[0]
-    for layer in reversed(range(depth)):
-        vec = vec @ values[layer, path[layer]]
-    return vec / len(vec) ** (depth / 2.0)
-
-
-def network_output(x0: np.ndarray, weights: tuple, omegas: np.ndarray,
-                   readout: Readout) -> float:
-    """Scalar output via the path decomposition."""
-    v0, values, _ = weights
-    n, width = v0.shape
-    depth, n_heads = values.shape[:2]
-    total = 0.0
-    for path in path_heads(n_heads, depth).T:
-        xi = attentioned_input(x0, omegas, path, readout)
-        total += effective_weights(weights, path) @ (v0 @ xi)
-    return total / np.sqrt(n_heads**depth * n * width)
-
-
-def forward_layerwise(x0: np.ndarray, weights: tuple, omegas: np.ndarray,
-                      readout: Readout) -> float:
-    """Scalar output via the layer-by-layer recursion; same value as network_output."""
-    v0, values, a = weights
-    n, width = v0.shape
-    depth, n_heads = values.shape[:2]
-    x = v0 @ x0 / np.sqrt(width)
-    for layer in range(depth):
-        nxt = np.zeros_like(x)
-        for head in range(n_heads):
-            nxt += values[layer, head] @ (x @ omegas[layer, head])
-        x = nxt / np.sqrt(n * n_heads)
-    z = x @ readout.column_weights(x.shape[1])
-    return float(a @ z / np.sqrt(n))

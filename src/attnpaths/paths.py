@@ -7,12 +7,13 @@ canonical flat order in which h_1 is the most significant digit:
     flat(pi) = h_1 H^(L-1) + h_2 H^(L-2) + ... + h_L
 
 Under this order the extension of a depth-(L-l) order parameter to depth
-(L-l+1) is a Kronecker product with the identity, because the leading digit
-h_l only relabels blocks.  path_heads(H, L) is the one representation of the
-path set: an (L, H^L) head-index array whose column i is the path with flat
-index i, so the paths through head h of layer l are the columns where row
-l-1 equals h.  Head indices are zero-based everywhere in code; renderings for
-humans (CSV labels, reports) are one-based.
+(L-l+1) is the Kronecker product kron(I_H, U), because the leading digit
+h_l only relabels blocks; solver._action_pieces builds that lift inline.
+path_heads(H, L) is the one representation of the path set: an (L, H^L)
+head-index array whose column i is the path with flat index i, so the paths
+through head h of layer l are the columns where row l-1 equals h.  Head
+indices are zero-based everywhere in code; renderings for humans (CSV
+labels, reports) are one-based.
 """
 
 from __future__ import annotations
@@ -31,20 +32,6 @@ def path_heads(n_heads: int, depth: int) -> np.ndarray:
     if n_heads**depth > MAX_PATHS:
         raise ValueError(f"path count {n_heads}**{depth} exceeds limit {MAX_PATHS}")
     return np.indices((n_heads,) * depth).reshape(depth, -1)
-
-
-def extend_order_parameter(u_next: np.ndarray, n_heads: int) -> np.ndarray:
-    """Lift an order parameter over partial paths pi_{l+1} to partial paths pi_l.
-
-    U_ext[(h, j), (h', j')] = delta_{h h'} U_next[j, j'], which under the
-    canonical order is exactly kron(I_H, U_next).
-    """
-    u_next = np.asarray(u_next, dtype=float)
-    if u_next.ndim != 2 or u_next.shape[0] != u_next.shape[1]:
-        raise ValueError(f"order parameter must be square, got shape {u_next.shape}")
-    if n_heads < 1:
-        raise ValueError(f"need n_heads >= 1, got {n_heads}")
-    return np.kron(np.eye(n_heads), u_next)
 
 
 def path_label(path: tuple[int, ...]) -> str:

@@ -242,7 +242,6 @@ class PosteriorSamples:
     divergences: np.ndarray
     step_sizes: np.ndarray
     potentials: np.ndarray
-    config: HmcConfig
 
     @property
     def n_kept(self) -> int:
@@ -287,7 +286,6 @@ def hmc_sample(tokens: np.ndarray, labels: np.ndarray, logits: np.ndarray,
         n_hidden=n, width=width, depth=depth, n_heads=n_heads,
         acceptance=chains.acceptance, divergences=chains.divergences,
         step_sizes=chains.step_sizes, potentials=chains.potentials.ravel(),
-        config=config,
     )
 
 

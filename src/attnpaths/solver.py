@@ -41,6 +41,11 @@ from .kernel import PathFeatureMatrix, path_pair_gram, total_kernel
 # it each evaluation contracts the O(H^L * width * P) features instead.
 GRAM_MAX_DOUBLES = 2**23
 
+# convergence threshold on the U-space gradient inf-norm, relative to
+# 1 + |action|, and the scale of the seeded noise on the starting raw factors
+TOLERANCE = 1e-7
+JITTER = 1e-3
+
 # L-BFGS correction pairs kept, trial steps per line search, and the
 # strong-Wolfe constants of sufficient decrease and curvature
 LBFGS_MEMORY = 10
@@ -89,8 +94,6 @@ class SolverConfig:
     temperature: float
     sigma2: float = 1.0
     max_iter: int = 20000
-    tolerance: float = 1e-7
-    jitter: float = 1e-3
     seed: int = 0
 
     def __post_init__(self):
@@ -137,43 +140,6 @@ def _chol_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _chol_inv(c: np.ndarray) -> np.ndarray:
     inv = _chol_solve(c, np.eye(c.shape[0]))
     return 0.5 * (inv + inv.T)
-
-
-def entropy_term(m: np.ndarray, sigma2: float) -> float:
-    """Lterm(M) = sigma^-2 tr(M) - ln det M for positive definite M.
-
-    Symmetric arguments go through Cholesky; products of two SPD matrices are
-    similar to an SPD matrix but need not be symmetric, so those fall back to
-    slogdet with a positivity check.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"entropy term needs a square matrix, got shape {m.shape}")
-    if sigma2 <= 0:
-        raise ValueError(f"sigma2 must be > 0, got {sigma2}")
-    if np.allclose(m, m.T, rtol=1e-10, atol=1e-12):
-        logdet = _chol_logdet(_chol(0.5 * (m + m.T)))
-    else:
-        sign, logdet = np.linalg.slogdet(m)
-        if sign <= 0:
-            raise np.linalg.LinAlgError("matrix has non-positive determinant")
-    return float(np.trace(m)) / sigma2 - logdet
-
-
-def energy_term(u1: np.ndarray, features: PathFeatureMatrix, y: np.ndarray,
-                temperature: float) -> float:
-    """(1/P)[ln det(K + T I) + Y^T (K + T I)^-1 Y] over the examples in `features`."""
-    y = np.asarray(y, dtype=float)
-    p = features.n_examples
-    if p < 1:
-        raise ValueError("need at least one example")
-    if y.shape != (p,):
-        raise ValueError(f"labels must have shape ({p},), got {y.shape}")
-    if temperature <= 0:
-        raise ValueError(f"temperature must be > 0, got {temperature}")
-    k = total_kernel(u1, features)
-    c = _chol(k + temperature * np.eye(p))
-    return (_chol_logdet(c) + float(y @ _chol_solve(c, y))) / p
 
 
 def _block_trace(m: np.ndarray, n_blocks: int) -> np.ndarray:
@@ -298,7 +264,7 @@ def _init_raws(n_heads: int, depth: int, config: SolverConfig,
         target = config.sigma2 ** ((depth + 1 - i) / 2.0)
         raw = np.full((size, size), 0.0)
         np.fill_diagonal(raw, _inv_softplus(target))
-        raw += config.jitter * rng.standard_normal((size, size))
+        raw += JITTER * rng.standard_normal((size, size))
         raws.append(raw)
     return raws
 
@@ -401,10 +367,10 @@ def solve_saddle(features: PathFeatureMatrix, y: np.ndarray,
                  config: SolverConfig) -> tuple[OrderParameterSet, SolveTrace]:
     """Minimize the action; returns the order parameters and the full trace.
 
-    Starts at the GP fixed point plus a small seeded jitter on the raw factors
-    and runs L-BFGS over the flattened factors.  It stops at the first iterate
-    whose U-space action gradient infinity norm is at most
-    tolerance * (1 + |action|), after max_iter iterates, or when the line
+    Starts at the GP fixed point plus seeded noise of scale JITTER on the raw
+    factors and runs L-BFGS over the flattened factors.  It stops at the first
+    iterate whose U-space action gradient infinity norm is at most
+    TOLERANCE * (1 + |action|), after max_iter iterates, or when the line
     search finds no lower action (a trial point where the action is not finite
     counts as no lower action).  converged reports the gradient test at the
     returned iterate, which is the last one accepted.  A starting point where
@@ -430,7 +396,7 @@ def solve_saddle(features: PathFeatureMatrix, y: np.ndarray,
 
     def converged(point):
         act, _, _, gmax = point[0]
-        return gmax <= config.tolerance * (1.0 + abs(act))
+        return gmax <= TOLERANCE * (1.0 + abs(act))
 
     accepted = [point]
     pairs = []

@@ -18,8 +18,6 @@ from attnpaths.kernel import PathFeatureMatrix, compute_features, kernel_task_al
 from attnpaths.model import (
     Readout,
     attention_stack_batch,
-    forward_layerwise,
-    network_output,
     weight_count,
     weight_parts,
 )
@@ -38,6 +36,7 @@ from attnpaths.solver import (
     action_gradient,
     solve_saddle,
 )
+from oracles import forward_layerwise, shipped_output
 
 READOUT = Readout.token(1)
 TEMPERATURE = 0.01
@@ -146,10 +145,11 @@ def test_criterion_03_path_layer_equivalence():
         x0 = rng.standard_normal((width, n_tokens))
         omegas = attention_stack_batch(x0[None], logits)[0]
         shape = (n_hidden, width, depth, n_heads)
-        weights = weight_parts(rng.standard_normal(weight_count(*shape)), *shape)
+        q = rng.standard_normal(weight_count(*shape))
         readout = Readout.token(int(rng.integers(0, n_tokens)))
-        a = network_output(x0, weights, omegas, readout)
-        b = forward_layerwise(x0, weights, omegas, readout)
+        # the path sum pipeline and sample run, against the layer recursion
+        a = shipped_output(x0, q, shape, logits, readout)
+        b = forward_layerwise(x0, weight_parts(q, *shape), omegas, readout)
         worst = max(worst, abs(a - b) / max(1e-30, abs(a)))
     ok = worst <= 1e-10
     _report(3, "path/layer forward equivalence", ok,

@@ -13,12 +13,9 @@ from attnpaths.kernel import (
     path_pair_gram,
     total_kernel,
 )
-from attnpaths.model import (
-    Readout,
-    attention_stack_batch,
-    attentioned_input,
-)
+from attnpaths.model import Readout, attention_stack_batch
 from attnpaths.paths import path_heads
+from oracles import path_input
 
 
 def _random_logits(rng, depth, n_heads, width):
@@ -46,7 +43,7 @@ def test_compute_features_matches_per_example_chains():
     for mu in range(n_ex):
         omegas = attention_stack_batch(tokens[mu][None], logits)[0]
         for i, path in enumerate(paths):
-            xi = attentioned_input(tokens[mu], omegas, path, readout)
+            xi = path_input(tokens[mu], omegas, path, readout)
             assert np.allclose(feats.values[i, :, mu], xi / np.sqrt(width), atol=1e-12)
 
 
@@ -65,7 +62,7 @@ def test_compute_features_matches_attentioned_input_property(
     for mu in range(n_ex):
         omegas = attention_stack_batch(tokens[mu][None], logits)[0]
         for i, path in enumerate(path_heads(n_heads, depth).T):
-            xi = attentioned_input(tokens[mu], omegas, path, readout)
+            xi = path_input(tokens[mu], omegas, path, readout)
             scale = 1e-12 * (1 + np.max(np.abs(xi)))
             assert np.allclose(feats.values[i, :, mu], xi / np.sqrt(width), rtol=0, atol=scale)
 

@@ -9,24 +9,16 @@ from attnpaths.model import (
     Readout,
     _softmax_columns,
     attention_stack_batch,
-    attentioned_input,
     check_logits,
-    effective_weights,
-    forward_layerwise,
-    network_output,
     weight_count,
     weight_parts,
 )
 from attnpaths.paths import path_heads
+from oracles import forward_layerwise, shipped_output
 
 
 def _random_logits(rng, depth, n_heads, width):
     return 1.3 * rng.standard_normal((depth, n_heads, width, width))
-
-
-def _prior_weights(rng, n_hidden, width, depth, n_heads):
-    shape = (n_hidden, width, depth, n_heads)
-    return weight_parts(rng.standard_normal(weight_count(*shape)), *shape)
 
 
 def test_softmax_columns_oracle():
@@ -145,32 +137,8 @@ def test_readout_column_weights():
         Readout(kind="mean")
 
 
-def test_attentioned_input_oracle():
-    rng = np.random.default_rng(4)
-    logits = _random_logits(rng, depth=3, n_heads=2, width=4)
-    x0 = rng.standard_normal((4, 5))
-    omegas = attention_stack_batch(x0[None], logits)[0]
-    readout = Readout.token(1)
-    path = (1, 0, 1)
-    got = attentioned_input(x0, omegas, path, readout)
-    want = x0 @ omegas[0, 1] @ omegas[1, 0] @ omegas[2, 1]
-    assert np.allclose(got, want[:, 1], atol=1e-12)
-    avg = attentioned_input(x0, omegas, path, Readout.average())
-    assert np.allclose(avg, want.mean(axis=1), atol=1e-12)
-
-
-def test_effective_weights_oracle():
-    rng = np.random.default_rng(5)
-    weights = _prior_weights(rng, 3, 4, depth=2, n_heads=2)
-    _, values, readout = weights
-    path = (1, 0)
-    got = effective_weights(weights, path)
-    want = readout @ values[1, 0] @ values[0, 1] / 3.0
-    assert np.allclose(got, want, atol=1e-12)
-
-
 def test_path_sum_equals_layerwise():
-    # the path decomposition and the layer recursion are the same function
+    # the shipped path decomposition and the layer recursion are the same function
     rng = np.random.default_rng(6)
     for trial in range(20):
         depth = int(rng.integers(1, 4))
@@ -181,22 +149,24 @@ def test_path_sum_equals_layerwise():
         logits = _random_logits(rng, depth, n_heads, width)
         x0 = rng.standard_normal((width, n_tokens))
         omegas = attention_stack_batch(x0[None], logits)[0]
-        weights = _prior_weights(rng, n_hidden, width, depth, n_heads)
+        shape = (n_hidden, width, depth, n_heads)
+        q = rng.standard_normal(weight_count(*shape))
         readout = Readout.token(int(rng.integers(0, n_tokens)))
-        a = network_output(x0, weights, omegas, readout)
-        b = forward_layerwise(x0, weights, omegas, readout)
+        a = shipped_output(x0, q, shape, logits, readout)
+        b = forward_layerwise(x0, weight_parts(q, *shape), omegas, readout)
         assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
 
 
 def test_network_output_explicit_two_layer():
-    # hand-rolled double loop over paths at H=2, L=2
+    # hand-rolled double loop over paths at H=2, L=2 against the shipped path sum
     rng = np.random.default_rng(7)
     width, n_hidden, n_tokens = 3, 2, 4
     logits = _random_logits(rng, 2, 2, width)
     x0 = rng.standard_normal((width, n_tokens))
     omegas = attention_stack_batch(x0[None], logits)[0]
-    weights = _prior_weights(rng, n_hidden, width, 2, 2)
-    v0, values, a = weights
+    shape = (n_hidden, width, 2, 2)
+    q = rng.standard_normal(weight_count(*shape))
+    v0, values, a = weight_parts(q, *shape)
     readout = Readout.token(0)
     total = 0.0
     for h1 in range(2):
@@ -205,7 +175,7 @@ def test_network_output_explicit_two_layer():
             xi = (x0 @ omegas[0, h1] @ omegas[1, h2])[:, 0]
             total += veff @ v0 @ xi
     want = total / np.sqrt(4 * n_hidden * width)
-    got = network_output(x0, weights, omegas, readout)
+    got = shipped_output(x0, q, shape, logits, readout)
     assert abs(got - want) <= 1e-12
 
 

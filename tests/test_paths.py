@@ -5,7 +5,6 @@ import pytest
 
 from attnpaths.paths import (
     MAX_PATHS,
-    extend_order_parameter,
     path_heads,
     path_label,
 )
@@ -53,41 +52,6 @@ def test_path_heads_validation():
     with pytest.raises(ValueError):
         path_heads(2, 40)  # 2**40 > MAX_PATHS
     assert 2**40 > MAX_PATHS
-
-
-def test_extend_order_parameter_elementwise():
-    # U_ext[(h, j), (h', j')] = delta_{hh'} U[j, j'] in the canonical order
-    rng = np.random.default_rng(1)
-    for n_heads in (1, 2, 3):
-        m = int(rng.integers(1, 5))
-        u = rng.standard_normal((m, m))
-        ext = extend_order_parameter(u, n_heads)
-        assert ext.shape == (n_heads * m, n_heads * m)
-        for h in range(n_heads):
-            for hp in range(n_heads):
-                block = ext[h * m : (h + 1) * m, hp * m : (hp + 1) * m]
-                want = u if h == hp else np.zeros((m, m))
-                assert np.array_equal(block, want)
-
-
-def test_extend_order_parameter_spectrum():
-    # kron(I_H, U) repeats every eigenvalue of U exactly H times
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal((3, 3))
-    u = a @ a.T
-    ext = extend_order_parameter(u, 4)
-    want = np.sort(np.tile(np.linalg.eigvalsh(u), 4))
-    got = np.sort(np.linalg.eigvalsh(ext))
-    assert np.allclose(got, want, atol=1e-10)
-
-
-def test_extend_order_parameter_validation():
-    with pytest.raises(ValueError):
-        extend_order_parameter(np.zeros((2, 3)), 2)
-    with pytest.raises(ValueError):
-        extend_order_parameter(np.zeros(4), 2)
-    with pytest.raises(ValueError):
-        extend_order_parameter(np.eye(2), 0)
 
 
 def test_path_label_one_based():

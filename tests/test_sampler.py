@@ -11,9 +11,6 @@ from attnpaths.kernel import path_features
 from attnpaths.model import (
     Readout,
     attention_stack_batch,
-    effective_weights,
-    forward_layerwise,
-    network_output,
     weight_count,
     weight_parts,
 )
@@ -31,6 +28,7 @@ from attnpaths.sampler import (
     log_posterior,
     run_hmc,
 )
+from oracles import forward_layerwise, path_row
 
 
 def _setup(rng, n_ex=3, width=4, n_tokens=3, depth=2, n_heads=2, n_hidden=2,
@@ -464,12 +462,11 @@ def test_hmc_sample_prior_only_moments():
 def _manual_samples(rng, n_draws=3, n_hidden=3, width=4, depth=2, n_heads=2):
     shape = (n_hidden, width, depth, n_heads)
     samples = rng.standard_normal((n_draws, weight_count(*shape)))
-    config = HmcConfig(n_hidden=n_hidden)
     return [weight_parts(q, *shape) for q in samples], PosteriorSamples(
         samples=samples,
         n_hidden=n_hidden, width=width, depth=depth, n_heads=n_heads,
         acceptance=np.ones(1), divergences=np.zeros(1, dtype=int),
-        step_sizes=np.full(1, 0.01), potentials=np.zeros(n_draws), config=config)
+        step_sizes=np.full(1, 0.01), potentials=np.zeros(n_draws))
 
 
 def test_effective_rows_match_path_products():
@@ -484,7 +481,7 @@ def test_effective_rows_match_path_products():
         assert np.allclose(tree, stacked, atol=1e-12)
         rows = tree / post.n_hidden ** (post.depth / 2.0)
         for i, path in enumerate(path_heads(post.n_heads, post.depth).T):
-            assert np.allclose(rows[i], effective_weights(w, path), atol=1e-12)
+            assert np.allclose(rows[i], path_row(w, path), atol=1e-12)
 
 
 def test_empirical_order_parameter_oracle():
@@ -492,7 +489,7 @@ def test_empirical_order_parameter_oracle():
     draws, post = _manual_samples(rng)
     want = np.zeros((4, 4))
     for w in draws:
-        veff = np.stack([effective_weights(w, p) for p in path_heads(2, 2).T])
+        veff = np.stack([path_row(w, p) for p in path_heads(2, 2).T])
         want += veff @ veff.T / post.n_hidden
     want /= len(draws)
     got, per = empirical_order_parameter(post, return_samples=True)
@@ -509,7 +506,7 @@ def test_empirical_predictor_oracle():
     readout = Readout.token(0)
     means, variances = empirical_predictor(post, tokens, logits, readout)
     omegas = attention_stack_batch(tokens, logits)
-    outs = np.array([[network_output(tokens[mu], w, omegas[mu], readout)
+    outs = np.array([[forward_layerwise(tokens[mu], w, omegas[mu], readout)
                       for mu in range(5)] for w in draws])
     assert np.allclose(means, outs.mean(axis=0), atol=1e-10)
     assert np.allclose(variances, outs.var(axis=0), atol=1e-10)

@@ -7,7 +7,7 @@ import attnpaths.solver as solver_mod
 from attnpaths.data import HmcTaskConfig, build_hmc_attention, gen_hmc_dataset
 from attnpaths.kernel import PathFeatureMatrix, compute_features, path_pair_gram, total_kernel
 from attnpaths.model import Readout
-from attnpaths.paths import extend_order_parameter
+from attnpaths.paths import path_heads
 from attnpaths.solver import (
     OrderParameterSet,
     SolverConfig,
@@ -15,8 +15,6 @@ from attnpaths.solver import (
     SolveTrace,
     action,
     action_gradient,
-    energy_term,
-    entropy_term,
     solve_saddle,
 )
 
@@ -38,33 +36,12 @@ def _spd(rng, n, scale=1.0):
     return scale * (a @ a.T + n * np.eye(n))
 
 
-def test_entropy_term_slogdet_oracle():
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        n = int(rng.integers(1, 6))
-        m = _spd(rng, n)
-        sigma2 = float(rng.uniform(0.5, 2.0))
-        want = np.trace(m) / sigma2 - np.linalg.slogdet(m)[1]
-        assert abs(entropy_term(m, sigma2) - want) <= 1e-10 * (1 + abs(want))
-
-
-def test_entropy_term_nonsymmetric_branch():
-    # products of SPD matrices are not symmetric but have positive determinant
-    rng = np.random.default_rng(1)
-    a = _spd(rng, 3)
-    b = _spd(rng, 3)
-    m = a @ np.linalg.inv(b)
-    assert not np.allclose(m, m.T)
-    want = np.trace(m) - np.linalg.slogdet(m)[1]
-    assert abs(entropy_term(m, 1.0) - want) <= 1e-10 * (1 + abs(want))
-    with pytest.raises(np.linalg.LinAlgError):
-        entropy_term(np.array([[0.0, 1.0], [2.0, 0.0]]), 1.0)  # det < 0
-    with pytest.raises(np.linalg.LinAlgError):
-        entropy_term(-np.eye(2), 1.0)
-    with pytest.raises(ValueError):
-        entropy_term(np.zeros((2, 3)), 1.0)
-    with pytest.raises(ValueError):
-        entropy_term(np.eye(2), 0.0)
+def _energy(u1, features, y, temperature):
+    """The energy term that _action_pieces computes at U^(1) = u1, the other
+    levels at their GP values, which the energy does not read."""
+    mats = OrderParameterSet.gp_solution(features.n_heads, features.depth).matrices
+    config = SolverConfig(alpha=1.0, temperature=temperature)
+    return solver_mod._action_pieces([u1] + mats[1:], features, y, config, want_grad=False)[2]
 
 
 def test_energy_term_explicit_inverse_oracle():
@@ -76,17 +53,17 @@ def test_energy_term_explicit_inverse_oracle():
     k = total_kernel(u1, feats)
     m = k + t * np.eye(6)
     want = (np.linalg.slogdet(m)[1] + y @ np.linalg.solve(m, y)) / 6
-    got = energy_term(u1, feats, y, t)
+    got = _energy(u1, feats, y, t)
     assert abs(got - want) <= 1e-10 * (1 + abs(want))
 
 
 def test_energy_term_zero_kernel_closed_form():
-    # U = 0 kills the kernel: energy = ln T + 1/T for +-1 labels
+    # zero features kill the kernel: energy = ln T + 1/T for +-1 labels
     rng = np.random.default_rng(3)
-    feats = _features(rng, 2, 1, n_ex=5)
+    feats = PathFeatureMatrix(values=np.zeros((2, 5, 5)), n_train=5, n_heads=2, depth=1)
     y = _labels(rng, 5)
     for t in (0.01, 0.5, 2.0):
-        got = energy_term(np.zeros((2, 2)), feats, y, t)
+        got = _energy(np.eye(2), feats, y, t)
         assert abs(got - (np.log(t) + 1.0 / t)) <= 1e-10
 
 
@@ -99,17 +76,7 @@ def test_energy_term_scaled_identity_kernel_closed_form():
     y = np.array([1.0, -1.0, 1.0, 1.0])
     u, t = 1.7, 0.3
     want = np.log(u * c + t) + 1.0 / (u * c + t)
-    assert abs(energy_term(u * np.eye(1), feats, y, t) - want) <= 1e-12
-
-
-def test_energy_term_validation():
-    rng = np.random.default_rng(4)
-    feats = _features(rng, 2, 1, n_ex=4)
-    y = _labels(rng, 4)
-    with pytest.raises(ValueError):
-        energy_term(np.eye(2), feats, y[:3], 0.1)
-    with pytest.raises(ValueError):
-        energy_term(np.eye(2), feats, y, 0.0)
+    assert abs(_energy(u * np.eye(1), feats, y, t) - want) <= 1e-12
 
 
 def test_gp_solution_levels():
@@ -134,9 +101,31 @@ def test_order_parameter_set_validation():
             OrderParameterSet(matrices=mats, n_heads=n_heads, depth=depth)
 
 
+def _entropy(m, sigma2):
+    """Lterm(M) = tr(M) / sigma^2 - ln det M; M need not be symmetric, but its
+    determinant must be positive."""
+    sign, logdet = np.linalg.slogdet(m)
+    assert sign > 0
+    return np.trace(m) / sigma2 - logdet
+
+
+def _lift(u_next, n_heads, depth):
+    """U_ext[a, b] = delta_{h_a h_b} U_next[j_a, j_b] over depth-head partial
+    paths a = (h_a, j_a), entry by entry from path_heads."""
+    heads = path_heads(n_heads, depth)
+    rest = n_heads ** np.arange(depth - 2, -1, -1) @ heads[1:]
+    n = heads.shape[1]
+    ext = np.zeros((n, n))
+    for a in range(n):
+        for b in range(n):
+            if heads[0, a] == heads[0, b]:
+                ext[a, b] = u_next[rest[a], rest[b]]
+    return ext
+
+
 def test_action_term_by_term_oracle():
-    # the action is the sum of public entropy terms over the level chain plus
-    # alpha times the public energy term
+    # the action rebuilt from its definition: entropy terms by slogdet over the
+    # level chain, each lift entry by entry, and the energy by slogdet and solve
     rng = np.random.default_rng(5)
     for n_heads, depth in [(2, 2), (3, 2), (2, 3), (1, 1)]:
         feats = _features(rng, n_heads, depth, n_ex=6)
@@ -144,11 +133,12 @@ def test_action_term_by_term_oracle():
         config = SolverConfig(alpha=1.3, temperature=0.2, sigma2=1.4)
         mats = [_spd(rng, n_heads ** (depth - i)) for i in range(depth + 1)]
         params = OrderParameterSet(matrices=mats, n_heads=n_heads, depth=depth)
-        want = entropy_term(mats[-1], config.sigma2)
+        want = _entropy(mats[-1], config.sigma2)
         for i in range(depth):
-            ext = extend_order_parameter(mats[i + 1], n_heads)
-            want += entropy_term(mats[i] @ np.linalg.inv(ext), config.sigma2)
-        want += config.alpha * energy_term(mats[0], feats, y, config.temperature)
+            ext = _lift(mats[i + 1], n_heads, depth - i)
+            want += _entropy(mats[i] @ np.linalg.inv(ext), config.sigma2)
+        m = total_kernel(mats[0], feats) + config.temperature * np.eye(6)
+        want += config.alpha * (np.linalg.slogdet(m)[1] + y @ np.linalg.solve(m, y)) / 6
         got = action(params, feats, y, config)
         assert abs(got - want) <= 1e-9 * (1 + abs(want))
 
@@ -274,7 +264,7 @@ def test_solve_trace_consistency():
                        atol=1e-10)
     assert trace.actions[-1] <= trace.actions[0]
     if trace.converged:
-        assert trace.grad_norms[-1] <= config.tolerance * (1 + abs(trace.actions[-1]))
+        assert trace.grad_norms[-1] <= solver_mod.TOLERANCE * (1 + abs(trace.actions[-1]))
     # the returned matrices are symmetric positive definite
     for m in params.matrices:
         assert np.allclose(m, m.T, atol=1e-12)
@@ -293,14 +283,15 @@ def test_solve_deterministic_reruns():
     assert np.array_equal(t1.actions, t2.actions)
 
 
-def test_solve_head_permutation_equivariance():
+def test_solve_head_permutation_equivariance(monkeypatch):
     # relabeling layer-1 heads permutes u1 by blocks; with zero jitter the
     # whole optimization is equivariant
+    monkeypatch.setattr(solver_mod, "JITTER", 0.0)
     rng = np.random.default_rng(14)
     n_heads, depth, p = 2, 2, 6
     feats = _features(rng, n_heads, depth, n_ex=p)
     y = _labels(rng, p)
-    config = SolverConfig(alpha=2.0, temperature=0.1, jitter=0.0, seed=5)
+    config = SolverConfig(alpha=2.0, temperature=0.1, seed=5)
     params, _ = solve_saddle(feats, y, config)
 
     # swapping the layer-1 head swaps the leading flat digit: rows (0,1,2,3) -> (2,3,0,1)
@@ -446,7 +437,7 @@ def _scipy_solve(features, y, config):
 
     def converged(point):
         act, _, _, gmax = point[0]
-        return gmax <= config.tolerance * (1.0 + abs(act))
+        return gmax <= solver_mod.TOLERANCE * (1.0 + abs(act))
 
     last = [evaluate(x0)]
 

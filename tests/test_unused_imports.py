@@ -5,7 +5,13 @@ import pytest
 
 import attnpaths
 
-MODULES = sorted(p for p in Path(attnpaths.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = Path(attnpaths.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = PACKAGE.parent.parent
+# the readers that justify a public function: the package itself, the
+# benchmark, and the acceptance suite's guarantees
+READERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")) + [
+    ROOT / "tests" / "test_acceptance.py"]
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -38,6 +44,23 @@ def _scipy_imports(source: str) -> list[int]:
     return sorted(lines)
 
 
+def _public_definitions(source: str) -> list[str]:
+    """Names of the module's public top-level functions and classes."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
+
+
+def _names_read(source: str) -> set[str]:
+    """Every name the source reads, as a bare name or as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
 def test_detector_flags_an_unused_import():
     assert _unused_imports("import os\nfrom x import a, b as c\nprint(a)\n") == [
         "os (line 1)", "c (line 2)"]
@@ -47,6 +70,22 @@ def test_detector_flags_a_scipy_import():
     source = ("import os, scipy.linalg\nfrom . import scipy\n"
               "def f():\n    from scipy.optimize import minimize\n    import scipy as sp\n")
     assert _scipy_imports(source) == [1, 4, 5]
+
+
+def test_detector_flags_an_unread_public_definition():
+    source = ("class A:\n    pass\ndef f():\n    return A\ndef g():\n    pass\n"
+              "def _h():\n    pass\ndef k():\n    pass\nk = 1\n")
+    read = _names_read(source) | _names_read("import m\nm.f()\nm.g = 1\n")
+    assert [n for n in _public_definitions(source) if n not in read] == ["g", "k"]
+
+
+def test_every_public_definition_has_a_reader():
+    # a public function or class stays only if the package, the benchmark or an
+    # acceptance guarantee reads it; test-only references live under tests/
+    read = set().union(*(_names_read(p.read_text()) for p in READERS))
+    unread = [f"{path.name}: {name}" for path in MODULES
+              for name in _public_definitions(path.read_text()) if name not in read]
+    assert unread == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -64,13 +103,11 @@ def test_public_names_are_listed():
     # a new public name lands only together with an edit here
     assert sorted(attnpaths.__all__) == sorted([
         "analysis", "data", "kernel", "model", "paths", "predictor", "sampler", "solver",
-        "path_heads", "extend_order_parameter",
-        "Readout", "attentioned_input", "effective_weights", "network_output",
-        "forward_layerwise",
+        "path_heads", "Readout",
         "PathFeatureMatrix", "compute_features", "path_features", "path_pair_gram",
         "total_kernel", "kernel_blocks", "kernel_task_alignment",
-        "OrderParameterSet", "SolverConfig", "SolveTrace", "SolverFailure", "entropy_term",
-        "energy_term", "action", "action_gradient", "solve_saddle",
+        "OrderParameterSet", "SolverConfig", "SolveTrace", "SolverFailure",
+        "action", "action_gradient", "solve_saddle",
         "PredictorReport", "SweepResult", "predictor_mean", "predictor_variance",
         "classification_accuracy", "evaluate_predictor", "temperature_sweep",
         "head_scores", "prune_heads",
@@ -79,4 +116,4 @@ def test_public_names_are_listed():
         "HmcConfig", "PosteriorSamples", "log_posterior", "leapfrog", "run_hmc", "hmc_sample",
         "empirical_order_parameter", "empirical_predictor",
     ])
-    assert len(attnpaths.__all__) == 56
+    assert len(attnpaths.__all__) == 49
