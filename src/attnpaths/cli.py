@@ -4,19 +4,21 @@ Subcommands wrap the library stages file-to-file:
 
     gen-data   task config -> dataset.apkd + attention.apkw (the attention logits)
     pipeline   dataset + attention -> features, solved U, predictor, alignment, head scores
-    sweep      temperature grid -> per-temperature accuracy table
+    sweep      temperature grid -> per-temperature accuracy table (features in memory only)
     sample     dataset + attention -> HMC posterior, empirical U (u_est.csv) and predictor
     verify     recompute the config digest and check every artifact in a run directory
 
-Shared flags: --config PATH, --seed INT, --out DIR, --force, --strict,
---threads INT.  The resolved configuration is written next to the outputs and
-its sha256 digest is embedded in every artifact; reruns with identical config
-and seed produce byte-identical files.  The APK_LOG environment variable sets
-the log level.  Exit codes: 0 success, 2 config error (a value of the wrong
-JSON type, or attention logits whose token width, depth or head count differs
-from the dataset's and the model's), 3 numeric failure, 4 I/O error.  Every
-command checks what it reads before it writes the resolved configuration, so
-a rejected command leaves the run directory as it was.
+Flags: --out DIR; --config PATH, --seed INT and --force but for verify;
+--strict for pipeline, sweep and sample; --threads INT for pipeline and sweep.
+The resolved configuration is written next to the outputs and its sha256
+digest is embedded in every artifact; reruns with identical config and seed
+produce byte-identical files.  The APK_LOG environment variable sets the log
+level.  Exit codes: 0 success, 2 config error (a value of the wrong JSON type,
+attention logits whose token width, depth or head count differs from the
+dataset's and the model's, or a flag the command does not read), 3 numeric
+failure, 4 I/O error.  Every command checks what it reads before it writes
+the resolved configuration, so a rejected command leaves the run directory
+as it was.
 """
 
 from __future__ import annotations
@@ -247,7 +249,8 @@ def cmd_pipeline(args) -> int:
         params.u1, features, y_train, dataset.test_indices, dataset.test_labels,
         solver_config.temperature,
     )
-    fileio.write_predictor_csv(out / "predictor.csv", report, digest)
+    fileio.write_predictor_csv(out / "predictor.csv", dataset.test_indices, report.means,
+                               report.variances, report.eval_labels, digest)
     fileio.write_json(out / "predictor_summary.json", {
         "accuracy": report.accuracy, "temperature": report.temperature,
         "n_train": report.n_train, "n_eval": int(len(report.means)),
@@ -281,10 +284,9 @@ def cmd_sweep(args) -> int:
         raise ValueError("temperature grid is empty")
     for t in grid:
         replace(solver_config, temperature=float(t))  # rejects a nonpositive temperature
-    out, digest = _prepare_out(args, config, ["features.apkf", "sweep.csv", "sweep_summary.json"])
+    out, digest = _prepare_out(args, config, ["sweep.csv", "sweep_summary.json"])
     features = _features_threaded(dataset.tokens, logits, readout, dataset.n_train, args.threads)
     del logits  # not read again; the solve below is where memory peaks
-    fileio.write_features(out / "features.apkf", features, digest)
     result = temperature_sweep(
         features, dataset.train_labels.astype(float), dataset.test_indices,
         dataset.test_labels, solver_config, grid=grid, gp_limit=config["solver"]["gp_limit"])
@@ -322,15 +324,12 @@ def cmd_sample(args) -> int:
                        enumerate(zip(samples.acceptance, samples.divergences,
                                      samples.step_sizes))])
 
-    rows = []
+    means = variances = ()
     if dataset.n_examples > dataset.n_train:
-        idx = dataset.test_indices
         test = dataset.tokens[dataset.n_train :]
         means, variances = empirical_predictor(samples, test, logits, readout)
-        rows = [[int(i), float(m), float(v), int(l)] for i, m, v, l in
-                zip(idx, means, variances, dataset.labels[idx])]
-    fileio.write_csv(out / "predictor_empirical.csv", digest,
-                      ["example", "mean", "variance", "label"], rows)
+    fileio.write_predictor_csv(out / "predictor_empirical.csv", dataset.test_indices, means,
+                               variances, dataset.test_labels, digest)
 
     div_frac = float(samples.divergences.sum()) / (
         hmc_config.n_chains * (hmc_config.n_warmup + hmc_config.n_samples))
@@ -390,22 +389,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="attention-path kernels: data generation, saddle solving, sampling",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, needs_config in [
-        ("gen-data", cmd_gen_data, True),
-        ("pipeline", cmd_pipeline, True),
-        ("sweep", cmd_sweep, True),
-        ("sample", cmd_sample, True),
-        ("verify", cmd_verify, False),
+    flags = {
+        "--config": {"default": None, "help": "JSON config file (defaults apply)"},
+        "--seed": {"type": int, "default": None, "help": "override the config seed"},
+        "--force": {"action": "store_true", "help": "overwrite existing outputs"},
+        "--strict": {"action": "store_true", "help": "fail on quality warnings"},
+        "--threads": {"type": int, "default": 1, "help": "worker thread cap"},
+        "--out": {"required": True, "help": "run directory"},
+    }
+    common = ("--config", "--seed", "--force")
+    # each command takes only the flags it reads
+    for name, fn, takes in [
+        ("gen-data", cmd_gen_data, common),
+        ("pipeline", cmd_pipeline, common + ("--strict", "--threads")),
+        ("sweep", cmd_sweep, common + ("--strict", "--threads")),
+        ("sample", cmd_sample, common + ("--strict",)),
+        ("verify", cmd_verify, ()),
     ]:
         p = sub.add_parser(name)
         p.set_defaults(fn=fn)
-        if needs_config:
-            p.add_argument("--config", default=None, help="JSON config file (defaults apply)")
-            p.add_argument("--seed", type=int, default=None, help="override the config seed")
-            p.add_argument("--force", action="store_true", help="overwrite existing outputs")
-            p.add_argument("--strict", action="store_true", help="fail on quality warnings")
-            p.add_argument("--threads", type=int, default=1, help="worker thread cap")
-        p.add_argument("--out", required=True, help="run directory")
+        for flag in takes + ("--out",):
+            p.add_argument(flag, **flags[flag])
     return parser
 
 

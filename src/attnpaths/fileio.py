@@ -209,11 +209,11 @@ def write_trace_csv(path, trace, digest: str = ZERO_DIGEST) -> None:
     write_csv(path, digest, ["iteration", "action", "entropy", "energy", "grad_norm"], rows)
 
 
-def write_predictor_csv(path, report, digest: str = ZERO_DIGEST) -> None:
-    rows = [
-        [i, float(m), float(v), int(l)]
-        for i, (m, v, l) in enumerate(zip(report.means, report.variances, report.eval_labels))
-    ]
+def write_predictor_csv(path, examples, means, variances, labels,
+                        digest: str = ZERO_DIGEST) -> None:
+    """One row per evaluated example; example is its index in the dataset."""
+    rows = [[int(i), float(m), float(v), int(l)]
+            for i, m, v, l in zip(examples, means, variances, labels)]
     write_csv(path, digest, ["example", "mean", "variance", "label"], rows)
 
 

@@ -17,7 +17,7 @@ Minimization works on Cholesky factors U = F F^T with a softplus
 reparameterized diagonal, which keeps every iterate strictly positive
 definite.  The factors of all levels are flattened into one vector and
 minimized by limited-memory BFGS (Nocedal & Wright, Numerical Optimization,
-2nd ed., Alg. 7.4-7.5) with a strong-Wolfe line search (Alg. 3.5-3.6); the
+2nd ed., Alg. 7.4-7.5) with a backtracking Armijo line search (Alg. 3.1); the
 action is smooth in these parameters and has no bounds.  Gradients are
 analytic; ln det and solves go through Cholesky factorizations.
 
@@ -30,7 +30,6 @@ never repays the Gram).  Everything here runs on numpy alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,12 +45,11 @@ GRAM_MAX_DOUBLES = 2**23
 TOLERANCE = 1e-7
 JITTER = 1e-3
 
-# L-BFGS correction pairs kept, trial steps per line search, and the
-# strong-Wolfe constants of sufficient decrease and curvature
+# L-BFGS correction pairs kept, trial steps per line search (each half the
+# last), and the Armijo constant of sufficient decrease
 LBFGS_MEMORY = 10
 LINE_SEARCH_TRIALS = 20
-WOLFE_C1 = 1e-4
-WOLFE_C2 = 0.9
+ARMIJO_C1 = 1e-4
 
 
 class SolverFailure(RuntimeError):
@@ -320,49 +318,6 @@ def _lbfgs_direction(grad: np.ndarray, pairs: list) -> np.ndarray:
     return -q
 
 
-def _line_search(phi, f0: float, slope0: float, step: float):
-    """Strong-Wolfe line search (Nocedal & Wright Alg. 3.5-3.6, zooming in by
-    bisection) over at most LINE_SEARCH_TRIALS trial steps.
-
-    phi(a) returns (value, slope, point) at step a, or None where the action
-    is not finite; such a trial counts as no lower value.  Returns the point of
-    the first trial that meets both Wolfe conditions; failing that, the trial
-    point of lowest value if it is below f0, else None.
-    """
-    prev = (0.0, f0, slope0)
-    lo = hi = None
-    best_f, best = f0, None
-    for trial in range(LINE_SEARCH_TRIALS):
-        if lo is not None:
-            step = 0.5 * (lo[0] + hi[0])
-        got = phi(step)
-        f, slope, point = (math.inf, math.nan, None) if got is None else got
-        if f < best_f:
-            best_f, best = f, point
-        now = (step, f, slope)
-        rises = f > f0 + WOLFE_C1 * step * slope0
-        if lo is None:
-            # bracketing: grow the step until an interval holds a Wolfe point
-            if rises or (trial > 0 and f >= prev[1]):
-                lo, hi = prev, now
-            elif abs(slope) <= -WOLFE_C2 * slope0:
-                return point
-            elif slope >= 0:
-                lo, hi = now, prev
-            else:
-                prev = now
-                step *= 2.0
-        elif rises or f >= lo[1]:
-            hi = now
-        elif abs(slope) <= -WOLFE_C2 * slope0:
-            return point
-        else:
-            if slope * (hi[0] - lo[0]) >= 0:
-                hi = lo
-            lo = now
-    return best
-
-
 def solve_saddle(features: PathFeatureMatrix, y: np.ndarray,
                  config: SolverConfig) -> tuple[OrderParameterSet, SolveTrace]:
     """Minimize the action; returns the order parameters and the full trace.
@@ -370,12 +325,12 @@ def solve_saddle(features: PathFeatureMatrix, y: np.ndarray,
     Starts at the GP fixed point plus seeded noise of scale JITTER on the raw
     factors and runs L-BFGS over the flattened factors.  It stops at the first
     iterate whose U-space action gradient infinity norm is at most
-    TOLERANCE * (1 + |action|), after max_iter iterates, or when the line
-    search finds no lower action (a trial point where the action is not finite
-    counts as no lower action).  converged reports the gradient test at the
-    returned iterate, which is the last one accepted.  A starting point where
-    the action is not finite raises SolverFailure.  Identical (features, y,
-    config) reruns are bit-identical.
+    TOLERANCE * (1 + |action|), after max_iter iterates, or when
+    LINE_SEARCH_TRIALS halvings find no sufficient decrease (a trial point
+    where the action is not finite counts as none).  converged reports the
+    gradient test at the returned iterate, which is the last one accepted.  A
+    starting point where the action is not finite raises SolverFailure.
+    Identical (features, y, config) reruns are bit-identical.
     """
     y = np.asarray(y, dtype=float)
     feats = features.train()
@@ -407,19 +362,19 @@ def solve_saddle(features: PathFeatureMatrix, y: np.ndarray,
             # rounding in the pairs cost descent; start over from steepest descent
             pairs, direction = [], -grad
 
-        def phi(step):
-            nonlocal n_eval
+        # without pairs H = I sets no scale, so the first trial step has unit length
+        step = 1.0 if pairs else 1.0 / float(np.linalg.norm(direction))
+        f0, slope0 = point[0][0], float(grad @ direction)
+        for _ in range(LINE_SEARCH_TRIALS):
             n_eval += 1
             x_new = x + step * direction
             got = _evaluate(x_new, sizes, feats, y, config, gram)
-            return None if got is None else (got[0][0], float(got[2] @ direction), (x_new, got))
-
-        # without pairs H = I sets no scale, so the first trial step has unit length
-        step = 1.0 if pairs else 1.0 / float(np.linalg.norm(direction))
-        found = _line_search(phi, point[0][0], float(grad @ direction), step)
-        if found is None:
+            if got is not None and got[0][0] <= f0 + ARMIJO_C1 * step * slope0:
+                break
+            step *= 0.5
+        else:
             break
-        x_new, point = found
+        point = got
         s, dy = x_new - x, point[2] - grad
         sy = float(s @ dy)
         if sy > 0:

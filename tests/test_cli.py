@@ -1,3 +1,4 @@
+import argparse
 import csv
 import filecmp
 import json
@@ -13,7 +14,7 @@ import pytest
 
 import attnpaths
 from attnpaths import fileio
-from attnpaths.cli import DEFAULT_CONFIG, _merge_config, main
+from attnpaths.cli import DEFAULT_CONFIG, _merge_config, build_parser, main
 
 # A configuration small enough for end-to-end runs in a test process.
 TINY_TASK = {
@@ -387,6 +388,16 @@ def test_sweep_gp_limit_skips_solver(tmp_path, monkeypatch):
     assert len((out / "sweep.csv").read_text().splitlines()) == 4
 
 
+def test_sweep_after_pipeline_keeps_the_features_file(tmp_path):
+    # sweep computes the features in memory only, so it needs no --force here
+    cfg, out = _gen(tmp_path, solver={"gp_limit": True}, temperature_grid=[0.1, 0.5])
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+    features = (out / "features.apkf").read_bytes()
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "features.apkf").read_bytes() == features
+    assert main(["verify", "--out", str(out)]) == 0
+
+
 def test_sample_end_to_end(tmp_path):
     cfg, out = _gen(tmp_path, sampler={
         "n_chains": 2, "n_warmup": 20, "n_samples": 20, "thin": 5, "prior_only": True,
@@ -403,6 +414,23 @@ def test_sample_end_to_end(tmp_path):
     assert [len(row) - 1 for row in rows] == [4, 4, 4, 4]
     lines = (out / "predictor_empirical.csv").read_text().splitlines()
     assert len(lines) == 2 + TINY_TASK["n_test"]  # digest + header + every test example
+
+
+def test_pipeline_and_sample_number_test_examples_alike(tmp_path):
+    cfg, out = _gen(tmp_path, solver={"gp_limit": True},
+                    sampler={"n_chains": 1, "n_warmup": 2, "n_samples": 2, "thin": 1,
+                             "n_leapfrog": 2})
+    for command in ("pipeline", "sample"):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+
+    def examples(name):
+        with open(out / name) as fh:
+            return [(int(row[0]), int(row[3])) for row in list(csv.reader(fh))[2:]]
+
+    dataset, _ = fileio.read_dataset(out / "dataset.apkd")
+    want = [(int(i), int(l)) for i, l in zip(dataset.test_indices, dataset.test_labels)]
+    assert want[0][0] == TINY_TASK["n_train"]
+    assert examples("predictor.csv") == examples("predictor_empirical.csv") == want
 
 
 def test_verify_detects_matching_and_mismatched_digests(tmp_path, capsys):
@@ -525,6 +553,33 @@ def test_settable_config_values_are_listed():
         "temperature_grid",
     ])
     assert len(list(dotted(DEFAULT_CONFIG))) == 30
+
+
+def test_command_flags_are_listed():
+    # a new flag lands only together with an edit here
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    got = {name: sorted(flag for action in p._actions for flag in action.option_strings)
+           for name, p in sub.choices.items()}
+    writes = ["-h", "--help", "--out", "--config", "--seed", "--force"]
+    assert got == {
+        "gen-data": sorted(writes),
+        "pipeline": sorted(writes + ["--strict", "--threads"]),
+        "sweep": sorted(writes + ["--strict", "--threads"]),
+        "sample": sorted(writes + ["--strict"]),
+        "verify": sorted(["-h", "--help", "--out"]),
+    }
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("gen-data", ["--threads", "2"]), ("gen-data", ["--strict"]),
+    ("sample", ["--threads", "2"]),
+])
+def test_flag_a_command_does_not_read_exits_2(tmp_path, capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--out", str(tmp_path / "run"), *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_verify_rejects_edited_config(tmp_path, capsys):

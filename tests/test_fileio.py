@@ -315,16 +315,13 @@ def test_trace_and_predictor_and_score_csvs(tmp_path):
     assert lines[2] == "0,3.0,1.0,2.0,0.1"
     assert len(lines) == 4
 
-    class _Report:
-        means = np.array([0.5, -0.25])
-        variances = np.array([0.1, 0.2])
-        eval_labels = np.array([1, -1])
-
+    # examples are dataset indices: here the test block of a dataset with n_train = 100
     p2 = tmp_path / "pred.csv"
-    fileio.write_predictor_csv(p2, _Report(), DIGEST)
+    fileio.write_predictor_csv(p2, np.arange(100, 102), np.array([0.5, -0.25]),
+                               np.array([0.1, 0.2]), np.array([1, -1], dtype=np.int8), DIGEST)
     lines2 = p2.read_text().splitlines()
     assert lines2[1] == "example,mean,variance,label"
-    assert lines2[2] == "0,0.5,0.1,1"
+    assert lines2[2:] == ["100,0.5,0.1,1", "101,-0.25,0.2,-1"]
 
     # scores of an (L, H) = (3, 2) grid; the second layer's total is zero
     scores = np.array([[1.0, 3.0], [0.0, 0.0], [2.5, 0.0]])

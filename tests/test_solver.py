@@ -500,3 +500,50 @@ def test_solve_never_accepts_a_nonfinite_trial_point(monkeypatch):
     assert np.max(np.abs(params.u1 - np.eye(4))) <= radius
     assert not trace.converged
     assert trace.n_eval >= trace.n_iter + len(refused)
+
+
+def test_solve_stops_when_no_trial_lowers_the_action(monkeypatch):
+    # every trial point past the start has a non-finite action: the one line
+    # search spends all its halvings, and the solve returns the start
+    rng = np.random.default_rng(21)
+    feats = _features(rng, 2, 2, n_ex=8)
+    y = _labels(rng, 8)
+    pieces = solver_mod._action_pieces
+    seen = []
+
+    def start_only(mats, *args):
+        act, ent, ene, grads = pieces(mats, *args)
+        seen.append(mats)
+        return (act if len(seen) == 1 else np.nan), ent, ene, grads
+
+    monkeypatch.setattr(solver_mod, "_action_pieces", start_only)
+    params, trace = solve_saddle(feats, y, SolverConfig(alpha=2.0, temperature=0.1))
+    assert trace.n_iter == 1 and not trace.converged
+    assert trace.n_eval == len(seen) == 1 + solver_mod.LINE_SEARCH_TRIALS
+    for got, want in zip(params.matrices, seen[0]):
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_heads=st.integers(1, 3), depth=st.integers(1, 2), p=st.integers(2, 8),
+       alpha=st.floats(0.1, 10.0), temperature=st.floats(0.01, 1.0),
+       seed=st.integers(0, 2**16))
+def test_solve_invariants_property(n_heads, depth, p, alpha, temperature, seed):
+    rng = np.random.default_rng(seed)
+    feats = _features(rng, n_heads, depth, n_ex=p)
+    y = _labels(rng, p)
+    config = SolverConfig(alpha=alpha, temperature=temperature, seed=seed, max_iter=400)
+    params, trace = solve_saddle(feats, y, config)
+    assert np.all(np.diff(trace.actions) < 0)
+    assert trace.n_eval >= trace.n_iter == len(trace.actions)
+    if trace.converged:
+        # the returned iterate passes the gradient test, also recomputed
+        # through the feature contraction in place of the Gram
+        act = trace.actions[-1]
+        assert trace.grad_norms[-1] <= solver_mod.TOLERANCE * (1 + abs(act))
+        assert action(params, feats, y, config) == pytest.approx(act, rel=1e-10, abs=1e-10)
+        gmax = max(np.max(np.abs(g)) for g in action_gradient(params, feats, y, config))
+        assert gmax <= 1.01 * solver_mod.TOLERANCE * (1 + abs(act))
+    for m in params.matrices:
+        assert np.allclose(m, m.T, atol=1e-12)
+        assert np.linalg.eigvalsh(m).min() > 0
