@@ -16,9 +16,10 @@ produce byte-identical files.  The APK_LOG environment variable sets the log
 level.  Exit codes: 0 success, 2 config error (a value of the wrong JSON type,
 attention logits whose token width, depth or head count differs from the
 dataset's and the model's, or a flag the command does not read), 3 numeric
-failure, 4 I/O error.  Every command checks what it reads before it writes
-the resolved configuration, so a rejected command leaves the run directory
-as it was.
+failure, 4 I/O error.  A run directory holds one config: a command whose
+config digest differs from the recorded one exits 2 unless --force is given.
+Every command checks what it reads before it writes the resolved
+configuration, so a rejected command leaves the run directory as it was.
 """
 
 from __future__ import annotations
@@ -127,11 +128,18 @@ def _load_config(args) -> dict:
 def _prepare_out(args, config: dict, outputs: list) -> tuple[Path, str]:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    digest = fileio.config_digest(config)
+    record = out / "config.resolved.json"
+    if record.exists() and not args.force:
+        with open(record) as fh:
+            recorded = str(json.load(fh).get("config_digest"))
+        if recorded != digest:
+            raise ValueError(f"{out} holds the run of config {recorded[:12]}..., this command's "
+                             f"config is {digest[:12]}... (rerun with --force to replace it)")
     existing = [str(out / name) for name in outputs if (out / name).exists()]
     if existing and not args.force:
         raise FileExistsError(f"refusing to overwrite {existing[0]} (rerun with --force)")
-    digest = fileio.config_digest(config)
-    fileio.write_json(out / "config.resolved.json", {"config": config, "config_digest": digest})
+    fileio.write_json(record, {"config": config, "config_digest": digest})
     return out, digest
 
 

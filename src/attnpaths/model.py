@@ -30,10 +30,14 @@ routes agree to floating-point accuracy.
 
 Cost: per example and head, a full T x T attention layer takes w^2 T + w T^2
 multiply-adds for token width w (x^T M x), and one column of it w^2 + w T.
-Since xi_pi reads Omega_{L,h_L} only through the readout's column weights,
-attention_stack_batch given a readout builds the last layer at the columns
-those weights read, one column for a token readout: at L = 2 that halves the
-stack.  Earlier layers are needed in full.
+attention_stack_batch runs a full layer of a P-example batch as two matmuls:
+one (w x w) @ (w x P T) GEMM, M^T times the tokens laid out as (w, P T), and
+one batched (T x w) @ (w x T) product per example; the einsum
+"pws,wv,pvc->psc" makes the same two products, bit for bit, but allocates
+their operand and output anew.  Since xi_pi reads Omega_{L,h_L} only through
+the readout's column weights, attention_stack_batch given a readout builds
+the last layer at the columns those weights read, one column for a token
+readout: at L = 2 that halves the stack.  Earlier layers are needed in full.
 """
 
 from __future__ import annotations
@@ -114,14 +118,20 @@ def check_logits(logits: np.ndarray, width: int | None = None) -> None:
 
 
 def attention_stack_batch(tokens: np.ndarray, logits: np.ndarray,
-                          readout: Readout | None = None) -> np.ndarray:
+                          readout: Readout | None = None,
+                          work: np.ndarray | None = None) -> np.ndarray:
     """Attention matrices for a batch, tokens (P, width, T) -> (P, L, H, T, T).
 
     Scores are batched as x^T M x per example, M = logits[l, h]; heads are
-    independent.  With a readout, the last layer is built only at the query
-    columns the readout reads; the softmax normalizes each column on its own,
-    so those columns are the full stack's, and the other columns are 0.
-    Tokens and logits may come from files, so they are checked here.
+    independent.  A full layer is two GEMMs: M^T times the tokens laid out as
+    (width, P T), then each example's (T, width) slice of that product times
+    its tokens.  work, of shape (2, width, >= P T), holds that layout and that
+    product; without it one is allocated here, and a caller that builds many
+    batches passes one array to all of them.  With a readout, the last layer is
+    built only at the query columns the readout reads; the softmax normalizes
+    each column on its own, so those columns are the full stack's, and the
+    other columns are 0.  Tokens and logits may come from files, so they are
+    checked here.
     """
     tokens = np.asarray(tokens, dtype=float)
     if tokens.ndim != 3:
@@ -131,13 +141,23 @@ def attention_stack_batch(tokens: np.ndarray, logits: np.ndarray,
     check_logits(logits, width)
     depth, n_heads = logits.shape[:2]
     read = np.arange(n_tokens) if readout is None else np.flatnonzero(readout.column_weights(n_tokens))
-    last_cols = slice(None) if len(read) == n_tokens else read
+    n_full = depth if len(read) == n_tokens else depth - 1  # layers built at every column
+    cols = n_ex * n_tokens
+    if work is None:
+        work = np.empty((2, width, cols))
+    if work.dtype != float or work.shape[:2] != (2, width) or work.shape[2] < cols:
+        raise ValueError(f"work must be a float (2, {width}, >= {cols}) array, got {work.shape}")
+    xw, prod = work[0, :, :cols], work[1, :, :cols]
+    np.copyto(xw.reshape(width, n_ex, n_tokens), tokens.transpose(1, 0, 2))
     omegas = np.zeros((n_ex, depth, n_heads, n_tokens, n_tokens))
     for layer in range(depth):
-        cols = last_cols if layer == depth - 1 else slice(None)
-        queries = tokens[:, :, cols]
         for head in range(n_heads):
-            scores = np.einsum("pws,wv,pvc->psc", tokens, logits[layer, head], queries,
-                               optimize=True)
-            omegas[:, layer, head][..., cols] = _softmax_columns(scores)
+            if layer < n_full:
+                np.matmul(logits[layer, head].T, xw, out=prod)
+                scores = np.matmul(prod.reshape(width, n_ex, n_tokens).transpose(1, 2, 0), tokens)
+                omegas[:, layer, head] = _softmax_columns(scores)
+            else:
+                scores = np.einsum("pws,wv,pvc->psc", tokens, logits[layer, head],
+                                   tokens[:, :, read], optimize=True)
+                omegas[:, layer, head][..., read] = _softmax_columns(scores)
     return omegas

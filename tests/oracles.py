@@ -4,12 +4,13 @@ The package computes the output only through the path decomposition
 (kernel.path_features with sampler._row_tree).  The functions here recompute
 it, or its per-path pieces, by direct matrix products; shipped_output is the
 package's own route on one example, the side the references are checked
-against.
+against.  attention_stack_einsum is the attention stack with each head's
+scores as one three-operand einsum, the reference for model's two-GEMM form.
 """
 
 import numpy as np
 
-from attnpaths.model import weight_parts
+from attnpaths.model import _softmax_columns, weight_parts
 from attnpaths.sampler import PosteriorSamples, empirical_predictor
 
 
@@ -26,6 +27,25 @@ def forward_layerwise(x0: np.ndarray, weights: tuple, omegas: np.ndarray, readou
         x = nxt / np.sqrt(n * n_heads)
     z = x @ readout.column_weights(x.shape[1])
     return float(a @ z / np.sqrt(n))
+
+
+def attention_stack_einsum(tokens: np.ndarray, logits: np.ndarray,
+                           readout=None) -> np.ndarray:
+    """model.attention_stack_batch with scores einsum("pws,wv,pvc->psc", x, M, x)
+    per head; under a readout the last layer is built at the read columns only."""
+    n_ex, _, n_tokens = tokens.shape
+    depth, n_heads = logits.shape[:2]
+    read = np.arange(n_tokens) if readout is None else np.flatnonzero(readout.column_weights(n_tokens))
+    last_cols = slice(None) if len(read) == n_tokens else read
+    omegas = np.zeros((n_ex, depth, n_heads, n_tokens, n_tokens))
+    for layer in range(depth):
+        cols = last_cols if layer == depth - 1 else slice(None)
+        queries = tokens[:, :, cols]
+        for head in range(n_heads):
+            scores = np.einsum("pws,wv,pvc->psc", tokens, logits[layer, head], queries,
+                               optimize=True)
+            omegas[:, layer, head][..., cols] = _softmax_columns(scores)
+    return omegas
 
 
 def path_input(x0: np.ndarray, omegas: np.ndarray, path, readout) -> np.ndarray:

@@ -225,6 +225,25 @@ def test_overwrite_refused_without_force(tmp_path, capsys):
     assert rc == 0
 
 
+def test_command_of_another_config_is_refused_without_force(tmp_path, capsys):
+    cfg, out = _gen(tmp_path, solver={"gp_limit": True},
+                    sampler={"n_chains": 2, "n_warmup": 4, "n_samples": 4, "thin": 2,
+                             "n_leapfrog": 4})
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+    record = json.loads((out / "config.resolved.json").read_text())
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main(["sample", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert record["config_digest"][:12] in err
+    merged = dict(record["config"], seed=1)
+    assert fileio.config_digest(merged)[:12] in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == files
+    assert main(["verify", "--out", str(out)]) == 0
+    assert main(["sample", "--config", str(cfg), "--seed", "1", "--out", str(out),
+                 "--force"]) == 0
+    assert json.loads((out / "config.resolved.json").read_text())["config"]["seed"] == 1
+
+
 def test_bad_config_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"nonsense": 1}))
@@ -289,7 +308,7 @@ def test_pipeline_threads_match_serial(tmp_path):
 
 
 def test_pipeline_threads_match_serial_across_feature_blocks(tmp_path):
-    # 532 examples span three 256-row feature blocks; a split at P / threads
+    # 532 examples span nine 64-row feature blocks; a split at P / threads
     # moves the block edges, and with them the last bits of some features
     task = {"chain_length": 8, "feature_width": 40, "n_train": 12, "n_test": 520}
     cfg, out = _gen(tmp_path, task=task, solver={"gp_limit": True})
@@ -322,9 +341,9 @@ def test_commands_never_read_the_whole_token_payload(tmp_path, monkeypatch):
     for command in ("pipeline", "sweep", "sample"):
         assert main([command, "--config", str(cfg), "--out", str(out), "--force"]) == 0
     assert main(["verify", "--out", str(out)]) == 0
-    # pipeline and sweep read 256 + 16 rows each; sample the 12 training
-    # rows, then its 260 test rows as 256 + 4
-    assert rows_read == [256, 16, 256, 16, 12, 256, 4]
+    # pipeline and sweep read 4 x 64 + 16 rows each; sample the 12 training
+    # rows, then its 260 test rows as 4 x 64 + 4
+    assert rows_read == [64] * 4 + [16] + [64] * 4 + [16] + [12] + [64] * 4 + [4]
 
 
 def test_pipeline_rejects_a_cut_token_payload_before_writing(tmp_path, capsys):

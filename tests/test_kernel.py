@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from attnpaths import fileio
 from attnpaths.data import HmcTaskConfig, TokenRows, build_hmc_attention, gen_hmc_dataset
 from attnpaths.kernel import (
+    FEATURE_BLOCK,
     PathFeatureMatrix,
     compute_features,
     kernel_blocks,
@@ -94,6 +97,61 @@ def test_streamed_features_match_in_memory_bit_for_bit(tmp_path, readout):
     tail = compute_features(rows.tokens[ds.n_train:], logits, readout, 0, chunk=5)
     assert np.array_equal(tail.values, compute_features(ds.tokens[ds.n_train:], logits,
                                                         readout, 0, chunk=5).values)
+
+
+class _RepeatedRows:
+    """n token rows that repeat one base block; each read returns a fresh array,
+    as a read of TokenRows does, and the n rows are never all in memory."""
+
+    def __init__(self, base, n):
+        self.base, self.shape = base, (n, *base.shape[1:])
+
+    def __len__(self):
+        return self.shape[0]
+
+    def __getitem__(self, rows):
+        start, stop, _ = rows.indices(len(self))
+        return np.resize(self.base, (stop - start, *self.shape[1:]))
+
+
+def _traced_peak(fn, *args):
+    """(result, peak bytes numpy and Python allocated during the call)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_compute_features_memory_does_not_grow_with_the_examples():
+    # beyond its output, compute_features holds one GEMM operand and output,
+    # two token blocks and one block's attention stack at a time: at the
+    # default widths about 15 MB, four times a 3.7 MB block of 64 rows
+    cfg = HmcTaskConfig()
+    logits = build_hmc_attention(cfg, n_heads=2, depth=2, seed=0)
+    base = np.random.default_rng(0).standard_normal((FEATURE_BLOCK, cfg.token_width,
+                                                     cfg.n_tokens))
+    extra = []
+    for n_blocks in (4, 16):
+        rows = _RepeatedRows(base, n_blocks * FEATURE_BLOCK)
+        feats, peak = _traced_peak(compute_features, rows, logits, Readout.token(1), 0)
+        extra.append(peak - feats.values.nbytes)
+    assert extra[1] <= extra[0] + 64 * 1024
+    assert max(extra) < 20e6
+
+
+def test_kernel_blocks_memory_does_not_grow_with_the_eval_examples():
+    # the eval feature columns are copied one FEATURE_BLOCK at a time, so
+    # beyond the returned blocks the memory is the same at 300 and 3000
+    rng = np.random.default_rng(9)
+    feats = _random_features(rng, width=231, n_ex=3100, n_train=100)
+    u1 = rng.standard_normal((4, 4))
+    extra = []
+    for n_eval in (300, 3000):
+        blocks, peak = _traced_peak(kernel_blocks, u1, feats, np.arange(100, 100 + n_eval))
+        extra.append(peak - sum(b.nbytes for b in blocks))
+    assert abs(extra[1] - extra[0]) <= 64 * 1024
 
 
 def test_compute_features_validation():

@@ -13,8 +13,9 @@ from attnpaths.model import (
     weight_count,
     weight_parts,
 )
+from attnpaths.data import HmcTaskConfig, build_hmc_attention
 from attnpaths.paths import path_heads
-from oracles import forward_layerwise, shipped_output
+from oracles import attention_stack_einsum, forward_layerwise, shipped_output
 
 
 def _random_logits(rng, depth, n_heads, width):
@@ -100,6 +101,44 @@ def test_attention_stack_batch_matches_single(depth, n_heads, width, n_tokens, n
     # every column of every attention matrix is a distribution
     assert np.allclose(batch.sum(axis=-2), 1.0, atol=1e-12)
     assert np.all(batch >= 0)
+
+
+@pytest.mark.parametrize("readout", [Readout.token(1), None], ids=["token", "full"])
+def test_two_gemm_stack_equals_the_einsum_bit_for_bit(readout):
+    # the benchmark shapes: width 231, T = 31, the sampler's 12 and 50 training
+    # rows and a 64-row feature block; a reused work array larger than needed
+    # gives the same bits as a fresh one
+    cfg = HmcTaskConfig()
+    logits = build_hmc_attention(cfg, n_heads=2, depth=2, seed=0)
+    rng = np.random.default_rng(0)
+    work = np.full((2, cfg.token_width, 70 * cfg.n_tokens), np.nan)
+    for n_ex in (12, 50, 64):
+        tokens = rng.standard_normal((n_ex, cfg.token_width, cfg.n_tokens))
+        want = attention_stack_einsum(tokens, logits, readout)
+        assert np.array_equal(attention_stack_batch(tokens, logits, readout), want)
+        assert np.array_equal(attention_stack_batch(tokens, logits, readout, work), want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(depth=st.integers(1, 3), n_heads=st.integers(1, 3), width=st.integers(1, 6),
+       n_tokens=st.integers(1, 5), n_ex=st.integers(0, 5), spare=st.integers(0, 7),
+       t_star=st.integers(0, 4) | st.none(), seed=st.integers(0, 2**32 - 1))
+def test_two_gemm_stack_matches_the_einsum_property(depth, n_heads, width, n_tokens, n_ex,
+                                                     spare, t_star, seed):
+    rng = np.random.default_rng(seed)
+    logits = _random_logits(rng, depth, n_heads, width)
+    tokens = rng.standard_normal((n_ex, width, n_tokens))
+    readout = None if t_star is None else Readout.token(t_star % n_tokens)
+    want = attention_stack_einsum(tokens, logits, readout)
+    work = rng.standard_normal((2, width, n_ex * n_tokens + spare))
+    for got in (attention_stack_batch(tokens, logits, readout),
+                attention_stack_batch(tokens, logits, readout, work)):
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+    with pytest.raises(ValueError, match="work must be"):
+        attention_stack_batch(tokens, logits, readout, work[:, :-1])
+    if n_ex:
+        with pytest.raises(ValueError, match="work must be"):
+            attention_stack_batch(tokens, logits, readout, work[:, :, : n_ex * n_tokens - 1])
 
 
 @settings(max_examples=40, deadline=None)
