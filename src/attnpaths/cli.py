@@ -4,6 +4,7 @@ Subcommands wrap the library stages file-to-file:
 
     gen-data   task config -> dataset.apkd + attention.apkw (the attention logits)
     pipeline   dataset + attention -> features, solved U, predictor, alignment, head scores
+               (features written block by block and read back the same way)
     sweep      temperature grid -> per-temperature accuracy table (features in memory only)
     sample     dataset + attention -> HMC posterior, empirical U (u_est.csv) and predictor
     verify     recompute the config digest and check every artifact in a run directory
@@ -189,19 +190,21 @@ def _load_inputs(out: Path, config: dict):
 
 
 def _features_threaded(tokens, logits: np.ndarray, readout: Readout, n_train: int,
-                       threads: int) -> PathFeatureMatrix:
+                       threads: int, out=None) -> PathFeatureMatrix:
+    """compute_features, into the rows out of a features file when given."""
     n_blocks = -(-len(tokens) // FEATURE_BLOCK)
     if threads <= 1 or n_blocks < 2:
-        return compute_features(tokens, logits, readout, n_train)
+        return compute_features(tokens, logits, readout, n_train, out=out)
     # each worker takes a contiguous run of whole blocks, so every block, and
-    # so every feature bit, is the serial run's
+    # so every feature bit, is the serial run's; with out, it writes its own rows
     runs = np.array_split(np.arange(n_blocks), min(threads, n_blocks))
     starts = [FEATURE_BLOCK * int(run[0]) for run in runs] + [len(tokens)]
     with ThreadPoolExecutor(max_workers=len(runs)) as pool:
         parts = list(pool.map(
-            lambda a, b: compute_features(tokens[a:b], logits, readout, 0).values,
+            lambda a, b: compute_features(tokens[a:b], logits, readout, 0,
+                                          out=None if out is None else out[a:b]).values,
             starts[:-1], starts[1:]))
-    values = np.concatenate(parts, axis=2)
+    values = np.concatenate(parts, axis=2) if out is None else out
     return PathFeatureMatrix(values=values, n_train=n_train,
                              n_heads=logits.shape[1], depth=logits.shape[0])
 
@@ -235,12 +238,21 @@ def cmd_pipeline(args) -> int:
         raise ValueError("the pipeline needs test examples; the dataset has none")
     solver_config = _solver_config(config, dataset.n_train)
     out, digest = _prepare_out(args, config, outputs)
-    features = _features_threaded(dataset.tokens, logits, readout, dataset.n_train, args.threads)
+    # the features are written block by block under a temporary name, renamed
+    # once complete (an interrupted run leaves no features.apkf that reads as
+    # whole), and read back by block; only the training block is held in memory
+    depth, n_heads = logits.shape[:2]
+    partial = out / "features.apkf.partial"
+    rows = fileio.create_features(partial, n_heads, depth, dataset.token_width,
+                                  dataset.n_examples, dataset.n_train, digest)
+    _features_threaded(dataset.tokens, logits, readout, dataset.n_train, args.threads, out=rows)
     del logits  # not read again; the solve below is where memory peaks
-    fileio.write_features(out / "features.apkf", features, digest)
+    os.replace(partial, out / "features.apkf")
+    features, _ = fileio.read_features(out / "features.apkf")
+    train = features.train()
     y_train = dataset.train_labels.astype(float)
 
-    params, trace = solve_or_gp(features, y_train, solver_config, solve=solve_saddle,
+    params, trace = solve_or_gp(train, y_train, solver_config, solve=solve_saddle,
                                 gp_limit=config["solver"]["gp_limit"])
     if trace is None:
         log.info("GP limit; using the closed-form order parameters")
@@ -269,7 +281,7 @@ def cmd_pipeline(args) -> int:
         "config_digest": digest,
     })
 
-    k_train = total_kernel(params.u1, features.train())
+    k_train = total_kernel(params.u1, train)
     evals, overlaps = kernel_task_alignment(k_train, y_train)
     fileio.write_alignment_csv(out / "alignment.csv", evals, overlaps, digest)
     fileio.write_head_scores_csv(

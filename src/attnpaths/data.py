@@ -80,11 +80,13 @@ class HmcTaskConfig:
 
 
 class TokenRows:
-    """Tokens (P, width, T) left in a file: float64 rows from a byte offset on.
+    """Float64 rows (P, ...) left in a file from a byte offset on: a dataset's
+    tokens (P, width, T) or a features file's (P, H^L, width) features.
 
     Slicing a contiguous row range gives the rows' view, reading nothing;
-    np.asarray reads the view's rows.  Consumers read row blocks, so a
-    dataset's token payload need not be in memory all at once.
+    np.asarray reads the view's rows, and assigning to a slice writes them.
+    Consumers read and write row blocks, so a payload need not be in memory
+    all at once.
     """
 
     def __init__(self, path, offset: int, shape: tuple):
@@ -110,6 +112,15 @@ class TokenRows:
             raise OSError(f"{self.path}: token rows end at byte {self.offset + got}, "
                           f"wanted {out.nbytes} bytes from byte {self.offset}")
         return out if dtype is None else out.astype(dtype, copy=False)
+
+    def __setitem__(self, rows: slice, values) -> None:
+        view = self[rows]
+        values = np.ascontiguousarray(values, dtype=float)
+        if values.shape != view.shape:
+            raise ValueError(f"rows of shape {values.shape} written to a view of {view.shape}")
+        with open(self.path, "r+b") as fh:
+            fh.seek(view.offset)
+            fh.write(values)
 
 
 @dataclass

@@ -8,16 +8,20 @@ trailing bytes):
     APKS  datasets          (token width, T, P, n_train), tokens then int8 labels,
                             in .apkd files
     APKL  attention logits  (L, H, token width), in .apkw files
-    APKP  path features     (H, L, width, P, n_train), one row per path, in .apkf files
+    APKE  path features     (H, L, width, P, n_train), example-major: one
+                            (H^L, width) row per example, in .apkf files
     APKO  order parameters  (H, L), level i an H^(L-i) square for i = 0..L,
                             in .apku files
 
 Each header holds only what a reader cannot derive: the array shapes follow
-from the fields.  A file of an earlier layout fails with "bad magic".
-Readers check every size against the file before reading.  Arrays are read
-into their own memory, except a dataset's tokens: read_dataset leaves them in
-the file as TokenRows, which the feature and sampler stages read in row
-blocks.
+from the fields.  A file of an earlier layout fails with "bad magic"; the
+path-major features layout (H^L, width, P) had magic APKP.  Readers check
+every size against the file before reading.  Arrays are read into their own
+memory, except a dataset's tokens and a features file's rows: read_dataset
+and read_features leave them in the file as TokenRows, which the stages read
+in row blocks, so no command holds the whole token or feature payload.
+create_features writes a features file's header and sizes its payload, and
+compute_features fills the rows block by block.
 
 CSV exports start with a `# config_digest=<hex>` comment line, then a header
 row; floats are written with repr so reads round-trip exactly and reruns are
@@ -139,18 +143,24 @@ def read_attention_specs(path):
     return logits, digest
 
 
-def write_features(path, features: PathFeatureMatrix, digest: str = ZERO_DIGEST) -> None:
-    fields = [features.n_heads, features.depth, features.width, features.n_examples,
-              features.n_train]
-    _write(path, b"APKP", fields, digest, [features.values])
+def create_features(path, n_heads: int, depth: int, width: int, n_examples: int,
+                    n_train: int, digest: str = ZERO_DIGEST) -> TokenRows:
+    """A features file's header and a payload of zeros: its (P, H^L, width)
+    rows, returned as TokenRows for compute_features to fill."""
+    fields = [n_heads, depth, width, n_examples, n_train]
+    _write(path, b"APKE", fields, digest, [])
+    rows = TokenRows(path, 8 + 8 * len(fields) + 32, (n_examples, n_heads**depth, width))
+    os.truncate(path, rows.offset + 8 * math.prod(rows.shape))
+    return rows
 
 
 def read_features(path):
+    """(features, digest); the features stay in the file as TokenRows."""
     # the exponent is clamped so a corrupt L builds no huge int; H >= 2 past 64
     # fails the size check
     (n_heads, depth, _, _, n_train), (values,), digest = _read(
-        path, b"APKP", 5, lambda n_heads, depth, width, n_ex, n_train: [
-            ((n_heads ** min(depth, 64), width, n_ex), np.float64)])
+        path, b"APKE", 5, lambda n_heads, depth, width, n_ex, n_train: [
+            ((n_ex, n_heads ** min(depth, 64), width), TokenRows)])
     return PathFeatureMatrix(values=values, n_train=int(n_train), n_heads=int(n_heads),
                              depth=int(depth)), digest
 

@@ -23,6 +23,11 @@ and reused by every block.  The last bits of a feature depend on the size of
 its block (up to 1e-14 relative between blocks of 64 and 256), so results
 are reproducible at a fixed FEATURE_BLOCK.  kernel_blocks walks the eval
 examples in blocks of the same size.
+
+A feature matrix may also stay in its file (fileio.read_features), example
+by example as (P, H^L, width) rows.  compute_features can write each block
+there as it goes, and kernel_blocks then reads the training block once and
+one eval block at a time, so no stage holds every example's features.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .data import TokenRows
 from .model import Readout, attention_stack_batch, check_logits
 
 
@@ -38,43 +44,70 @@ from .model import Readout, attention_stack_batch, check_logits
 class PathFeatureMatrix:
     """Stacked path features for a set of examples.
 
-    values has shape (H^L, width, n_examples), one row per path in canonical
-    flat order; the first n_train example columns are the training block.
-    Every kernel divides by the path count H^L.
+    values is an (H^L, width, n_examples) array, one row per path in canonical
+    flat order, or the example-major (n_examples, H^L, width) TokenRows of a
+    features file, read one block of examples at a time (examples, train).
+    The first n_train examples are the training block.  Every kernel divides
+    by the path count H^L.
     """
 
-    values: np.ndarray
+    values: np.ndarray | TokenRows
     n_train: int
     n_heads: int
     depth: int
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        if not isinstance(self.values, TokenRows):
+            self.values = np.asarray(self.values, dtype=float)
         if self.n_heads < 1 or self.depth < 1:
             raise ValueError(f"need n_heads >= 1 and depth >= 1, got {self.n_heads}, {self.depth}")
-        if self.values.ndim != 3:
-            raise ValueError(f"feature values must be (n_paths, width, P), got {self.values.shape}")
-        if self.values.shape[0] != self.n_heads**self.depth:
-            raise ValueError(f"feature values have {self.values.shape[0]} path rows, "
+        if len(self.values.shape) != 3:
+            raise ValueError(f"feature values must be 3-d, got {self.values.shape}")
+        if self.n_paths != self.n_heads**self.depth:
+            raise ValueError(f"feature values have {self.n_paths} path rows, "
                              f"H^L = {self.n_heads**self.depth}")
-        if not 0 <= self.n_train <= self.values.shape[2]:
-            raise ValueError(f"n_train={self.n_train} out of range for {self.values.shape[2]} examples")
+        if not 0 <= self.n_train <= self.n_examples:
+            raise ValueError(f"n_train={self.n_train} out of range for {self.n_examples} examples")
+
+    @property
+    def _dims(self) -> tuple:
+        """(paths, width, examples) in either layout."""
+        shape = self.values.shape
+        return (shape[1], shape[2], shape[0]) if isinstance(self.values, TokenRows) else shape
 
     @property
     def n_paths(self) -> int:
-        return self.values.shape[0]
+        return self._dims[0]
 
     @property
     def width(self) -> int:
-        return self.values.shape[1]
+        return self._dims[1]
 
     @property
     def n_examples(self) -> int:
-        return self.values.shape[2]
+        return self._dims[2]
 
     def train(self) -> "PathFeatureMatrix":
-        """The training block as its own feature matrix (a view)."""
+        """The training block as its own feature matrix in memory (a view of
+        in-memory values)."""
+        if isinstance(self.values, TokenRows):
+            rows = np.asarray(self.values[: self.n_train])
+            return replace(self, values=np.ascontiguousarray(rows.transpose(1, 2, 0)))
         return replace(self, values=self.values[:, :, : self.n_train])
+
+    def examples(self, idx: np.ndarray) -> np.ndarray:
+        """Features (H^L, width, n) of the examples idx, a view of an
+        (n, H^L, width) array: the strides of numpy's gather values[:, :, idx].
+        Rows in a file are read one run of consecutive indices at a time."""
+        if not isinstance(self.values, TokenRows):
+            return self.values[:, :, idx]
+        idx = np.arange(self.n_examples)[idx]  # negative indices wrap, others past the end raise
+        if len(idx) == 0:
+            return np.empty((self.n_paths, self.width, 0))
+        runs = np.split(idx, np.flatnonzero(np.diff(idx) != 1) + 1)
+        parts = [np.asarray(self.values[run[0] : run[-1] + 1]) for run in runs]
+        rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return rows.transpose(1, 2, 0)
 
 
 def path_features(tokens: np.ndarray, omegas: np.ndarray, readout: Readout) -> np.ndarray:
@@ -98,7 +131,8 @@ FEATURE_BLOCK = 64  # examples per attention-stack batch and per eval block
 
 
 def compute_features(tokens: np.ndarray, logits: np.ndarray, readout: Readout,
-                     n_train: int, chunk: int = FEATURE_BLOCK) -> PathFeatureMatrix:
+                     n_train: int, chunk: int = FEATURE_BLOCK,
+                     out: TokenRows | None = None) -> PathFeatureMatrix:
     """Path features of tokens (P, width, T) under logits (L, H, width, width).
 
     Examples are processed in blocks of chunk rows: each block is read (tokens
@@ -110,7 +144,9 @@ def compute_features(tokens: np.ndarray, logits: np.ndarray, readout: Readout,
     features do not depend on the rows around it, but their last bits depend
     on the block's size, so callers that split the rows split at multiples of
     chunk.  Features are independent of all value weights and of N by
-    construction.
+    construction.  Given out, the (P, H^L, width) rows of a features file,
+    each block is written there as soon as it is computed and the result
+    reads its features from there; otherwise they are kept in memory.
     """
     shape = np.shape(tokens)
     if len(shape) != 3:
@@ -118,8 +154,12 @@ def compute_features(tokens: np.ndarray, logits: np.ndarray, readout: Readout,
     n_ex, width, n_tokens = shape
     check_logits(logits, width)
     depth, n_heads = np.shape(logits)[:2]
+    if out is not None and out.shape != (n_ex, n_heads**depth, width):
+        raise ValueError(f"feature rows {out.shape} do not fit {n_ex} examples of "
+                         f"{n_heads**depth} paths and width {width}")
 
-    values = np.empty((n_heads**depth, width, n_ex))
+    values = np.empty((n_heads**depth, width, n_ex)) if out is None else out
+    rows = values.transpose(2, 0, 1) if out is None else out  # (P, H^L, width) either way
     work = np.empty((2, width, min(chunk, n_ex) * n_tokens))
     # A token block is freed only when the next one replaces it: freed first,
     # with its attention stack, it would leave a block's worth of free memory
@@ -128,8 +168,9 @@ def compute_features(tokens: np.ndarray, logits: np.ndarray, readout: Readout,
     for start in range(0, n_ex, chunk):
         block = np.asarray(tokens[start : start + chunk], dtype=float)
         omegas = attention_stack_batch(block, logits, readout, work)
-        values[:, :, start : start + len(block)] = path_features(block, omegas, readout)
-        del omegas
+        feats = path_features(block, omegas, readout)
+        rows[start : start + len(block)] = feats.transpose(2, 0, 1)
+        del feats, omegas
     return PathFeatureMatrix(values=values, n_train=n_train, n_heads=n_heads, depth=depth)
 
 
@@ -138,6 +179,8 @@ def total_kernel(u1: np.ndarray, features: PathFeatureMatrix) -> np.ndarray:
     u1 = np.asarray(u1, dtype=float)
     if u1.shape != (features.n_paths, features.n_paths):
         raise ValueError(f"order parameter shape {u1.shape} does not match {features.n_paths} paths")
+    if isinstance(features.values, TokenRows):
+        raise ValueError("total_kernel reads features in memory; take features.train()")
     lifted = np.tensordot(u1, features.values, axes=(1, 0))
     k = np.einsum("aim,ain->mn", features.values, lifted, optimize=True) / features.n_paths
     return 0.5 * (k + k.T)
@@ -161,22 +204,23 @@ def kernel_blocks(u1: np.ndarray, features: PathFeatureMatrix,
 
     Only these blocks are computed, never the full kernel.  U is read through
     its symmetric part, as total_kernel's symmetrized result reads it.  The
-    eval examples are walked in FEATURE_BLOCK chunks, so besides the returned
-    blocks only one chunk's feature columns are copied at a time.
+    training block is read once; the eval examples are walked in
+    FEATURE_BLOCK chunks, so besides the returned blocks only one chunk's
+    features are held (or read from the features file) at a time.
     """
-    p = features.n_train
-    if p == 0:
+    if features.n_train == 0:
         raise ValueError("feature matrix has an empty training block")
-    k_train = total_kernel(u1, features.train())
+    train = features.train()
+    k_train = total_kernel(u1, train)
     u = np.asarray(u1, dtype=float)
     u = 0.5 * (u + u.T)
     eval_idx = np.asarray(eval_idx, dtype=np.int64)
-    lifted = np.tensordot(u, features.values[:, :, :p], axes=(1, 0))
-    k_cross = np.empty((len(eval_idx), p))
+    lifted = np.tensordot(u, train.values, axes=(1, 0))
+    k_cross = np.empty((len(eval_idx), features.n_train))
     k_diag = np.empty(len(eval_idx))
     for start in range(0, len(eval_idx), FEATURE_BLOCK):
         block = slice(start, start + FEATURE_BLOCK)
-        evals = features.values[:, :, eval_idx[block]]
+        evals = features.examples(eval_idx[block])
         k_cross[block] = np.einsum("aie,aim->em", evals, lifted, optimize=True)
         k_diag[block] = np.einsum("aie,ab,bie->e", evals, u, evals, optimize=True)
     k_cross /= features.n_paths

@@ -98,11 +98,12 @@ def weight_parts(vec: np.ndarray, n_hidden: int, width: int, depth: int, n_heads
             vec[..., n0 + nv:])
 
 
-def _softmax_columns(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the first (attended) index; columns sum to one."""
-    z = logits - logits.max(axis=-2, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-2, keepdims=True)
+def _softmax_columns(scores: np.ndarray, out: np.ndarray) -> None:
+    """Softmax over the first (attended) index of scores, written to out (which
+    may be scores); columns sum to one.  scores is overwritten."""
+    scores -= scores.max(axis=-2, keepdims=True)
+    np.exp(scores, out=scores)
+    np.divide(scores, scores.sum(axis=-2, keepdims=True), out=out)
 
 
 def check_logits(logits: np.ndarray, width: int | None = None) -> None:
@@ -155,9 +156,10 @@ def attention_stack_batch(tokens: np.ndarray, logits: np.ndarray,
             if layer < n_full:
                 np.matmul(logits[layer, head].T, xw, out=prod)
                 scores = np.matmul(prod.reshape(width, n_ex, n_tokens).transpose(1, 2, 0), tokens)
-                omegas[:, layer, head] = _softmax_columns(scores)
+                _softmax_columns(scores, out=omegas[:, layer, head])
             else:
                 scores = np.einsum("pws,wv,pvc->psc", tokens, logits[layer, head],
                                    tokens[:, :, read], optimize=True)
-                omegas[:, layer, head][..., read] = _softmax_columns(scores)
+                _softmax_columns(scores, out=scores)
+                omegas[:, layer, head][..., read] = scores
     return omegas

@@ -5,12 +5,13 @@ The package computes the output only through the path decomposition
 it, or its per-path pieces, by direct matrix products; shipped_output is the
 package's own route on one example, the side the references are checked
 against.  attention_stack_einsum is the attention stack with each head's
-scores as one three-operand einsum, the reference for model's two-GEMM form.
+scores as one three-operand einsum and an out-of-place column softmax, the
+reference for model's two-GEMM form and in-place softmax.
 """
 
 import numpy as np
 
-from attnpaths.model import _softmax_columns, weight_parts
+from attnpaths.model import weight_parts
 from attnpaths.sampler import PosteriorSamples, empirical_predictor
 
 
@@ -29,6 +30,12 @@ def forward_layerwise(x0: np.ndarray, weights: tuple, omegas: np.ndarray, readou
     return float(a @ z / np.sqrt(n))
 
 
+def softmax_columns(scores: np.ndarray) -> np.ndarray:
+    """Softmax over the first (attended) index, out of place."""
+    e = np.exp(scores - scores.max(axis=-2, keepdims=True))
+    return e / e.sum(axis=-2, keepdims=True)
+
+
 def attention_stack_einsum(tokens: np.ndarray, logits: np.ndarray,
                            readout=None) -> np.ndarray:
     """model.attention_stack_batch with scores einsum("pws,wv,pvc->psc", x, M, x)
@@ -44,7 +51,7 @@ def attention_stack_einsum(tokens: np.ndarray, logits: np.ndarray,
         for head in range(n_heads):
             scores = np.einsum("pws,wv,pvc->psc", tokens, logits[layer, head], queries,
                                optimize=True)
-            omegas[:, layer, head][..., cols] = _softmax_columns(scores)
+            omegas[:, layer, head][..., cols] = softmax_columns(scores)
     return omegas
 
 

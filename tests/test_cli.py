@@ -7,6 +7,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -282,7 +283,8 @@ def test_pipeline_end_to_end(tmp_path):
     params, _ = fileio.read_order_parameters(out / "u1.apku")
     assert params.u1.shape == (4, 4)
     feats, _ = fileio.read_features(out / "features.apkf")
-    assert feats.values.shape == (4, 18, 20)
+    assert (feats.n_paths, feats.width, feats.n_examples, feats.n_train) == (4, 18, 20, 12)
+    assert feats.values.shape == (20, 4, 18)  # example-major rows, left in the file
 
 
 def test_pipeline_gp_limit_skips_solver(tmp_path):
@@ -323,7 +325,9 @@ def test_pipeline_threads_match_serial_across_feature_blocks(tmp_path):
 
 
 def test_commands_never_read_the_whole_token_payload(tmp_path, monkeypatch):
-    # 272 examples: more than one feature block, so no block is the whole payload
+    # 272 examples: more than one feature block, so no block is the whole
+    # payload; the features file's rows are TokenRows too, so this also
+    # checks that no command reads the whole feature payload
     task = {"chain_length": 3, "feature_width": 4, "n_train": 12, "n_test": 260}
     cfg, out = _gen(tmp_path, task=task, solver={"gp_limit": True},
                     temperature_grid=[0.1, 0.5],
@@ -333,7 +337,7 @@ def test_commands_never_read_the_whole_token_payload(tmp_path, monkeypatch):
     rows_read = []
 
     def guarded(rows, *args, **kwargs):
-        assert len(rows) < 272, "the whole token payload was read"
+        assert len(rows) < 272, "the whole token or feature payload was read"
         rows_read.append(len(rows))
         return read(rows, *args, **kwargs)
 
@@ -341,9 +345,57 @@ def test_commands_never_read_the_whole_token_payload(tmp_path, monkeypatch):
     for command in ("pipeline", "sweep", "sample"):
         assert main([command, "--config", str(cfg), "--out", str(out), "--force"]) == 0
     assert main(["verify", "--out", str(out)]) == 0
-    # pipeline and sweep read 4 x 64 + 16 rows each; sample the 12 training
-    # rows, then its 260 test rows as 4 x 64 + 4
-    assert rows_read == [64] * 4 + [16] + [64] * 4 + [16] + [12] + [64] * 4 + [4]
+    # pipeline and sweep read 4 x 64 + 16 token rows each; pipeline then reads
+    # the 12 training feature rows for the solve, again for the kernel blocks,
+    # and the 260 test feature rows as 4 x 64 + 4; sample reads the 12
+    # training token rows, then its 260 test token rows as 4 x 64 + 4
+    blocks = [64] * 4 + [16]
+    test_blocks = [64] * 4 + [4]
+    assert rows_read == (blocks + [12, 12] + test_blocks + blocks + [12] + test_blocks)
+
+
+def test_pipeline_memory_does_not_grow_with_the_feature_matrix(tmp_path):
+    # pipeline holds the training features and one 64-example block of the
+    # others, never the whole (H^L, width, P) matrix: from 300 to 3000 test
+    # examples its peak may grow by the cross-kernel block and the other
+    # per-example outputs (mean, variance, kernel diagonal, the CSV row; under
+    # 512 bytes each here), not by the 4 x 70 doubles of each example's features
+    task = {"chain_length": 9, "feature_width": 60, "n_train": 10}
+    peaks = []
+    for n_test in (300, 3000):
+        cfg, out = _gen(tmp_path, out=f"n{n_test}", task={**task, "n_test": n_test},
+                        solver={"gp_limit": True})
+        tracemalloc.start()
+        try:
+            assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    more = 3000 - 300
+    cross = more * task["n_train"] * 8
+    assert peaks[1] - peaks[0] <= cross + more * 512 + 2**20
+    assert more * 4 * 70 * 8 > cross + more * 512 + 2**20  # the matrix would not fit
+
+
+def test_an_interrupted_pipeline_leaves_no_features_file(tmp_path, monkeypatch):
+    # the features file is filled block by block; until it is complete it has
+    # another name, so a run that stops halfway leaves no features.apkf whose
+    # header reads as whole over a payload of zeros
+    import attnpaths.cli as cli_mod
+    cfg, out = _gen(tmp_path, solver={"gp_limit": True})
+    real = cli_mod.compute_features
+
+    def stops_halfway(tokens, logits, readout, n_train, out=None):
+        real(tokens[:1], logits, readout, 0, out=out[:1])
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(cli_mod, "compute_features", stops_halfway)
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 4
+    assert not (out / "features.apkf").exists()
+    monkeypatch.setattr(cli_mod, "compute_features", real)
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+    assert not (out / "features.apkf.partial").exists()
+    assert main(["verify", "--out", str(out)]) == 0
 
 
 def test_pipeline_rejects_a_cut_token_payload_before_writing(tmp_path, capsys):

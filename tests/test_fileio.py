@@ -6,10 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from attnpaths import fileio
 from attnpaths.data import HmcTaskConfig, TokenRows, gen_hmc_dataset
 from attnpaths.fileio import FormatError, ZERO_DIGEST, config_digest
-from attnpaths.kernel import PathFeatureMatrix
+from attnpaths.kernel import PathFeatureMatrix, compute_features
+from attnpaths.model import Readout
 from attnpaths.solver import OrderParameterSet, SolveTrace
 
 
@@ -24,6 +27,13 @@ def _dataset():
 def _features(rng):
     return PathFeatureMatrix(values=rng.standard_normal((4, 3, 5)), n_train=3,
                              n_heads=2, depth=2)
+
+
+def _write_features(path, feats, digest=ZERO_DIGEST):
+    """The features file of an in-memory matrix: header first, then its rows."""
+    rows = fileio.create_features(path, feats.n_heads, feats.depth, feats.width,
+                                  feats.n_examples, feats.n_train, digest)
+    rows[:] = feats.values.transpose(2, 0, 1)
 
 
 def test_config_digest_canonical():
@@ -130,13 +140,57 @@ def test_features_round_trip(tmp_path):
     feats = _features(rng)
     feats.values[[0, 2]] = 0.0  # the rows of pruned paths stay, as zeros
     p = tmp_path / "f.apkf"
-    fileio.write_features(p, feats, DIGEST)
+    _write_features(p, feats, DIGEST)
     back, digest = fileio.read_features(p)
     assert digest == DIGEST
-    assert np.array_equal(back.values, feats.values)
+    assert isinstance(back.values, TokenRows)
+    # example-major: one (H^L, width) row per example
+    assert np.array_equal(np.asarray(back.values), feats.values.transpose(2, 0, 1))
+    assert np.array_equal(back.examples(np.arange(5)), feats.values)
+    assert np.array_equal(back.train().values, feats.train().values)
     assert back.n_train == 3 and back.n_heads == 2 and back.depth == 2
     # an 80-byte header (magic, version, five fields, digest), then the values
     assert p.stat().st_size == 80 + feats.values.nbytes
+
+
+def test_path_major_features_layout_is_rejected(tmp_path):
+    # the earlier layout: magic APKP, the same header, then (H^L, width, P)
+    values = np.random.default_rng(4).standard_normal((4, 3, 5))
+    head = struct.pack("<4sI5Q", b"APKP", 1, 2, 2, 3, 5, 3) + bytes.fromhex(DIGEST)
+    p = tmp_path / "old.apkf"
+    p.write_bytes(head + values.tobytes())
+    with pytest.raises(FormatError, match="bad magic b'APKP' at byte 0"):
+        fileio.read_features(p)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_ex=st.integers(1, 40), train_frac=st.floats(0, 1), chunk=st.integers(1, 17),
+       ends=st.tuples(st.integers(0, 40), st.integers(0, 40)), seed=st.integers(0, 2**32 - 1))
+def test_feature_rows_read_back_bit_for_bit(tmp_path_factory, n_ex, train_frac, chunk, ends,
+                                            seed):
+    # features written block by block into their file, then any contiguous
+    # range of examples read back, equal compute_features' in-memory columns
+    rng = np.random.default_rng(seed)
+    tokens = rng.standard_normal((n_ex, 5, 4))
+    logits = 1.3 * rng.standard_normal((2, 2, 5, 5))
+    n_train = int(train_frac * n_ex)
+    want = compute_features(tokens, logits, Readout.token(1), n_train, chunk=chunk)
+    p = tmp_path_factory.mktemp("rows") / "f.apkf"
+    rows = fileio.create_features(p, 2, 2, 5, n_ex, n_train, DIGEST)
+    written = compute_features(tokens, logits, Readout.token(1), n_train, chunk=chunk, out=rows)
+    back, _ = fileio.read_features(p)
+    a, b = sorted(end % (n_ex + 1) for end in ends)
+    for feats in (written, back):
+        got = feats.examples(np.arange(a, b))
+        assert got.tobytes() == want.values[:, :, a:b].tobytes()
+        assert np.asarray(feats.values[a:b]).tobytes() == (
+            want.values[:, :, a:b].transpose(2, 0, 1).tobytes())
+        assert feats.train().values.tobytes() == want.train().values.tobytes()
+    # any index list: the in-memory gather's values and strides
+    idx = rng.integers(-n_ex, n_ex, size=int(rng.integers(0, 9)))
+    got, gathered = back.examples(idx), want.examples(idx)
+    assert got.tobytes() == gathered.tobytes()
+    assert got.strides == gathered.strides or len(idx) == 0
 
 
 def test_earlier_features_layout_is_rejected(tmp_path):
@@ -214,7 +268,7 @@ def test_every_truncated_format_names_a_byte_offset(tmp_path):
         ("d.apkd", fileio.write_dataset, _dataset(), fileio.read_dataset),
         ("w.apkw", fileio.write_attention_specs, rng.standard_normal((2, 2, 3, 3)),
          fileio.read_attention_specs),
-        ("f.apkf", fileio.write_features, _features(rng), fileio.read_features),
+        ("f.apkf", _write_features, _features(rng), fileio.read_features),
         ("u.apku", fileio.write_order_parameters, params, fileio.read_order_parameters),
     ]
     for name, write, obj, read in artifacts:
@@ -236,7 +290,7 @@ def test_readers_reject_trailing_bytes(tmp_path):
     artifacts = [
         ("d.apkd", fileio.write_dataset, _dataset(), fileio.read_dataset),
         ("w.apkw", fileio.write_attention_specs, logits, fileio.read_attention_specs),
-        ("f.apkf", fileio.write_features, _features(rng), fileio.read_features),
+        ("f.apkf", _write_features, _features(rng), fileio.read_features),
         ("u.apku", fileio.write_order_parameters, params, fileio.read_order_parameters),
     ]
     for name, write, obj, read in artifacts:
@@ -251,26 +305,32 @@ def test_readers_reject_trailing_bytes(tmp_path):
 
 
 def test_arrays_cross_the_file_boundary_without_a_bytes_copy(tmp_path):
-    # a reader fills the array it returns, and a writer hands the array itself
-    # to the file: neither holds a second copy of the payload
+    # a writer hands the array itself to the file, and read_features leaves
+    # the rows there: neither holds a second copy of the payload, and a block
+    # of examples is read into its own memory
     rng = np.random.default_rng(9)
-    feats = PathFeatureMatrix(values=rng.standard_normal((4, 64, 4096)), n_train=96,
-                              n_heads=2, depth=2)
-    payload = feats.values.nbytes
+    examples = rng.standard_normal((4096, 4, 64))  # (P, H^L, width)
+    payload = examples.nbytes
     p = tmp_path / "f.apkf"
     tracemalloc.start()
     try:
-        fileio.write_features(p, feats, DIGEST)
+        rows = fileio.create_features(p, 2, 2, 64, 4096, 96, DIGEST)
+        rows[:] = examples
         write_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         back, _ = fileio.read_features(p)
         read_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        block = back.examples(np.arange(100, 164))
+        block_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert write_peak <= 0.25 * payload
-    assert read_peak <= 1.25 * payload
-    assert np.array_equal(back.values, feats.values)
-    assert back.values.flags.writeable and back.values.flags.owndata
+    assert read_peak <= 0.01 * payload
+    assert block_peak <= 1.25 * block.nbytes + 64 * 1024
+    assert np.array_equal(np.asarray(back.values), examples)
+    assert np.array_equal(block, examples[100:164].transpose(1, 2, 0))
+    assert block.base.flags.writeable and block.base.flags.owndata
 
 
 def test_format_error_is_value_error():

@@ -25,7 +25,8 @@ def _random_logits(rng, depth, n_heads, width):
 def test_softmax_columns_oracle():
     rng = np.random.default_rng(0)
     logits = rng.standard_normal((5, 4)) * 10
-    got = _softmax_columns(logits)
+    got = np.empty_like(logits)
+    _softmax_columns(logits.copy(), out=got)
     want = np.empty_like(logits)
     for t in range(4):
         col = logits[:, t]
@@ -37,7 +38,8 @@ def test_softmax_columns_oracle():
 
 def test_softmax_extreme_logits_stable():
     logits = np.array([[1000.0, -1000.0], [0.0, 0.0]])
-    got = _softmax_columns(logits)
+    got = logits.copy()
+    _softmax_columns(got, out=got)  # in place, as the stack's readout layer calls it
     assert np.all(np.isfinite(got))
     assert np.allclose(got.sum(axis=0), 1.0)
     assert got[0, 0] > 0.999
@@ -106,13 +108,14 @@ def test_attention_stack_batch_matches_single(depth, n_heads, width, n_tokens, n
 @pytest.mark.parametrize("readout", [Readout.token(1), None], ids=["token", "full"])
 def test_two_gemm_stack_equals_the_einsum_bit_for_bit(readout):
     # the benchmark shapes: width 231, T = 31, the sampler's 12 and 50 training
-    # rows and a 64-row feature block; a reused work array larger than needed
-    # gives the same bits as a fresh one
+    # rows, a 64-row feature block, one row and 100 rows; a reused work array
+    # larger than needed gives the same bits as a fresh one, and the in-place
+    # softmax the same bits as the oracle's out-of-place one
     cfg = HmcTaskConfig()
     logits = build_hmc_attention(cfg, n_heads=2, depth=2, seed=0)
     rng = np.random.default_rng(0)
-    work = np.full((2, cfg.token_width, 70 * cfg.n_tokens), np.nan)
-    for n_ex in (12, 50, 64):
+    work = np.full((2, cfg.token_width, 100 * cfg.n_tokens), np.nan)
+    for n_ex in (1, 12, 50, 64, 100):
         tokens = rng.standard_normal((n_ex, cfg.token_width, cfg.n_tokens))
         want = attention_stack_einsum(tokens, logits, readout)
         assert np.array_equal(attention_stack_batch(tokens, logits, readout), want)
