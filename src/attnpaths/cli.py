@@ -10,7 +10,7 @@ Subcommands wrap the library stages file-to-file:
     verify     recompute the config digest and check every artifact in a run directory
 
 Flags: --out DIR; --config PATH, --seed INT and --force but for verify;
---strict for pipeline, sweep and sample; --threads INT for pipeline and sweep.
+--strict for pipeline, sweep and sample; --threads INT (at least 1) for pipeline.
 The resolved configuration is written next to the outputs and its sha256
 digest is embedded in every artifact; reruns with identical config and seed
 produce byte-identical files.  The APK_LOG environment variable sets the log
@@ -39,8 +39,7 @@ import numpy as np
 from . import fileio
 from .analysis import head_scores
 from .data import HmcTaskConfig, build_hmc_attention, gen_hmc_dataset
-from .kernel import (FEATURE_BLOCK, PathFeatureMatrix, compute_features, kernel_task_alignment,
-                     total_kernel)
+from .kernel import FEATURE_BLOCK, compute_features, kernel_task_alignment, total_kernel
 from .model import Readout, check_logits
 from .predictor import DEFAULT_TEMPERATURE_GRID, evaluate_predictor, temperature_sweep
 from .sampler import HmcConfig, empirical_order_parameter, empirical_predictor, hmc_sample
@@ -123,6 +122,8 @@ def _load_config(args) -> dict:
     config = _merge_config(user)
     if args.seed is not None:
         config["seed"] = int(args.seed)
+    if config["seed"] < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {config['seed']}")
     return config
 
 
@@ -189,24 +190,19 @@ def _load_inputs(out: Path, config: dict):
     return dataset, logits, _readout(config, dataset.tokens.shape[2])
 
 
-def _features_threaded(tokens, logits: np.ndarray, readout: Readout, n_train: int,
-                       threads: int, out=None) -> PathFeatureMatrix:
-    """compute_features, into the rows out of a features file when given."""
+def _features_threaded(tokens, logits: np.ndarray, readout: Readout, threads: int, rows) -> None:
+    """compute_features into the rows of a features file, on up to threads workers."""
     n_blocks = -(-len(tokens) // FEATURE_BLOCK)
-    if threads <= 1 or n_blocks < 2:
-        return compute_features(tokens, logits, readout, n_train, out=out)
+    if threads == 1 or n_blocks < 2:
+        compute_features(tokens, logits, readout, 0, out=rows)
+        return
     # each worker takes a contiguous run of whole blocks, so every block, and
-    # so every feature bit, is the serial run's; with out, it writes its own rows
+    # so every feature bit, is the serial run's; it writes its own rows
     runs = np.array_split(np.arange(n_blocks), min(threads, n_blocks))
     starts = [FEATURE_BLOCK * int(run[0]) for run in runs] + [len(tokens)]
     with ThreadPoolExecutor(max_workers=len(runs)) as pool:
-        parts = list(pool.map(
-            lambda a, b: compute_features(tokens[a:b], logits, readout, 0,
-                                          out=None if out is None else out[a:b]).values,
-            starts[:-1], starts[1:]))
-    values = np.concatenate(parts, axis=2) if out is None else out
-    return PathFeatureMatrix(values=values, n_train=n_train,
-                             n_heads=logits.shape[1], depth=logits.shape[0])
+        list(pool.map(lambda a, b: compute_features(tokens[a:b], logits, readout, 0, out=rows[a:b]),
+                      starts[:-1], starts[1:]))
 
 
 def cmd_gen_data(args) -> int:
@@ -230,6 +226,8 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    if args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
     config = _load_config(args)
     outputs = ["features.apkf", "u1.apku", "u1.csv", "trace.csv", "predictor.csv",
                "predictor_summary.json", "alignment.csv", "head_scores.csv"]
@@ -245,7 +243,7 @@ def cmd_pipeline(args) -> int:
     partial = out / "features.apkf.partial"
     rows = fileio.create_features(partial, n_heads, depth, dataset.token_width,
                                   dataset.n_examples, dataset.n_train, digest)
-    _features_threaded(dataset.tokens, logits, readout, dataset.n_train, args.threads, out=rows)
+    _features_threaded(dataset.tokens, logits, readout, args.threads, rows)
     del logits  # not read again; the solve below is where memory peaks
     os.replace(partial, out / "features.apkf")
     features, _ = fileio.read_features(out / "features.apkf")
@@ -305,7 +303,7 @@ def cmd_sweep(args) -> int:
     for t in grid:
         replace(solver_config, temperature=float(t))  # rejects a nonpositive temperature
     out, digest = _prepare_out(args, config, ["sweep.csv", "sweep_summary.json"])
-    features = _features_threaded(dataset.tokens, logits, readout, dataset.n_train, args.threads)
+    features = compute_features(dataset.tokens, logits, readout, dataset.n_train)
     del logits  # not read again; the solve below is where memory peaks
     result = temperature_sweep(
         features, dataset.train_labels.astype(float), dataset.test_indices,
@@ -422,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn, takes in [
         ("gen-data", cmd_gen_data, common),
         ("pipeline", cmd_pipeline, common + ("--strict", "--threads")),
-        ("sweep", cmd_sweep, common + ("--strict", "--threads")),
+        ("sweep", cmd_sweep, common + ("--strict",)),
         ("sample", cmd_sample, common + ("--strict",)),
         ("verify", cmd_verify, ()),
     ]:

@@ -25,9 +25,10 @@ are reproducible at a fixed FEATURE_BLOCK.  kernel_blocks walks the eval
 examples in blocks of the same size.
 
 A feature matrix may also stay in its file (fileio.read_features), example
-by example as (P, H^L, width) rows.  compute_features can write each block
-there as it goes, and kernel_blocks then reads the training block once and
-one eval block at a time, so no stage holds every example's features.
+by example as (P, H^L, width) rows; its rows property is that view of either
+store.  compute_features fills rows block by block, into the file as it
+goes, and kernel_blocks then reads the training block once and one eval
+block at a time, so no stage holds every example's features.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ class PathFeatureMatrix:
 
     values is an (H^L, width, n_examples) array, one row per path in canonical
     flat order, or the example-major (n_examples, H^L, width) TokenRows of a
-    features file, read one block of examples at a time (examples, train).
-    The first n_train examples are the training block.  Every kernel divides
-    by the path count H^L.
+    features file; rows is the (n_examples, H^L, width) view of either, which
+    examples and train read.  The first n_train examples are the training
+    block.  Every kernel divides by the path count H^L.
     """
 
     values: np.ndarray | TokenRows
@@ -70,43 +71,37 @@ class PathFeatureMatrix:
             raise ValueError(f"n_train={self.n_train} out of range for {self.n_examples} examples")
 
     @property
-    def _dims(self) -> tuple:
-        """(paths, width, examples) in either layout."""
-        shape = self.values.shape
-        return (shape[1], shape[2], shape[0]) if isinstance(self.values, TokenRows) else shape
+    def rows(self) -> np.ndarray | TokenRows:
+        """(P, H^L, width) rows: a features file's TokenRows or a view of in-memory values."""
+        return self.values if isinstance(self.values, TokenRows) else self.values.transpose(2, 0, 1)
 
     @property
     def n_paths(self) -> int:
-        return self._dims[0]
+        return self.rows.shape[1]
 
     @property
     def width(self) -> int:
-        return self._dims[1]
+        return self.rows.shape[2]
 
     @property
     def n_examples(self) -> int:
-        return self._dims[2]
+        return self.rows.shape[0]
 
     def train(self) -> "PathFeatureMatrix":
-        """The training block as its own feature matrix in memory (a view of
-        in-memory values)."""
-        if isinstance(self.values, TokenRows):
-            rows = np.asarray(self.values[: self.n_train])
-            return replace(self, values=np.ascontiguousarray(rows.transpose(1, 2, 0)))
-        return replace(self, values=self.values[:, :, : self.n_train])
+        """The training block as its own feature matrix, a contiguous copy in memory."""
+        rows = np.asarray(self.rows[: self.n_train])
+        return replace(self, values=np.ascontiguousarray(rows.transpose(1, 2, 0)))
 
     def examples(self, idx: np.ndarray) -> np.ndarray:
         """Features (H^L, width, n) of the examples idx, a view of an
-        (n, H^L, width) array: the strides of numpy's gather values[:, :, idx].
-        Rows in a file are read one run of consecutive indices at a time."""
-        if not isinstance(self.values, TokenRows):
-            return self.values[:, :, idx]
+        (n, H^L, width) array: the values and strides of numpy's gather
+        values[:, :, idx].  Rows are read one run of consecutive indices at a time."""
         idx = np.arange(self.n_examples)[idx]  # negative indices wrap, others past the end raise
         if len(idx) == 0:
             return np.empty((self.n_paths, self.width, 0))
         runs = np.split(idx, np.flatnonzero(np.diff(idx) != 1) + 1)
-        parts = [np.asarray(self.values[run[0] : run[-1] + 1]) for run in runs]
-        rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        parts = [np.asarray(self.rows[run[0] : run[-1] + 1]) for run in runs]
+        rows = np.ascontiguousarray(parts[0] if len(parts) == 1 else np.concatenate(parts))
         return rows.transpose(1, 2, 0)
 
 
@@ -131,22 +126,22 @@ FEATURE_BLOCK = 64  # examples per attention-stack batch and per eval block
 
 
 def compute_features(tokens: np.ndarray, logits: np.ndarray, readout: Readout,
-                     n_train: int, chunk: int = FEATURE_BLOCK,
-                     out: TokenRows | None = None) -> PathFeatureMatrix:
+                     n_train: int, out: TokenRows | None = None) -> PathFeatureMatrix:
     """Path features of tokens (P, width, T) under logits (L, H, width, width).
 
-    Examples are processed in blocks of chunk rows: each block is read (tokens
-    may be TokenRows left in their file), its attention stack is built, its
-    last layer at the readout's columns only, and handed to path_features,
-    which bounds the intermediate storage by the block's (L, H, T, T)
-    attention matrices.  The stacks' GEMM operand and output, 2 width T chunk
-    doubles, are allocated once here and reused by every block.  A block's
-    features do not depend on the rows around it, but their last bits depend
-    on the block's size, so callers that split the rows split at multiples of
-    chunk.  Features are independent of all value weights and of N by
-    construction.  Given out, the (P, H^L, width) rows of a features file,
-    each block is written there as soon as it is computed and the result
-    reads its features from there; otherwise they are kept in memory.
+    Examples are processed in blocks of FEATURE_BLOCK rows: each block is read
+    (tokens may be TokenRows left in their file), its attention stack is
+    built, its last layer at the readout's columns only, and handed to
+    path_features, which bounds the intermediate storage by the block's
+    (L, H, T, T) attention matrices.  The stacks' GEMM operand and output,
+    2 width T FEATURE_BLOCK doubles, are allocated once here and reused by
+    every block.  A block's features do not depend on the rows around it, but
+    their last bits depend on the block's size, so callers that split the rows
+    split at multiples of FEATURE_BLOCK.  Features are independent of all value
+    weights and of N by construction.  Each block is written to the result's
+    rows: given out, the (P, H^L, width) rows of a features file, as soon as
+    it is computed, and the result reads its features from there; otherwise
+    they are kept in memory.
     """
     shape = np.shape(tokens)
     if len(shape) != 3:
@@ -159,19 +154,19 @@ def compute_features(tokens: np.ndarray, logits: np.ndarray, readout: Readout,
                          f"{n_heads**depth} paths and width {width}")
 
     values = np.empty((n_heads**depth, width, n_ex)) if out is None else out
-    rows = values.transpose(2, 0, 1) if out is None else out  # (P, H^L, width) either way
-    work = np.empty((2, width, min(chunk, n_ex) * n_tokens))
+    result = PathFeatureMatrix(values=values, n_train=n_train, n_heads=n_heads, depth=depth)
+    work = np.empty((2, width, min(FEATURE_BLOCK, n_ex) * n_tokens))
     # A token block is freed only when the next one replaces it: freed first,
     # with its attention stack, it would leave a block's worth of free memory
     # at the top of the heap, which glibc's malloc hands back to the system and
     # faults in again every block.
-    for start in range(0, n_ex, chunk):
-        block = np.asarray(tokens[start : start + chunk], dtype=float)
+    for start in range(0, n_ex, FEATURE_BLOCK):
+        block = np.asarray(tokens[start : start + FEATURE_BLOCK], dtype=float)
         omegas = attention_stack_batch(block, logits, readout, work)
         feats = path_features(block, omegas, readout)
-        rows[start : start + len(block)] = feats.transpose(2, 0, 1)
+        result.rows[start : start + len(block)] = feats.transpose(2, 0, 1)
         del feats, omegas
-    return PathFeatureMatrix(values=values, n_train=n_train, n_heads=n_heads, depth=depth)
+    return result
 
 
 def total_kernel(u1: np.ndarray, features: PathFeatureMatrix) -> np.ndarray:

@@ -121,11 +121,6 @@ class SolveTrace:
     n_eval: int
 
 
-def _chol(m: np.ndarray) -> np.ndarray:
-    # raises np.linalg.LinAlgError on non-PD input; that is the domain error
-    return np.linalg.cholesky(m)
-
-
 def _chol_logdet(c: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(c))))
 
@@ -163,24 +158,24 @@ def _action_pieces(mats: list, features: PathFeatureMatrix, y: np.ndarray,
     depth = len(mats) - 1
     mats = [0.5 * (m + m.T) for m in mats]
     grads = [np.zeros_like(m) for m in mats] if want_grad else None
+    # each level factored and inverted once; np.linalg.LinAlgError on non-PD
+    # input is the domain error.  Level 0's inverse serves only the gradient.
+    chols = [np.linalg.cholesky(m) for m in mats]
+    invs = [_chol_inv(c) if i or want_grad else None for i, c in enumerate(chols)]
 
     top = mats[-1]
-    c_top = _chol(top)
-    entropy = s2inv * float(np.trace(top)) - _chol_logdet(c_top)
+    entropy = s2inv * float(np.trace(top)) - _chol_logdet(chols[-1])
     if want_grad:
-        grads[-1] += s2inv * np.eye(top.shape[0]) - _chol_inv(c_top)
+        grads[-1] += s2inv * np.eye(top.shape[0]) - invs[-1]
 
     for i in range(depth):
         u = mats[i]
-        u_next = mats[i + 1]
-        n_heads_lift = u.shape[0] // u_next.shape[0]
-        c_u = _chol(u)
-        c_next = _chol(u_next)
-        w_next = _chol_inv(c_next)
-        e_inv = np.kron(np.eye(n_heads_lift), w_next)
-        entropy += s2inv * float(np.sum(u * e_inv)) - _chol_logdet(c_u) + n_heads_lift * _chol_logdet(c_next)
+        n_heads_lift = u.shape[0] // mats[i + 1].shape[0]
+        e_inv = np.kron(np.eye(n_heads_lift), invs[i + 1])
+        entropy += (s2inv * float(np.sum(u * e_inv)) - _chol_logdet(chols[i])
+                    + n_heads_lift * _chol_logdet(chols[i + 1]))
         if want_grad:
-            grads[i] += s2inv * e_inv - _chol_inv(c_u)
+            grads[i] += s2inv * e_inv - invs[i]
             full = -s2inv * (e_inv @ u @ e_inv) + e_inv
             grads[i + 1] += _block_trace(full, n_heads_lift)
 
@@ -190,7 +185,7 @@ def _action_pieces(mats: list, features: PathFeatureMatrix, y: np.ndarray,
     else:
         k = (mats[0].ravel() @ gram.reshape(-1, p * p)).reshape(p, p)
         k = 0.5 * (k + k.T)
-    c_m = _chol(k + config.temperature * np.eye(p))
+    c_m = np.linalg.cholesky(k + config.temperature * np.eye(p))
     alpha_vec = _chol_solve(c_m, y)
     energy = (_chol_logdet(c_m) + float(y @ alpha_vec)) / p
     if want_grad and config.alpha != 0.0:

@@ -176,6 +176,29 @@ def test_rejected_command_keeps_the_run_record(tmp_path, capsys, command, sectio
     assert main(["verify", "--out", str(out)]) == 0
 
 
+def test_negative_seed_and_threads_below_one_are_rejected_before_anything_is_written(
+        tmp_path, capsys):
+    cfg, out = _gen(tmp_path)
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    negative = _write_config(tmp_path, seed=-1)
+    seed_error = "seed must be a non-negative integer, got -1"
+    runs = [(command, ["--config", str(cfg), "--seed", "-1"], seed_error)
+            for command in ("gen-data", "pipeline", "sweep", "sample")]
+    runs += [("pipeline", ["--config", str(negative)], seed_error)]
+    runs += [("pipeline", ["--config", str(cfg), "--threads", threads],
+              f"--threads must be at least 1, got {threads}") for threads in ("0", "-3")]
+    for command, flags, message in runs:
+        assert main([command, *flags, "--out", str(out), "--force"]) == 2
+        assert message in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == files
+        assert main(["verify", "--out", str(out)]) == 0
+    # gen-data reading attention logits from a file
+    cfg = _write_config(tmp_path, attention={"path": str(out / "attention.apkw")})
+    fresh = tmp_path / "fresh"
+    assert main(["gen-data", "--config", str(cfg), "--seed", "-1", "--out", str(fresh)]) == 2
+    assert not fresh.exists()
+
+
 def test_verify_rejects_labels_other_than_plus_minus_one(tmp_path, capsys):
     cfg, out = _gen(tmp_path)
     _set_label(out, 0, 5)  # the first training label
@@ -635,7 +658,7 @@ def test_command_flags_are_listed():
     assert got == {
         "gen-data": sorted(writes),
         "pipeline": sorted(writes + ["--strict", "--threads"]),
-        "sweep": sorted(writes + ["--strict", "--threads"]),
+        "sweep": sorted(writes + ["--strict"]),
         "sample": sorted(writes + ["--strict"]),
         "verify": sorted(["-h", "--help", "--out"]),
     }
@@ -643,7 +666,7 @@ def test_command_flags_are_listed():
 
 @pytest.mark.parametrize("command,flag", [
     ("gen-data", ["--threads", "2"]), ("gen-data", ["--strict"]),
-    ("sample", ["--threads", "2"]),
+    ("sample", ["--threads", "2"]), ("sweep", ["--threads", "2"]),
 ])
 def test_flag_a_command_does_not_read_exits_2(tmp_path, capsys, command, flag):
     with pytest.raises(SystemExit) as exc:

@@ -2,13 +2,14 @@ import csv
 import json
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from attnpaths import fileio
+from attnpaths import fileio, kernel
 from attnpaths.data import HmcTaskConfig, TokenRows, gen_hmc_dataset
 from attnpaths.fileio import FormatError, ZERO_DIGEST, config_digest
 from attnpaths.kernel import PathFeatureMatrix, compute_features
@@ -174,23 +175,27 @@ def test_feature_rows_read_back_bit_for_bit(tmp_path_factory, n_ex, train_frac, 
     tokens = rng.standard_normal((n_ex, 5, 4))
     logits = 1.3 * rng.standard_normal((2, 2, 5, 5))
     n_train = int(train_frac * n_ex)
-    want = compute_features(tokens, logits, Readout.token(1), n_train, chunk=chunk)
     p = tmp_path_factory.mktemp("rows") / "f.apkf"
     rows = fileio.create_features(p, 2, 2, 5, n_ex, n_train, DIGEST)
-    written = compute_features(tokens, logits, Readout.token(1), n_train, chunk=chunk, out=rows)
+    with mock.patch.object(kernel, "FEATURE_BLOCK", chunk):
+        want = compute_features(tokens, logits, Readout.token(1), n_train)
+        written = compute_features(tokens, logits, Readout.token(1), n_train, out=rows)
     back, _ = fileio.read_features(p)
     a, b = sorted(end % (n_ex + 1) for end in ends)
-    for feats in (written, back):
+    # any index list: numpy's own gather of the in-memory values, value for
+    # value and stride for stride
+    idx = rng.integers(-n_ex, n_ex, size=int(rng.integers(0, 9)))
+    for feats in (want, written, back):
         got = feats.examples(np.arange(a, b))
         assert got.tobytes() == want.values[:, :, a:b].tobytes()
-        assert np.asarray(feats.values[a:b]).tobytes() == (
+        assert np.asarray(feats.rows[a:b]).tobytes() == (
             want.values[:, :, a:b].transpose(2, 0, 1).tobytes())
-        assert feats.train().values.tobytes() == want.train().values.tobytes()
-    # any index list: the in-memory gather's values and strides
-    idx = rng.integers(-n_ex, n_ex, size=int(rng.integers(0, 9)))
-    got, gathered = back.examples(idx), want.examples(idx)
-    assert got.tobytes() == gathered.tobytes()
-    assert got.strides == gathered.strides or len(idx) == 0
+        train = feats.train().values
+        assert train.tobytes() == want.values[:, :, :n_train].tobytes()
+        assert train.flags.c_contiguous
+        got, gathered = feats.examples(idx), want.values[:, :, idx]
+        assert got.tobytes() == gathered.tobytes()
+        assert got.strides == gathered.strides or len(idx) == 0
 
 
 def test_earlier_features_layout_is_rejected(tmp_path):

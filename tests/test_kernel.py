@@ -1,11 +1,12 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attnpaths import fileio
+from attnpaths import fileio, kernel
 from attnpaths.data import HmcTaskConfig, TokenRows, build_hmc_attention, gen_hmc_dataset
 from attnpaths.kernel import (
     FEATURE_BLOCK,
@@ -60,7 +61,8 @@ def test_compute_features_matches_attentioned_input_property(
     logits = _random_logits(rng, depth, n_heads, width)
     tokens = rng.standard_normal((n_ex, width, n_tokens))
     readout = Readout.average() if t_star is None else Readout.token(t_star % n_tokens)
-    feats = compute_features(tokens, logits, readout, n_train=n_ex, chunk=chunk)
+    with mock.patch.object(kernel, "FEATURE_BLOCK", chunk):
+        feats = compute_features(tokens, logits, readout, n_train=n_ex)
     assert feats.values.shape == (n_heads**depth, width, n_ex)
     for mu in range(n_ex):
         omegas = attention_stack_batch(tokens[mu][None], logits)[0]
@@ -75,8 +77,10 @@ def test_compute_features_chunking_invariance():
     logits = _random_logits(rng, 2, 2, 3)
     tokens = rng.standard_normal((9, 3, 4))
     readout = Readout.average()
-    a = compute_features(tokens, logits, readout, n_train=5, chunk=256)
-    b = compute_features(tokens, logits, readout, n_train=5, chunk=2)
+    with mock.patch.object(kernel, "FEATURE_BLOCK", 256):
+        a = compute_features(tokens, logits, readout, n_train=5)
+    with mock.patch.object(kernel, "FEATURE_BLOCK", 2):
+        b = compute_features(tokens, logits, readout, n_train=5)
     assert np.array_equal(a.values, b.values)
 
 
@@ -90,13 +94,14 @@ def test_streamed_features_match_in_memory_bit_for_bit(tmp_path, readout):
     fileio.write_dataset(tmp_path / "d.apkd", ds)
     rows, _ = fileio.read_dataset(tmp_path / "d.apkd")
     assert isinstance(rows.tokens, TokenRows)
-    streamed = compute_features(rows.tokens, logits, readout, ds.n_train, chunk=5)
-    in_memory = compute_features(ds.tokens, logits, readout, ds.n_train, chunk=5)
-    assert np.array_equal(streamed.values, in_memory.values)
-    # a slice of the rows, as `sample` passes its test rows
-    tail = compute_features(rows.tokens[ds.n_train:], logits, readout, 0, chunk=5)
-    assert np.array_equal(tail.values, compute_features(ds.tokens[ds.n_train:], logits,
-                                                        readout, 0, chunk=5).values)
+    with mock.patch.object(kernel, "FEATURE_BLOCK", 5):
+        streamed = compute_features(rows.tokens, logits, readout, ds.n_train)
+        in_memory = compute_features(ds.tokens, logits, readout, ds.n_train)
+        assert np.array_equal(streamed.values, in_memory.values)
+        # a slice of the rows, as `sample` passes its test rows
+        tail = compute_features(rows.tokens[ds.n_train:], logits, readout, 0)
+        assert np.array_equal(tail.values, compute_features(ds.tokens[ds.n_train:], logits,
+                                                            readout, 0).values)
 
 
 class _RepeatedRows:
