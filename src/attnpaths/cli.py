@@ -265,7 +265,7 @@ def cmd_pipeline(args) -> int:
 
     report = evaluate_predictor(
         params.u1, features, y_train, dataset.test_indices, dataset.test_labels,
-        solver_config.temperature,
+        solver_config.temperature, train=train,
     )
     fileio.write_predictor_csv(out / "predictor.csv", dataset.test_indices, report.means,
                                report.variances, report.eval_labels, digest)

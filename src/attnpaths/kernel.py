@@ -16,19 +16,22 @@ compute_features builds one attention stack per example, its last layer only
 at the readout's columns (see attnpaths.model).  path_features then takes
 T^2 (H + ... + H^L) + width T H^L multiply-adds per example, under 1 % of one
 full attention layer at the default sizes (H = L = 2, width 231, T = 31).
-Examples go through in blocks of FEATURE_BLOCK = 64: at the default sizes a
-block's tokens, and each of the stack's GEMM operand and output, take 3.7 MB,
-near a 4 MiB L2 cache.  The operand and output are allocated once per call
-and reused by every block.  The last bits of a feature depend on the size of
-its block (up to 1e-14 relative between blocks of 64 and 256), so results
-are reproducible at a fixed FEATURE_BLOCK.  kernel_blocks walks the eval
-examples in blocks of the same size.
+Examples go through in blocks of FEATURE_BLOCK = 64: at the default sizes
+each of the stack's GEMM operand and output takes 3.7 MB, near a 4 MiB L2
+cache.  The operand and output are allocated once per call and reused by
+every block; a block's tokens are read TOKEN_READ rows at a time straight
+into the operand, whose (block, width, T) view is the block's tokens for the
+stack and for path_features, so no block of tokens is held besides it.  The
+last bits of a feature depend on the size of its block (up to 1e-14 relative
+between blocks of 64 and 256), so results are reproducible at a fixed
+FEATURE_BLOCK.  kernel_blocks walks the eval examples in blocks of the same size.
 
 A feature matrix may also stay in its file (fileio.read_features), example
 by example as (P, H^L, width) rows; its rows property is that view of either
 store.  compute_features fills rows block by block, into the file as it
-goes, and kernel_blocks then reads the training block once and one eval
-block at a time, so no stage holds every example's features.
+goes, and kernel_blocks then reads the training block (or takes the one its
+caller holds) and one eval block at a time, so no stage holds every
+example's features.
 """
 
 from __future__ import annotations
@@ -101,7 +104,10 @@ class PathFeatureMatrix:
             return np.empty((self.n_paths, self.width, 0))
         runs = np.split(idx, np.flatnonzero(np.diff(idx) != 1) + 1)
         parts = [np.asarray(self.rows[run[0] : run[-1] + 1]) for run in runs]
-        rows = np.ascontiguousarray(parts[0] if len(parts) == 1 else np.concatenate(parts))
+        rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        # a C-order array of its own: an in-memory view of one example is
+        # C-contiguous, but its strides are not the gather's
+        rows = rows if rows.flags.owndata and rows.flags.c_contiguous else rows.copy()
         return rows.transpose(1, 2, 0)
 
 
@@ -123,21 +129,24 @@ def path_features(tokens: np.ndarray, omegas: np.ndarray, readout: Readout) -> n
 
 
 FEATURE_BLOCK = 64  # examples per attention-stack batch and per eval block
+TOKEN_READ = 8  # token rows read at a time into a block's GEMM operand
 
 
 def compute_features(tokens: np.ndarray, logits: np.ndarray, readout: Readout,
                      n_train: int, out: TokenRows | None = None) -> PathFeatureMatrix:
     """Path features of tokens (P, width, T) under logits (L, H, width, width).
 
-    Examples are processed in blocks of FEATURE_BLOCK rows: each block is read
-    (tokens may be TokenRows left in their file), its attention stack is
-    built, its last layer at the readout's columns only, and handed to
-    path_features, which bounds the intermediate storage by the block's
-    (L, H, T, T) attention matrices.  The stacks' GEMM operand and output,
-    2 width T FEATURE_BLOCK doubles, are allocated once here and reused by
-    every block.  A block's features do not depend on the rows around it, but
-    their last bits depend on the block's size, so callers that split the rows
-    split at multiples of FEATURE_BLOCK.  Features are independent of all value
+    Examples are processed in blocks of FEATURE_BLOCK rows: each block's
+    tokens are read TOKEN_READ rows at a time (tokens may be TokenRows left in
+    their file) into the stacks' GEMM operand, laid out as (width, block, T),
+    its attention stack is built from that operand, its last layer at the
+    readout's columns only, and the block is handed to path_features, which
+    bounds the intermediate storage by the block's (L, H, T, T) attention
+    matrices.  The GEMM operand and output, 2 width T FEATURE_BLOCK doubles,
+    are allocated once here and reused by every block.  A block's features do
+    not depend on the rows around it, but their last bits depend on the
+    block's size, so callers that split the rows split at multiples of
+    FEATURE_BLOCK.  Features are independent of all value
     weights and of N by construction.  Each block is written to the result's
     rows: given out, the (P, H^L, width) rows of a features file, as soon as
     it is computed, and the result reads its features from there; otherwise
@@ -156,15 +165,17 @@ def compute_features(tokens: np.ndarray, logits: np.ndarray, readout: Readout,
     values = np.empty((n_heads**depth, width, n_ex)) if out is None else out
     result = PathFeatureMatrix(values=values, n_train=n_train, n_heads=n_heads, depth=depth)
     work = np.empty((2, width, min(FEATURE_BLOCK, n_ex) * n_tokens))
-    # A token block is freed only when the next one replaces it: freed first,
-    # with its attention stack, it would leave a block's worth of free memory
-    # at the top of the heap, which glibc's malloc hands back to the system and
-    # faults in again every block.
     for start in range(0, n_ex, FEATURE_BLOCK):
-        block = np.asarray(tokens[start : start + FEATURE_BLOCK], dtype=float)
+        stop = min(start + FEATURE_BLOCK, n_ex)
+        # the block's tokens, read TOKEN_READ rows at a time into the stack's
+        # GEMM operand; the (block, width, T) view of it is the block
+        operand = work[0, :, : (stop - start) * n_tokens].reshape(width, -1, n_tokens)
+        block = operand.transpose(1, 0, 2)
+        for a in range(start, stop, TOKEN_READ):
+            block[a - start : a - start + TOKEN_READ] = tokens[a : min(a + TOKEN_READ, stop)]
         omegas = attention_stack_batch(block, logits, readout, work)
         feats = path_features(block, omegas, readout)
-        result.rows[start : start + len(block)] = feats.transpose(2, 0, 1)
+        result.rows[start:stop] = feats.transpose(2, 0, 1)
         del feats, omegas
     return result
 
@@ -187,25 +198,30 @@ def path_pair_gram(features: PathFeatureMatrix) -> np.ndarray:
     One GEMM over the stacked training features; the total training kernel
     under U is then sum_{ab} U[a, b] C[a, b].  Costs A^2 P^2 doubles for A = H^L paths.
     """
+    if isinstance(features.values, TokenRows):
+        raise ValueError("path_pair_gram reads features in memory; take features.train()")
     n_paths, width, p = features.n_paths, features.width, features.n_train
     phi = features.values[:, :, :p].transpose(1, 0, 2).reshape(width, n_paths * p)
     gram = (phi.T @ phi) / n_paths
     return np.ascontiguousarray(gram.reshape(n_paths, p, n_paths, p).transpose(0, 2, 1, 3))
 
 
-def kernel_blocks(u1: np.ndarray, features: PathFeatureMatrix,
-                  eval_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def kernel_blocks(u1: np.ndarray, features: PathFeatureMatrix, eval_idx: np.ndarray,
+                  train: PathFeatureMatrix | None = None
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(train x train, eval x train, eval diagonal) blocks of the total kernel.
 
     Only these blocks are computed, never the full kernel.  U is read through
     its symmetric part, as total_kernel's symmetrized result reads it.  The
-    training block is read once; the eval examples are walked in
+    training block is features.train(), read here unless the caller already
+    holds it and passes it as train; the eval examples are walked in
     FEATURE_BLOCK chunks, so besides the returned blocks only one chunk's
     features are held (or read from the features file) at a time.
     """
     if features.n_train == 0:
         raise ValueError("feature matrix has an empty training block")
-    train = features.train()
+    if train is None:
+        train = features.train()
     k_train = total_kernel(u1, train)
     u = np.asarray(u1, dtype=float)
     u = 0.5 * (u + u.T)

@@ -37,7 +37,11 @@ one batched (T x w) @ (w x T) product per example; the einsum
 their operand and output anew.  Since xi_pi reads Omega_{L,h_L} only through
 the readout's column weights, attention_stack_batch given a readout builds
 the last layer at the columns those weights read, one column for a token
-readout: at L = 2 that halves the stack.  Earlier layers are needed in full.
+readout: at L = 2 that halves the stack.  That layer is again one GEMM, the
+read columns laid out as (P R, w) times M^T, and one batched product: the
+einsum's bits at half its time, except in the last bit at w = 1, and at
+T <= 3 for tokens read through work's layout (compute_features).
+Earlier layers are needed in full.
 """
 
 from __future__ import annotations
@@ -128,7 +132,9 @@ def attention_stack_batch(tokens: np.ndarray, logits: np.ndarray,
     (width, P T), then each example's (T, width) slice of that product times
     its tokens.  work, of shape (2, width, >= P T), holds that layout and that
     product; without it one is allocated here, and a caller that builds many
-    batches passes one array to all of them.  With a readout, the last layer is
+    batches passes one array to all of them.  Tokens are copied into that
+    layout unless they are already its (P, width, T) view, as
+    compute_features passes them.  With a readout, the last layer is
     built only at the query columns the readout reads; the softmax normalizes
     each column on its own, so those columns are the full stack's, and the
     other columns are 0.  Tokens and logits may come from files, so they are
@@ -149,7 +155,11 @@ def attention_stack_batch(tokens: np.ndarray, logits: np.ndarray,
     if work.dtype != float or work.shape[:2] != (2, width) or work.shape[2] < cols:
         raise ValueError(f"work must be a float (2, {width}, >= {cols}) array, got {work.shape}")
     xw, prod = work[0, :, :cols], work[1, :, :cols]
-    np.copyto(xw.reshape(width, n_ex, n_tokens), tokens.transpose(1, 0, 2))
+    layout = xw.reshape(width, n_ex, n_tokens).transpose(1, 0, 2)
+    if (tokens.ctypes.data, tokens.strides) != (layout.ctypes.data, layout.strides):
+        if np.may_share_memory(tokens, work):  # else the layout copy would overwrite them
+            tokens = tokens.copy()
+        np.copyto(layout, tokens)
     omegas = np.zeros((n_ex, depth, n_heads, n_tokens, n_tokens))
     for layer in range(depth):
         for head in range(n_heads):
@@ -158,8 +168,10 @@ def attention_stack_batch(tokens: np.ndarray, logits: np.ndarray,
                 scores = np.matmul(prod.reshape(width, n_ex, n_tokens).transpose(1, 2, 0), tokens)
                 _softmax_columns(scores, out=omegas[:, layer, head])
             else:
-                scores = np.einsum("pws,wv,pvc->psc", tokens, logits[layer, head],
-                                   tokens[:, :, read], optimize=True)
+                # (P R, width) read columns times M^T, then one product per example
+                queries = np.ascontiguousarray(tokens[:, :, read].transpose(0, 2, 1))
+                lifted = queries.reshape(-1, width) @ logits[layer, head].T
+                scores = np.matmul(lifted.reshape(queries.shape), tokens).transpose(0, 2, 1)
                 _softmax_columns(scores, out=scores)
                 omegas[:, layer, head][..., read] = scores
     return omegas

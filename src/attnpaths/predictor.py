@@ -73,12 +73,13 @@ class PredictorReport:
 
 
 def evaluate_predictor(u1: np.ndarray, features: PathFeatureMatrix, y_train: np.ndarray,
-                       eval_idx: np.ndarray, eval_labels: np.ndarray,
-                       temperature: float) -> PredictorReport:
-    """Assemble kernel blocks under u1 and score the evaluation examples."""
+                       eval_idx: np.ndarray, eval_labels: np.ndarray, temperature: float,
+                       train: PathFeatureMatrix | None = None) -> PredictorReport:
+    """Assemble kernel blocks under u1 and score the evaluation examples;
+    train, the caller's features.train() if it holds one, is not read again."""
     y_train = np.asarray(y_train, dtype=float)
     eval_labels = np.asarray(eval_labels)
-    k_train, k_cross, k_diag = kernel_blocks(u1, features, eval_idx)
+    k_train, k_cross, k_diag = kernel_blocks(u1, features, eval_idx, train)
     if y_train.shape != (k_train.shape[0],):
         raise ValueError(f"y_train must have shape ({k_train.shape[0]},), got {y_train.shape}")
     means = predictor_mean(k_train, k_cross, y_train, temperature)

@@ -322,7 +322,8 @@ def solve_saddle(features: PathFeatureMatrix, y: np.ndarray,
     iterate whose U-space action gradient infinity norm is at most
     TOLERANCE * (1 + |action|), after max_iter iterates, or when
     LINE_SEARCH_TRIALS halvings find no sufficient decrease (a trial point
-    where the action is not finite counts as none).  converged reports the
+    where the action is not finite, or not below the last, counts as none),
+    so accepted actions strictly decrease.  converged reports the
     gradient test at the returned iterate, which is the last one accepted.  A
     starting point where the action is not finite raises SolverFailure.
     Identical (features, y, config) reruns are bit-identical.
@@ -364,7 +365,9 @@ def solve_saddle(features: PathFeatureMatrix, y: np.ndarray,
             n_eval += 1
             x_new = x + step * direction
             got = _evaluate(x_new, sizes, feats, y, config, gram)
-            if got is not None and got[0][0] <= f0 + ARMIJO_C1 * step * slope0:
+            # Armijo alone accepts an equal action once its decrease term is
+            # below half an ulp of the action
+            if got is not None and got[0][0] < f0 and got[0][0] <= f0 + ARMIJO_C1 * step * slope0:
                 break
             step *= 0.5
         else:

@@ -368,13 +368,14 @@ def test_commands_never_read_the_whole_token_payload(tmp_path, monkeypatch):
     for command in ("pipeline", "sweep", "sample"):
         assert main([command, "--config", str(cfg), "--out", str(out), "--force"]) == 0
     assert main(["verify", "--out", str(out)]) == 0
-    # pipeline and sweep read 4 x 64 + 16 token rows each; pipeline then reads
-    # the 12 training feature rows for the solve, again for the kernel blocks,
-    # and the 260 test feature rows as 4 x 64 + 4; sample reads the 12
-    # training token rows, then its 260 test token rows as 4 x 64 + 4
-    blocks = [64] * 4 + [16]
+    # pipeline and sweep read their 272 token rows 8 at a time, straight into
+    # each 64-row block's GEMM operand; pipeline then reads the 12 training
+    # feature rows once, for the solve and the kernel blocks alike, and the 260
+    # test feature rows as 4 x 64 + 4; sample reads the 12 training token
+    # rows, then its 260 test token rows 8 at a time and the last 4
+    tokens = [8] * 34
     test_blocks = [64] * 4 + [4]
-    assert rows_read == (blocks + [12, 12] + test_blocks + blocks + [12] + test_blocks)
+    assert rows_read == (tokens + [12] + test_blocks + tokens + [12] + [8] * 32 + [4])
 
 
 def test_pipeline_memory_does_not_grow_with_the_feature_matrix(tmp_path):

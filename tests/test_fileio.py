@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from attnpaths import fileio, kernel
 from attnpaths.data import HmcTaskConfig, TokenRows, gen_hmc_dataset
@@ -167,6 +167,9 @@ def test_path_major_features_layout_is_rejected(tmp_path):
 @settings(max_examples=30, deadline=None)
 @given(n_ex=st.integers(1, 40), train_frac=st.floats(0, 1), chunk=st.integers(1, 17),
        ends=st.tuples(st.integers(0, 40), st.integers(0, 40)), seed=st.integers(0, 2**32 - 1))
+# one in-memory example gathered at index [0]: its row is already C-contiguous,
+# but the gather lays the example axis out outermost
+@example(n_ex=1, train_frac=0.0, chunk=1, ends=(0, 0), seed=15)
 def test_feature_rows_read_back_bit_for_bit(tmp_path_factory, n_ex, train_frac, chunk, ends,
                                             seed):
     # features written block by block into their file, then any contiguous

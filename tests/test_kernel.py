@@ -131,8 +131,8 @@ def _traced_peak(fn, *args):
 
 def test_compute_features_memory_does_not_grow_with_the_examples():
     # beyond its output, compute_features holds one GEMM operand and output,
-    # two token blocks and one block's attention stack at a time: at the
-    # default widths about 15 MB, four times a 3.7 MB block of 64 rows
+    # the block's tokens being the operand, and one block's attention stack at
+    # a time: at the default widths about 11 MB, three times a 3.7 MB block of 64 rows
     cfg = HmcTaskConfig()
     logits = build_hmc_attention(cfg, n_heads=2, depth=2, seed=0)
     base = np.random.default_rng(0).standard_normal((FEATURE_BLOCK, cfg.token_width,
@@ -144,6 +144,54 @@ def test_compute_features_memory_does_not_grow_with_the_examples():
         extra.append(peak - feats.values.nbytes)
     assert extra[1] <= extra[0] + 64 * 1024
     assert max(extra) < 20e6
+
+
+def test_file_backed_features_hold_no_token_block(tmp_path):
+    # a file-backed dataset's tokens are read a few rows at a time straight
+    # into the stack's GEMM operand, and the features go to their file: the
+    # call peaks below the GEMM operand and output plus one (64, width, T)
+    # token block, which a block read on its own would add
+    cfg = HmcTaskConfig(n_train=10, n_test=140)
+    fileio.write_dataset(tmp_path / "d.apkd", gen_hmc_dataset(cfg, seed=0))
+    dataset, _ = fileio.read_dataset(tmp_path / "d.apkd")
+    logits = build_hmc_attention(cfg, n_heads=2, depth=2, seed=0)
+    rows = fileio.create_features(tmp_path / "f.apkf", 2, 2, cfg.token_width,
+                                  dataset.n_examples, cfg.n_train)
+    _, peak = _traced_peak(compute_features, dataset.tokens, logits, Readout.token(1),
+                           cfg.n_train, rows)
+    assert peak < 3 * FEATURE_BLOCK * cfg.token_width * cfg.n_tokens * 8
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_heads=st.integers(1, 3), depth=st.integers(1, 3), width=st.integers(1, 6),
+       n_tokens=st.integers(1, 5), n_ex=st.integers(1, 40), block=st.integers(1, 17),
+       t_star=st.integers(0, 4) | st.none(), seed=st.integers(0, 2**32 - 1))
+def test_tokens_read_into_the_gemm_operand_property(tmp_path_factory, n_heads, depth, width,
+                                                     n_tokens, n_ex, block, t_star, seed):
+    # features from tokens in their file equal those from tokens in memory, bit
+    # for bit, in blocks of 1-17 examples (so a short last block occurs), into
+    # memory or into a features file
+    rng = np.random.default_rng(seed)
+    logits = _random_logits(rng, depth, n_heads, width)
+    tokens = rng.standard_normal((n_ex, width, n_tokens))
+    readout = Readout.average() if t_star is None else Readout.token(t_star % n_tokens)
+    d = tmp_path_factory.mktemp("tokens")
+    tokens.tofile(d / "t.bin")
+    in_file = TokenRows(d / "t.bin", 0, tokens.shape)
+    rows = fileio.create_features(d / "f.apkf", n_heads, depth, width, n_ex, 0)
+    with mock.patch.object(kernel, "FEATURE_BLOCK", block):
+        want = compute_features(tokens, logits, readout, 0).values
+        assert compute_features(in_file, logits, readout, 0).values.tobytes() == want.tobytes()
+        compute_features(in_file, logits, readout, 0, out=rows)
+    assert np.asarray(rows).tobytes() == want.transpose(2, 0, 1).tobytes()
+    # the stack skips its layout copy only for the operand's own view: given
+    # a work array, tokens elsewhere, or in work[0] in another layout, are copied
+    want = attention_stack_batch(tokens, logits, readout)
+    work = rng.standard_normal((2, width, n_ex * n_tokens))
+    assert attention_stack_batch(tokens, logits, readout, work).tobytes() == want.tobytes()
+    work[0] = tokens.reshape(width, -1)
+    in_work = work[0].reshape(tokens.shape)  # the tokens, row-major in work[0]
+    assert attention_stack_batch(in_work, logits, readout, work).tobytes() == want.tobytes()
 
 
 def test_kernel_blocks_memory_does_not_grow_with_the_eval_examples():
@@ -198,6 +246,17 @@ def test_path_pair_gram_pair_products():
     assert np.allclose(0.5 * (k + k.T), total_kernel(u1, feats.train()), atol=1e-12)
 
 
+def test_path_pair_gram_refuses_file_backed_features(tmp_path):
+    # as total_kernel does: a features file's rows are read through train()
+    rng = np.random.default_rng(31)
+    rows = fileio.create_features(tmp_path / "f.apkf", 2, 2, 3, 7, 5)
+    rows[:] = rng.standard_normal(rows.shape)
+    features, _ = fileio.read_features(tmp_path / "f.apkf")
+    with pytest.raises(ValueError, match="take features.train"):
+        path_pair_gram(features)
+    assert path_pair_gram(features.train()).shape == (4, 4, 5, 5)
+
+
 def test_total_kernel_linearity_in_u():
     rng = np.random.default_rng(4)
     feats = _random_features(rng)
@@ -236,6 +295,9 @@ def test_kernel_blocks_consistent_with_total():
     assert np.allclose(k_train, k[:5, :5])
     assert np.allclose(k_cross, k[np.ix_([5, 7], range(5))])
     assert np.allclose(k_diag, [k[5, 5], k[7, 7]])
+    # the caller's training block, passed on, gives the same bits
+    given = kernel_blocks(u1, feats, eval_idx, feats.train())
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(given, (k_train, k_cross, k_diag)))
     empty = PathFeatureMatrix(values=feats.values, n_train=0, n_heads=2, depth=2)
     with pytest.raises(ValueError):
         kernel_blocks(u1, empty, eval_idx)
