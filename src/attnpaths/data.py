@@ -20,14 +20,15 @@ draws, so a (config, seed) pair gives the same bits as that recipe.
 
 The handcrafted attention heads follow the block parameterization
 W = beta [[W_ff, W_fp], [W_pf, W_pp]] over the (feature, positional)
-coordinates with hardness beta = 10 for every head.
+coordinates, with one hardness beta (HmcTaskConfig.beta, 10 by default) for
+every head.
 
 Good heads: the layer-1 head attends a query's successor token when the state
 matches and the bos token otherwise.  With d = v+ - v- and v.d = N0 by
 construction, W_ff = d d^T / N0^2 puts the state-match logit at exactly +-1,
 the successor bonus at +1 and the bos row at 3/2, so the noiseless logit
 ordering is match+successor (2) > bos (3/2) > match (1) > 0 > mismatch (-1).
-The layer-2 head attends uniformly (W_pp all ones).
+The head of every later layer attends uniformly (W_pp all ones).
 
 Random heads: blocks with iid Gaussian entries scaled per subspace so every
 logit contribution is O(1): W_ff entries 1/N0, W_pp entries 1, W_fp and W_pf
@@ -277,52 +278,40 @@ def gen_hmc_dataset(config: HmcTaskConfig, seed: int) -> SequenceDataset:
     return SequenceDataset(tokens=tokens, labels=labels, n_train=config.n_train)
 
 
-def _block_matrix(w_ff: np.ndarray, w_fp: np.ndarray, w_pf: np.ndarray,
-                  w_pp: np.ndarray) -> np.ndarray:
-    top = np.concatenate([w_ff, w_fp], axis=1)
-    bottom = np.concatenate([w_pf, w_pp], axis=1)
-    return np.concatenate([top, bottom], axis=0)
-
-
-def build_good_heads(feature_width: int, chain_length: int,
-                     beta: float = 10.0) -> list[np.ndarray]:
+def build_good_heads(feature_width: int, chain_length: int, beta: float) -> list[np.ndarray]:
     """The two handcrafted logit matrices: state-matched successor/bos, then uniform."""
-    n0 = feature_width
-    t = chain_length
+    n0, t = feature_width, chain_length
     v_plus, v_minus = state_vectors(n0)
     d = v_plus - v_minus
-
-    w_ff = np.outer(d, d) / n0**2
-    w_pp = np.zeros((t + 1, t + 1))
-    w_pp[0, :] = 1.5
-    w_pp[np.arange(1, t + 1), np.arange(t)] = 1.0
-    zeros_fp = np.zeros((n0, t + 1))
-    layer1 = beta * _block_matrix(w_ff, zeros_fp, zeros_fp.T, w_pp)
-    layer2 = beta * _block_matrix(np.zeros((n0, n0)), zeros_fp, zeros_fp.T,
-                                  np.ones((t + 1, t + 1)))
-    return [layer1, layer2]
+    first, later = np.zeros((2, n0 + t + 1, n0 + t + 1))
+    first[:n0, :n0] = np.outer(d, d) / n0**2
+    first[n0, n0:] = 1.5
+    first[n0 + np.arange(1, t + 1), n0 + np.arange(t)] = 1.0
+    later[n0:, n0:] = 1.0
+    return [beta * first, beta * later]
 
 
-def build_random_head(feature_width: int, chain_length: int,
-                      rng: np.random.Generator, beta: float = 10.0) -> np.ndarray:
+def build_random_head(feature_width: int, chain_length: int, rng: np.random.Generator,
+                      beta: float) -> np.ndarray:
     """One random logit matrix; block scales keep every logit contribution O(1)."""
-    n0 = feature_width
-    t = chain_length
+    n0, t = feature_width, chain_length
     w_ff = rng.standard_normal((n0, n0)) / n0
     w_fp = rng.standard_normal((n0, t + 1)) / np.sqrt(n0)
     w_pf = rng.standard_normal((t + 1, n0)) / np.sqrt(n0)
     w_pp = rng.standard_normal((t + 1, t + 1))
-    return beta * _block_matrix(w_ff, w_fp, w_pf, w_pp)
+    return beta * np.block([[w_ff, w_fp], [w_pf, w_pp]])
 
 
 def build_hmc_attention(config: HmcTaskConfig, n_heads: int, depth: int,
                         seed: int) -> np.ndarray:
-    """Logits (depth, n_heads, width, width): head 0 of each layer is the good
-    head, the rest are random, seeded."""
-    if depth != 2:
-        raise ValueError("the handcrafted heads are defined for depth 2")
-    good = build_good_heads(config.feature_width, config.chain_length, config.beta)
+    """Logits (depth, n_heads, width, width), seeded.  Head 0 of layer 1 is the
+    successor/bos good head and head 0 of every later layer the uniform one;
+    every other head is random, drawn layer by layer, so the first L layers of
+    a deeper build are the depth-L build."""
+    if n_heads < 1 or depth < 1:
+        raise ValueError(f"need n_heads >= 1 and depth >= 1, got {n_heads}, {depth}")
+    first, later = build_good_heads(config.feature_width, config.chain_length, config.beta)
     rng = np.random.default_rng(seed)
-    return np.array([[good[layer]] + [
+    return np.array([[later if layer else first] + [
         build_random_head(config.feature_width, config.chain_length, rng, config.beta)
         for _ in range(1, n_heads)] for layer in range(depth)])

@@ -96,19 +96,17 @@ class PathFeatureMatrix:
         return replace(self, values=np.ascontiguousarray(rows.transpose(1, 2, 0)))
 
     def examples(self, idx: np.ndarray) -> np.ndarray:
-        """Features (H^L, width, n) of the examples idx, a view of an
-        (n, H^L, width) array: the values and strides of numpy's gather
-        values[:, :, idx].  Rows are read one run of consecutive indices at a time."""
+        """Feature rows (n, H^L, width) of the examples idx, a C-order array of
+        its own.  A features file's rows are read one run of consecutive indices
+        at a time."""
         idx = np.arange(self.n_examples)[idx]  # negative indices wrap, others past the end raise
+        if not isinstance(self.values, TokenRows):
+            return np.ascontiguousarray(self.rows[idx])
         if len(idx) == 0:
-            return np.empty((self.n_paths, self.width, 0))
+            return np.empty((0, self.n_paths, self.width))
         runs = np.split(idx, np.flatnonzero(np.diff(idx) != 1) + 1)
         parts = [np.asarray(self.rows[run[0] : run[-1] + 1]) for run in runs]
-        rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        # a C-order array of its own: an in-memory view of one example is
-        # C-contiguous, but its strides are not the gather's
-        rows = rows if rows.flags.owndata and rows.flags.c_contiguous else rows.copy()
-        return rows.transpose(1, 2, 0)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def path_features(tokens: np.ndarray, omegas: np.ndarray, readout: Readout) -> np.ndarray:
@@ -232,8 +230,8 @@ def kernel_blocks(u1: np.ndarray, features: PathFeatureMatrix, eval_idx: np.ndar
     for start in range(0, len(eval_idx), FEATURE_BLOCK):
         block = slice(start, start + FEATURE_BLOCK)
         evals = features.examples(eval_idx[block])
-        k_cross[block] = np.einsum("aie,aim->em", evals, lifted, optimize=True)
-        k_diag[block] = np.einsum("aie,ab,bie->e", evals, u, evals, optimize=True)
+        k_cross[block] = np.einsum("eai,aim->em", evals, lifted, optimize=True)
+        k_diag[block] = np.einsum("eai,ab,ebi->e", evals, u, evals, optimize=True)
     k_cross /= features.n_paths
     k_diag /= features.n_paths
     return k_train, k_cross, k_diag

@@ -300,5 +300,30 @@ def test_build_hmc_attention_layout():
     assert np.array_equal(logits, again)
     other = build_hmc_attention(cfg, n_heads=3, depth=2, seed=14)
     assert not np.array_equal(logits[0, 1], other[0, 1])
-    with pytest.raises(ValueError):
-        build_hmc_attention(cfg, n_heads=2, depth=3, seed=0)
+
+
+@pytest.mark.parametrize("n_heads", [1, 2, 3])
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_a_deeper_build_extends_the_shallower_one(n_heads, depth, seed):
+    # heads are drawn layer by layer, so one more layer leaves the first ones as they were
+    cfg = _small_config()
+    deeper = build_hmc_attention(cfg, n_heads, depth + 1, seed)
+    assert deeper.shape == (depth + 1, n_heads, cfg.token_width, cfg.token_width)
+    assert np.array_equal(deeper[:depth], build_hmc_attention(cfg, n_heads, depth, seed))
+
+
+def test_every_later_layer_has_the_uniform_good_head():
+    cfg = _small_config()
+    first, later = build_good_heads(cfg.feature_width, cfg.chain_length, cfg.beta)
+    logits = build_hmc_attention(cfg, n_heads=2, depth=4, seed=5)
+    assert np.array_equal(logits[0, 0], first)
+    for layer in range(1, 4):
+        assert np.array_equal(logits[layer, 0], later)
+        assert not np.array_equal(logits[layer, 1], logits[layer - 1, 1])
+
+
+@pytest.mark.parametrize("n_heads,depth", [(0, 2), (2, 0)])
+def test_build_hmc_attention_needs_a_head_and_a_layer(n_heads, depth):
+    with pytest.raises(ValueError, match="need n_heads >= 1 and depth >= 1"):
+        build_hmc_attention(_small_config(), n_heads, depth, seed=0)

@@ -147,7 +147,8 @@ def test_features_round_trip(tmp_path):
     assert isinstance(back.values, TokenRows)
     # example-major: one (H^L, width) row per example
     assert np.array_equal(np.asarray(back.values), feats.values.transpose(2, 0, 1))
-    assert np.array_equal(back.examples(np.arange(5)), feats.values)
+    rows = back.examples(np.arange(5))
+    assert np.array_equal(rows, feats.values.transpose(2, 0, 1)) and rows.flags.c_contiguous
     assert np.array_equal(back.train().values, feats.train().values)
     assert back.n_train == 3 and back.n_heads == 2 and back.depth == 2
     # an 80-byte header (magic, version, five fields, digest), then the values
@@ -167,8 +168,8 @@ def test_path_major_features_layout_is_rejected(tmp_path):
 @settings(max_examples=30, deadline=None)
 @given(n_ex=st.integers(1, 40), train_frac=st.floats(0, 1), chunk=st.integers(1, 17),
        ends=st.tuples(st.integers(0, 40), st.integers(0, 40)), seed=st.integers(0, 2**32 - 1))
-# one in-memory example gathered at index [0]: its row is already C-contiguous,
-# but the gather lays the example axis out outermost
+# one in-memory example gathered at index [0]: its row is already a C-contiguous
+# view of the values, which examples() must copy
 @example(n_ex=1, train_frac=0.0, chunk=1, ends=(0, 0), seed=15)
 def test_feature_rows_read_back_bit_for_bit(tmp_path_factory, n_ex, train_frac, chunk, ends,
                                             seed):
@@ -185,20 +186,21 @@ def test_feature_rows_read_back_bit_for_bit(tmp_path_factory, n_ex, train_frac, 
         written = compute_features(tokens, logits, Readout.token(1), n_train, out=rows)
     back, _ = fileio.read_features(p)
     a, b = sorted(end % (n_ex + 1) for end in ends)
-    # any index list: numpy's own gather of the in-memory values, value for
-    # value and stride for stride
+    # any index list: the rows of numpy's own gather of the in-memory values,
+    # value for value, in a C-order array of their own
     idx = rng.integers(-n_ex, n_ex, size=int(rng.integers(0, 9)))
     for feats in (want, written, back):
         got = feats.examples(np.arange(a, b))
-        assert got.tobytes() == want.values[:, :, a:b].tobytes()
+        assert got.tobytes() == want.values[:, :, a:b].transpose(2, 0, 1).tobytes()
         assert np.asarray(feats.rows[a:b]).tobytes() == (
             want.values[:, :, a:b].transpose(2, 0, 1).tobytes())
         train = feats.train().values
         assert train.tobytes() == want.values[:, :, :n_train].tobytes()
         assert train.flags.c_contiguous
-        got, gathered = feats.examples(idx), want.values[:, :, idx]
-        assert got.tobytes() == gathered.tobytes()
-        assert got.strides == gathered.strides or len(idx) == 0
+        got = feats.examples(idx)
+        assert got.tobytes() == want.values[:, :, idx].transpose(2, 0, 1).tobytes()
+        assert got.shape == (len(idx), 4, 5) and got.flags.c_contiguous
+        assert not np.shares_memory(got, want.values)
 
 
 def test_earlier_features_layout_is_rejected(tmp_path):
@@ -337,8 +339,8 @@ def test_arrays_cross_the_file_boundary_without_a_bytes_copy(tmp_path):
     assert read_peak <= 0.01 * payload
     assert block_peak <= 1.25 * block.nbytes + 64 * 1024
     assert np.array_equal(np.asarray(back.values), examples)
-    assert np.array_equal(block, examples[100:164].transpose(1, 2, 0))
-    assert block.base.flags.writeable and block.base.flags.owndata
+    assert np.array_equal(block, examples[100:164])
+    assert block.flags.c_contiguous and block.flags.writeable and block.flags.owndata
 
 
 def test_format_error_is_value_error():
