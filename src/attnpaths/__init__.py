@@ -4,7 +4,18 @@ A path picks one head per layer; the network output decomposes into a sum of
 per-path linear predictors, the Bayesian posterior over readout weights is a
 kernel machine built from path features, and the finite-width posterior is
 characterized by a path-pair order parameter solved from a saddle-point action.
+
+Importing the package sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS to 1 where they are unset, before its first numpy import:
+compute_features runs one worker per CPU, each on one BLAS thread.  Values
+the user set are kept.  They take effect only where numpy was not imported
+first; otherwise BLAS keeps the thread count it started with.
 """
+
+import os as _os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    _os.environ.setdefault(_var, "1")
 
 from .paths import path_heads
 from .model import Readout

@@ -10,7 +10,8 @@ Subcommands wrap the library stages file-to-file:
     verify     recompute the config digest and check every artifact in a run directory
 
 Flags: --out DIR; --config PATH, --seed INT and --force but for verify;
---strict for pipeline, sweep and sample; --threads INT (at least 1) for pipeline.
+--strict for pipeline, sweep and sample; --threads INT (at least 1) for pipeline,
+the cap on compute_features' workers (default: every usable CPU).
 The resolved configuration is written next to the outputs and its sha256
 digest is embedded in every artifact; reruns with identical config and seed
 produce byte-identical files.  The APK_LOG environment variable sets the log
@@ -30,7 +31,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -39,7 +39,7 @@ import numpy as np
 from . import fileio
 from .analysis import head_scores
 from .data import HmcTaskConfig, build_hmc_attention, gen_hmc_dataset
-from .kernel import FEATURE_BLOCK, compute_features, kernel_task_alignment, total_kernel
+from .kernel import compute_features, kernel_task_alignment, total_kernel
 from .model import Readout, check_logits
 from .predictor import DEFAULT_TEMPERATURE_GRID, evaluate_predictor, temperature_sweep
 from .sampler import HmcConfig, empirical_order_parameter, empirical_predictor, hmc_sample
@@ -190,21 +190,6 @@ def _load_inputs(out: Path, config: dict):
     return dataset, logits, _readout(config, dataset.tokens.shape[2])
 
 
-def _features_threaded(tokens, logits: np.ndarray, readout: Readout, threads: int, rows) -> None:
-    """compute_features into the rows of a features file, on up to threads workers."""
-    n_blocks = -(-len(tokens) // FEATURE_BLOCK)
-    if threads == 1 or n_blocks < 2:
-        compute_features(tokens, logits, readout, 0, out=rows)
-        return
-    # each worker takes a contiguous run of whole blocks, so every block, and
-    # so every feature bit, is the serial run's; it writes its own rows
-    runs = np.array_split(np.arange(n_blocks), min(threads, n_blocks))
-    starts = [FEATURE_BLOCK * int(run[0]) for run in runs] + [len(tokens)]
-    with ThreadPoolExecutor(max_workers=len(runs)) as pool:
-        list(pool.map(lambda a, b: compute_features(tokens[a:b], logits, readout, 0, out=rows[a:b]),
-                      starts[:-1], starts[1:]))
-
-
 def cmd_gen_data(args) -> int:
     config = _load_config(args)
     task = HmcTaskConfig(**config["task"])
@@ -226,7 +211,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    if args.threads < 1:
+    if args.threads is not None and args.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
     config = _load_config(args)
     outputs = ["features.apkf", "u1.apku", "u1.csv", "trace.csv", "predictor.csv",
@@ -243,7 +228,7 @@ def cmd_pipeline(args) -> int:
     partial = out / "features.apkf.partial"
     rows = fileio.create_features(partial, n_heads, depth, dataset.token_width,
                                   dataset.n_examples, dataset.n_train, digest)
-    _features_threaded(dataset.tokens, logits, readout, args.threads, rows)
+    compute_features(dataset.tokens, logits, readout, 0, out=rows, workers=args.threads)
     del logits  # not read again; the solve below is where memory peaks
     os.replace(partial, out / "features.apkf")
     features, _ = fileio.read_features(out / "features.apkf")
@@ -412,7 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed": {"type": int, "default": None, "help": "override the config seed"},
         "--force": {"action": "store_true", "help": "overwrite existing outputs"},
         "--strict": {"action": "store_true", "help": "fail on quality warnings"},
-        "--threads": {"type": int, "default": 1, "help": "worker thread cap"},
+        "--threads": {"type": int, "default": None,
+                      "help": "feature worker cap (default: every usable CPU)"},
         "--out": {"required": True, "help": "run directory"},
     }
     common = ("--config", "--seed", "--force")

@@ -16,15 +16,23 @@ compute_features builds one attention stack per example, its last layer only
 at the readout's columns (see attnpaths.model).  path_features then takes
 T^2 (H + ... + H^L) + width T H^L multiply-adds per example, under 1 % of one
 full attention layer at the default sizes (H = L = 2, width 231, T = 31).
-Examples go through in blocks of FEATURE_BLOCK = 64: at the default sizes
-each of the stack's GEMM operand and output takes 3.7 MB, near a 4 MiB L2
-cache.  The operand and output are allocated once per call and reused by
-every block; a block's tokens are read TOKEN_READ rows at a time straight
-into the operand, whose (block, width, T) view is the block's tokens for the
-stack and for path_features, so no block of tokens is held besides it.  The
-last bits of a feature depend on the size of its block (up to 1e-14 relative
-between blocks of 64 and 256), so results are reproducible at a fixed
-FEATURE_BLOCK.  kernel_blocks walks the eval examples in blocks of the same size.
+Examples go through in blocks of FEATURE_BLOCK = 32 on W worker threads, by
+default one per usable CPU, the calling thread being one; every BLAS call
+runs on one thread (attnpaths sets the thread variables on import), so the
+workers, not BLAS, use the cores, and the score products, softmaxes and
+path_features, which BLAS never spreads, run on all of them too.  Each
+worker takes whole blocks and allocates its own GEMM operand and output
+once, reusing them for every block it takes: 1.8 MB each at the default
+sizes, so W workers hold W x 32 examples in flight, on two cores what one
+64-example block held.  A block's tokens are read TOKEN_READ rows at a time
+straight into its worker's operand, whose (block, width, T) view is the
+block's tokens for the stack and for path_features, so no block of tokens
+is held besides it.  The last bits of a feature depend on the size of its
+block (up to 1e-14 relative between blocks of 32 and 256), never on the
+worker that computed it, so results are reproducible at a fixed
+FEATURE_BLOCK on any core count.  kernel_blocks walks the eval examples in
+blocks of the same size: one GEMM per block for the cross kernel, one
+batched product and vecdot for its diagonal.
 
 A feature matrix may also stay in its file (fileio.read_features), example
 by example as (P, H^L, width) rows; its rows property is that view of either
@@ -36,6 +44,9 @@ example's features.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -126,29 +137,34 @@ def path_features(tokens: np.ndarray, omegas: np.ndarray, readout: Readout) -> n
     return np.matmul(tokens, vecs).transpose(2, 1, 0) / np.sqrt(width)
 
 
-FEATURE_BLOCK = 64  # examples per attention-stack batch and per eval block
+FEATURE_BLOCK = 32  # examples per attention-stack batch and per eval block
 TOKEN_READ = 8  # token rows read at a time into a block's GEMM operand
 
 
 def compute_features(tokens: np.ndarray, logits: np.ndarray, readout: Readout,
-                     n_train: int, out: TokenRows | None = None) -> PathFeatureMatrix:
+                     n_train: int, out: TokenRows | None = None,
+                     workers: int | None = None) -> PathFeatureMatrix:
     """Path features of tokens (P, width, T) under logits (L, H, width, width).
 
-    Examples are processed in blocks of FEATURE_BLOCK rows: each block's
-    tokens are read TOKEN_READ rows at a time (tokens may be TokenRows left in
-    their file) into the stacks' GEMM operand, laid out as (width, block, T),
-    its attention stack is built from that operand, its last layer at the
-    readout's columns only, and the block is handed to path_features, which
+    Examples are processed in blocks of FEATURE_BLOCK rows on up to workers
+    threads (default: every CPU this process may run on), the calling thread
+    being one of them.  Each worker takes whole blocks one at a time: it reads
+    a block's tokens TOKEN_READ rows at a time (tokens may be TokenRows left in
+    their file) into its stacks' GEMM operand, laid out as (width, block, T),
+    builds the block's attention stack from that operand, its last layer at
+    the readout's columns only, and hands the block to path_features, which
     bounds the intermediate storage by the block's (L, H, T, T) attention
-    matrices.  The GEMM operand and output, 2 width T FEATURE_BLOCK doubles,
-    are allocated once here and reused by every block.  A block's features do
-    not depend on the rows around it, but their last bits depend on the
-    block's size, so callers that split the rows split at multiples of
-    FEATURE_BLOCK.  Features are independent of all value
+    matrices.  Each worker allocates its GEMM operand and output, 2 width T
+    FEATURE_BLOCK doubles, once and reuses them for every block it takes.  A
+    block's features do not depend on the rows around it or on the worker
+    that computed it, so they do not depend on workers, but their last bits
+    depend on the block's size: callers that split the rows split at
+    multiples of FEATURE_BLOCK.  Features are independent of all value
     weights and of N by construction.  Each block is written to the result's
     rows: given out, the (P, H^L, width) rows of a features file, as soon as
     it is computed, and the result reads its features from there; otherwise
-    they are kept in memory.
+    they are kept in memory.  An error in any worker is raised here once
+    every worker has stopped.
     """
     shape = np.shape(tokens)
     if len(shape) != 3:
@@ -159,22 +175,47 @@ def compute_features(tokens: np.ndarray, logits: np.ndarray, readout: Readout,
     if out is not None and out.shape != (n_ex, n_heads**depth, width):
         raise ValueError(f"feature rows {out.shape} do not fit {n_ex} examples of "
                          f"{n_heads**depth} paths and width {width}")
+    if workers is None:
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
 
     values = np.empty((n_heads**depth, width, n_ex)) if out is None else out
     result = PathFeatureMatrix(values=values, n_train=n_train, n_heads=n_heads, depth=depth)
-    work = np.empty((2, width, min(FEATURE_BLOCK, n_ex) * n_tokens))
-    for start in range(0, n_ex, FEATURE_BLOCK):
-        stop = min(start + FEATURE_BLOCK, n_ex)
-        # the block's tokens, read TOKEN_READ rows at a time into the stack's
-        # GEMM operand; the (block, width, T) view of it is the block
-        operand = work[0, :, : (stop - start) * n_tokens].reshape(width, -1, n_tokens)
-        block = operand.transpose(1, 0, 2)
-        for a in range(start, stop, TOKEN_READ):
-            block[a - start : a - start + TOKEN_READ] = tokens[a : min(a + TOKEN_READ, stop)]
-        omegas = attention_stack_batch(block, logits, readout, work)
-        feats = path_features(block, omegas, readout)
-        result.rows[start:stop] = feats.transpose(2, 0, 1)
-        del feats, omegas
+    starts = iter(range(0, n_ex, FEATURE_BLOCK))
+    taking = threading.Lock()
+
+    def take():
+        """The first row of a block no worker has taken, or None."""
+        with taking:
+            return next(starts, None)
+
+    def work_through_blocks():
+        work = np.empty((2, width, min(FEATURE_BLOCK, n_ex) * n_tokens))
+        try:
+            for start in iter(take, None):
+                stop = min(start + FEATURE_BLOCK, n_ex)
+                # the block's tokens, read TOKEN_READ rows at a time into the
+                # stack's GEMM operand; the (block, width, T) view of it is the block
+                operand = work[0, :, : (stop - start) * n_tokens].reshape(width, -1, n_tokens)
+                block = operand.transpose(1, 0, 2)
+                for a in range(start, stop, TOKEN_READ):
+                    block[a - start : a - start + TOKEN_READ] = tokens[a : min(a + TOKEN_READ, stop)]
+                omegas = attention_stack_batch(block, logits, readout, work)
+                feats = path_features(block, omegas, readout)
+                result.rows[start:stop] = feats.transpose(2, 0, 1)
+                del feats, omegas
+        except BaseException:
+            with taking:
+                for _ in starts:  # the other workers take no new block
+                    pass
+            raise
+
+    n_workers = min(workers, -(-n_ex // FEATURE_BLOCK))
+    with ThreadPoolExecutor(max(n_workers - 1, 1)) as pool:  # starts a thread per submit only
+        others = [pool.submit(work_through_blocks) for _ in range(n_workers - 1)]
+        work_through_blocks()
+        for other in others:
+            other.result()
     return result
 
 
@@ -224,14 +265,15 @@ def kernel_blocks(u1: np.ndarray, features: PathFeatureMatrix, eval_idx: np.ndar
     u = np.asarray(u1, dtype=float)
     u = 0.5 * (u + u.T)
     eval_idx = np.asarray(eval_idx, dtype=np.int64)
-    lifted = np.tensordot(u, train.values, axes=(1, 0))
+    lifted = np.tensordot(u, train.values, axes=(1, 0)).reshape(-1, features.n_train)
     k_cross = np.empty((len(eval_idx), features.n_train))
     k_diag = np.empty(len(eval_idx))
     for start in range(0, len(eval_idx), FEATURE_BLOCK):
         block = slice(start, start + FEATURE_BLOCK)
         evals = features.examples(eval_idx[block])
-        k_cross[block] = np.einsum("eai,aim->em", evals, lifted, optimize=True)
-        k_diag[block] = np.einsum("eai,ab,ebi->e", evals, u, evals, optimize=True)
+        flat = evals.reshape(len(evals), -1)  # (n, H^L width)
+        k_cross[block] = flat @ lifted
+        k_diag[block] = np.vecdot(flat, np.matmul(u, evals).reshape(flat.shape))
     k_cross /= features.n_paths
     k_diag /= features.n_paths
     return k_train, k_cross, k_diag

@@ -333,18 +333,20 @@ def test_pipeline_threads_match_serial(tmp_path):
 
 
 def test_pipeline_threads_match_serial_across_feature_blocks(tmp_path):
-    # 532 examples span nine 64-row feature blocks; a split at P / threads
-    # moves the block edges, and with them the last bits of some features
+    # 532 examples span seventeen 32-row feature blocks; each worker takes
+    # whole blocks, so no worker count moves a block edge, which would move
+    # the last bits of some features
     task = {"chain_length": 8, "feature_width": 40, "n_train": 12, "n_test": 520}
     cfg, out = _gen(tmp_path, task=task, solver={"gp_limit": True})
     artifacts = {}
-    for threads in (1, 2, 3):
-        assert main(["pipeline", "--config", str(cfg), "--out", str(out), "--force",
-                     "--threads", str(threads)]) == 0
+    for threads in (1, 2, 3, None):
+        flag = [] if threads is None else ["--threads", str(threads)]
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out), "--force", *flag]) == 0
         artifacts[threads] = [(out / name).read_bytes()
                               for name in ("features.apkf", "predictor.csv")]
     assert artifacts[2] == artifacts[1]
     assert artifacts[3] == artifacts[1]
+    assert artifacts[None] == artifacts[1]
 
 
 def test_commands_never_read_the_whole_token_payload(tmp_path, monkeypatch):
@@ -357,30 +359,34 @@ def test_commands_never_read_the_whole_token_payload(tmp_path, monkeypatch):
                     sampler={"n_chains": 2, "n_warmup": 4, "n_samples": 4, "thin": 2,
                              "n_leapfrog": 4})
     read = fileio.TokenRows.__array__
-    rows_read = []
+    rows_read = {}
 
     def guarded(rows, *args, **kwargs):
         assert len(rows) < 272, "the whole token or feature payload was read"
-        rows_read.append(len(rows))
+        rows_read[command].append(len(rows))
         return read(rows, *args, **kwargs)
 
     monkeypatch.setattr(fileio.TokenRows, "__array__", guarded)
     for command in ("pipeline", "sweep", "sample"):
+        rows_read[command] = []
         assert main([command, "--config", str(cfg), "--out", str(out), "--force"]) == 0
     assert main(["verify", "--out", str(out)]) == 0
     # pipeline and sweep read their 272 token rows 8 at a time, straight into
-    # each 64-row block's GEMM operand; pipeline then reads the 12 training
+    # each 32-row block's GEMM operand; pipeline then reads the 12 training
     # feature rows once, for the solve and the kernel blocks alike, and the 260
-    # test feature rows as 4 x 64 + 4; sample reads the 12 training token
-    # rows, then its 260 test token rows 8 at a time and the last 4
+    # test feature rows as 8 x 32 + 4; sample reads the 12 training token
+    # rows, then its 260 test token rows 8 at a time and the last 4.  The
+    # feature workers read in any order, and only then does anything else read
     tokens = [8] * 34
-    test_blocks = [64] * 4 + [4]
-    assert rows_read == (tokens + [12] + test_blocks + tokens + [12] + [8] * 32 + [4])
+    assert rows_read["pipeline"] == tokens + [12] + [32] * 8 + [4]
+    assert rows_read["sweep"] == tokens
+    assert rows_read["sample"][0] == 12
+    assert sorted(rows_read["sample"][1:]) == [4] + [8] * 32
 
 
 def test_pipeline_memory_does_not_grow_with_the_feature_matrix(tmp_path):
-    # pipeline holds the training features and one 64-example block of the
-    # others, never the whole (H^L, width, P) matrix: from 300 to 3000 test
+    # pipeline holds the training features and one 32-example block of the
+    # others per feature worker, never the whole (H^L, width, P) matrix: from 300 to 3000 test
     # examples its peak may grow by the cross-kernel block and the other
     # per-example outputs (mean, variance, kernel diagonal, the CSV row; under
     # 512 bytes each here), not by the 4 x 70 doubles of each example's features
@@ -409,8 +415,8 @@ def test_an_interrupted_pipeline_leaves_no_features_file(tmp_path, monkeypatch):
     cfg, out = _gen(tmp_path, solver={"gp_limit": True})
     real = cli_mod.compute_features
 
-    def stops_halfway(tokens, logits, readout, n_train, out=None):
-        real(tokens[:1], logits, readout, 0, out=out[:1])
+    def stops_halfway(tokens, logits, readout, n_train, out=None, workers=None):
+        real(tokens[:1], logits, readout, 0, out=out[:1], workers=workers)
         raise OSError("no space left on device")
 
     monkeypatch.setattr(cli_mod, "compute_features", stops_halfway)
@@ -753,6 +759,22 @@ def test_solving_commands_leave_scipy_unloaded(tmp_path):
     assert out.stdout.strip() == "[False, False, False]"
     summary = json.loads((tmp_path / "run" / "predictor_summary.json").read_text())
     assert summary["solver_used"] is True
+
+
+@pytest.mark.parametrize("preset", [None, "3"], ids=["unset", "set"])
+def test_import_sets_one_blas_thread_unless_the_user_set_one(preset):
+    # compute_features runs one worker per CPU, each on one BLAS thread; a
+    # thread count the user set is kept
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    src = str(Path(attnpaths.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    probe = f"import os, attnpaths\nprint([os.environ.get(name) for name in {names!r}])\n"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == str([preset or "1", "1", "1"])
 
 
 def test_missing_input_files(tmp_path, capsys):

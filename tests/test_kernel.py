@@ -1,4 +1,8 @@
+import sys
+import threading
+import time
 import tracemalloc
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -130,36 +134,45 @@ def _traced_peak(fn, *args):
 
 
 def test_compute_features_memory_does_not_grow_with_the_examples():
-    # beyond its output, compute_features holds one GEMM operand and output,
-    # the block's tokens being the operand, and one block's attention stack at
-    # a time: at the default widths about 11 MB, three times a 3.7 MB block of 64 rows
+    # beyond its output, each worker holds one GEMM operand and output, the
+    # block's tokens being the operand, and one block's attention stack at a
+    # time: at the default widths about 5.5 MB per worker of 32 rows, 11 MB for
+    # two.  The growth check runs on one worker, whose peak is the same on
+    # every run; two workers' peak also depends on whether their stacks
+    # happen to be built at the same time
     cfg = HmcTaskConfig()
     logits = build_hmc_attention(cfg, n_heads=2, depth=2, seed=0)
     base = np.random.default_rng(0).standard_normal((FEATURE_BLOCK, cfg.token_width,
                                                      cfg.n_tokens))
-    extra = []
+    extra = {1: [], 2: []}
     for n_blocks in (4, 16):
         rows = _RepeatedRows(base, n_blocks * FEATURE_BLOCK)
-        feats, peak = _traced_peak(compute_features, rows, logits, Readout.token(1), 0)
-        extra.append(peak - feats.values.nbytes)
-    assert extra[1] <= extra[0] + 64 * 1024
-    assert max(extra) < 20e6
+        for workers in extra:
+            feats, peak = _traced_peak(partial(compute_features, workers=workers), rows, logits,
+                                       Readout.token(1), 0)
+            extra[workers].append(peak - feats.values.nbytes)
+    assert extra[1][1] <= extra[1][0] + 64 * 1024
+    assert max(extra[2]) < 20e6
 
 
 def test_file_backed_features_hold_no_token_block(tmp_path):
     # a file-backed dataset's tokens are read a few rows at a time straight
-    # into the stack's GEMM operand, and the features go to their file: the
-    # call peaks below the GEMM operand and output plus one (64, width, T)
-    # token block, which a block read on its own would add
+    # into each worker's GEMM operand, and the features go to their file: the
+    # call peaks below the GEMM operands and outputs plus one token block of
+    # the examples in flight (workers x FEATURE_BLOCK), which block reads on
+    # their own would add
     cfg = HmcTaskConfig(n_train=10, n_test=140)
     fileio.write_dataset(tmp_path / "d.apkd", gen_hmc_dataset(cfg, seed=0))
     dataset, _ = fileio.read_dataset(tmp_path / "d.apkd")
     logits = build_hmc_attention(cfg, n_heads=2, depth=2, seed=0)
     rows = fileio.create_features(tmp_path / "f.apkf", 2, 2, cfg.token_width,
                                   dataset.n_examples, cfg.n_train)
-    _, peak = _traced_peak(compute_features, dataset.tokens, logits, Readout.token(1),
-                           cfg.n_train, rows)
-    assert peak < 3 * FEATURE_BLOCK * cfg.token_width * cfg.n_tokens * 8
+    workers = 2
+    _, peak = _traced_peak(partial(compute_features, workers=workers), dataset.tokens, logits,
+                           Readout.token(1), cfg.n_train, rows)
+    in_flight = workers * FEATURE_BLOCK
+    assert peak < 3 * in_flight * cfg.token_width * cfg.n_tokens * 8
+    assert in_flight <= 64  # the bound is no looser than one 64-example block's
 
 
 @settings(max_examples=40, deadline=None)
@@ -170,7 +183,7 @@ def test_tokens_read_into_the_gemm_operand_property(tmp_path_factory, n_heads, d
                                                      n_tokens, n_ex, block, t_star, seed):
     # features from tokens in their file equal those from tokens in memory, bit
     # for bit, in blocks of 1-17 examples (so a short last block occurs), into
-    # memory or into a features file
+    # memory or into a features file, on one, two or three workers
     rng = np.random.default_rng(seed)
     logits = _random_logits(rng, depth, n_heads, width)
     tokens = rng.standard_normal((n_ex, width, n_tokens))
@@ -178,12 +191,16 @@ def test_tokens_read_into_the_gemm_operand_property(tmp_path_factory, n_heads, d
     d = tmp_path_factory.mktemp("tokens")
     tokens.tofile(d / "t.bin")
     in_file = TokenRows(d / "t.bin", 0, tokens.shape)
-    rows = fileio.create_features(d / "f.apkf", n_heads, depth, width, n_ex, 0)
     with mock.patch.object(kernel, "FEATURE_BLOCK", block):
-        want = compute_features(tokens, logits, readout, 0).values
-        assert compute_features(in_file, logits, readout, 0).values.tobytes() == want.tobytes()
-        compute_features(in_file, logits, readout, 0, out=rows)
-    assert np.asarray(rows).tobytes() == want.transpose(2, 0, 1).tobytes()
+        want = compute_features(tokens, logits, readout, 0, workers=1).values
+        for workers in (1, 2, 3):
+            got = compute_features(tokens, logits, readout, 0, workers=workers).values
+            assert got.tobytes() == want.tobytes()
+            got = compute_features(in_file, logits, readout, 0, workers=workers).values
+            assert got.tobytes() == want.tobytes()
+            rows = fileio.create_features(d / f"f{workers}.apkf", n_heads, depth, width, n_ex, 0)
+            compute_features(in_file, logits, readout, 0, out=rows, workers=workers)
+            assert np.asarray(rows).tobytes() == want.transpose(2, 0, 1).tobytes()
     # the stack skips its layout copy only for the operand's own view: given
     # a work array, tokens elsewhere, or in work[0] in another layout, are copied
     want = attention_stack_batch(tokens, logits, readout)
@@ -192,6 +209,72 @@ def test_tokens_read_into_the_gemm_operand_property(tmp_path_factory, n_heads, d
     work[0] = tokens.reshape(width, -1)
     in_work = work[0].reshape(tokens.shape)  # the tokens, row-major in work[0]
     assert attention_stack_batch(in_work, logits, readout, work).tobytes() == want.tobytes()
+
+
+def test_workers_take_every_block_once_under_fast_thread_switching(tmp_path):
+    # more workers than cores, one-example blocks and a thread switch every
+    # microsecond: each block is still built once, by one worker, and every
+    # row is written, in memory and into a features file
+    rng = np.random.default_rng(7)
+    logits = _random_logits(rng, 2, 2, 3)
+    tokens = rng.standard_normal((60, 3, 4))
+    built = []
+    real = kernel.attention_stack_batch
+
+    def counted(block, *args):
+        built.append(len(block))  # list.append is atomic
+        return real(block, *args)
+
+    rows = fileio.create_features(tmp_path / "f.apkf", 2, 2, 3, 60, 0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(kernel, "FEATURE_BLOCK", 1), \
+                mock.patch.object(kernel, "attention_stack_batch", counted):
+            want = compute_features(tokens, logits, Readout.token(1), 0, workers=1).values
+            got = compute_features(tokens, logits, Readout.token(1), 0, workers=8).values
+            compute_features(tokens, logits, Readout.token(1), 0, out=rows, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert built == [1] * 180
+    assert got.tobytes() == want.tobytes()
+    assert np.asarray(rows).tobytes() == want.transpose(2, 0, 1).tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_an_error_in_a_worker_surfaces_from_the_call(tmp_path, workers):
+    # a token file cut short in its eighth block: the worker that takes a
+    # block past the cut fails, and the call raises its error
+    rng = np.random.default_rng(5)
+    tokens = rng.standard_normal((10 * FEATURE_BLOCK, 3, 4))
+    tokens[: 7 * FEATURE_BLOCK + 5].tofile(tmp_path / "t.bin")
+    in_file = TokenRows(tmp_path / "t.bin", 0, tokens.shape)
+    with pytest.raises(OSError, match="token rows end at byte"):
+        compute_features(in_file, _random_logits(rng, 2, 2, 3), Readout.token(1), 0,
+                         workers=workers)
+
+
+class _ReadOffTheCallingThreadFails(_RepeatedRows):
+    """Token rows whose reads fail on every thread but the calling one, where
+    they are slow, so the pool's workers take blocks and fail."""
+
+    calling_reads = 0
+
+    def __getitem__(self, rows):
+        if threading.current_thread() is not threading.main_thread():
+            raise OSError("read failed on a pool worker")
+        self.calling_reads += 1
+        time.sleep(0.005)
+        return super().__getitem__(rows)
+
+
+def test_an_error_in_a_pool_worker_surfaces_from_the_call():
+    # and once a worker has failed, the calling thread takes no new block
+    rng = np.random.default_rng(6)
+    rows = _ReadOffTheCallingThreadFails(rng.standard_normal((1, 3, 4)), 16 * FEATURE_BLOCK)
+    with pytest.raises(OSError, match="read failed on a pool worker"):
+        compute_features(rows, _random_logits(rng, 2, 2, 3), Readout.token(1), 0, workers=2)
+    assert rows.calling_reads <= 2 * FEATURE_BLOCK // kernel.TOKEN_READ
 
 
 def test_kernel_blocks_memory_does_not_grow_with_the_eval_examples():

@@ -108,14 +108,14 @@ def test_attention_stack_batch_matches_single(depth, n_heads, width, n_tokens, n
 @pytest.mark.parametrize("readout", [Readout.token(1), None], ids=["token", "full"])
 def test_two_gemm_stack_equals_the_einsum_bit_for_bit(readout):
     # the benchmark shapes: width 231, T = 31, the sampler's 12 and 50 training
-    # rows, a 64-row feature block, one row and 100 rows; a reused work array
+    # rows, a 32-row feature block, 64 rows, one row and 100 rows; a reused work array
     # larger than needed gives the same bits as a fresh one, and the in-place
     # softmax the same bits as the oracle's out-of-place one
     cfg = HmcTaskConfig()
     logits = build_hmc_attention(cfg, n_heads=2, depth=2, seed=0)
     rng = np.random.default_rng(0)
     work = np.full((2, cfg.token_width, 100 * cfg.n_tokens), np.nan)
-    for n_ex in (1, 12, 50, 64, 100):
+    for n_ex in (1, 12, 32, 50, 64, 100):
         tokens = rng.standard_normal((n_ex, cfg.token_width, cfg.n_tokens))
         want = attention_stack_einsum(tokens, logits, readout)
         assert np.array_equal(attention_stack_batch(tokens, logits, readout), want)
