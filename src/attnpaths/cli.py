@@ -146,10 +146,13 @@ def _prepare_out(args, config: dict, outputs: list) -> tuple[Path, str]:
 
 
 def _readout(config: dict, n_tokens: int) -> Readout:
-    """The model's readout, checked against the token count."""
-    readout = Readout(kind=config["model"]["readout"], t_star=config["model"]["t_star"])
-    readout.column_weights(n_tokens)  # rejects a t_star past the last token
-    return readout
+    """The model's token readout, checked against the token count."""
+    model = config["model"]
+    if model["readout"] != "token":
+        raise ValueError(f"readout kind must be 'token', got {model['readout']!r}")
+    if model["t_star"] >= n_tokens:
+        raise ValueError(f"t_star={model['t_star']} out of range for {n_tokens} tokens")
+    return Readout.token(model["t_star"])
 
 
 def _solver_config(config: dict, n_train: int) -> SolverConfig:

@@ -13,7 +13,7 @@ the training block only: H^(2L) * P^2 doubles, which the solver builds once
 per solve and only below its memory bound.
 
 compute_features builds one attention stack per example, its last layer only
-at the readout's columns (see attnpaths.model).  path_features then takes
+at the read column t* (see attnpaths.model).  path_features then takes
 T^2 (H + ... + H^L) + width T H^L multiply-adds per example, under 1 % of one
 full attention layer at the default sizes (H = L = 2, width 231, T = 31).
 Examples go through in blocks of FEATURE_BLOCK = 32 on W worker threads, by
@@ -123,15 +123,15 @@ class PathFeatureMatrix:
 def path_features(tokens: np.ndarray, omegas: np.ndarray, readout: Readout) -> np.ndarray:
     """Features (H^L, width, P) of tokens (P, width, T) under omegas (P, L, H, T, T).
 
-    Chains are contracted right to left: the readout column goes through the
-    attention matrices as matrix-vector products, last layer first, so suffix
-    products land in canonical flat order; one tokens contraction ends them all.
+    Chains are contracted right to left: the last layer's columns t*, one per
+    head, go through the earlier attention matrices as matrix-vector
+    products, so suffix products land in canonical flat order; one tokens
+    contraction ends them all.
     """
     n_ex, width, n_tokens = tokens.shape
-    depth, n_heads = omegas.shape[1:3]
-    # (P, T, suffixes); each layer multiplies the suffix count by H
-    vecs = np.broadcast_to(readout.column_weights(n_tokens)[None, :, None], (n_ex, n_tokens, 1))
-    for layer in reversed(range(depth)):
+    # (P, T, suffixes); each earlier layer multiplies the suffix count by H
+    vecs = np.ascontiguousarray(omegas[:, -1, :, :, readout.t_star]).transpose(0, 2, 1)
+    for layer in reversed(range(omegas.shape[1] - 1)):
         vecs = np.matmul(omegas[:, layer], vecs[:, None])   # (P, H, T, suffixes)
         vecs = vecs.transpose(0, 2, 1, 3).reshape(n_ex, n_tokens, -1)
     return np.matmul(tokens, vecs).transpose(2, 1, 0) / np.sqrt(width)
@@ -152,7 +152,7 @@ def compute_features(tokens: np.ndarray, logits: np.ndarray, readout: Readout,
     a block's tokens TOKEN_READ rows at a time (tokens may be TokenRows left in
     their file) into its stacks' GEMM operand, laid out as (width, block, T),
     builds the block's attention stack from that operand, its last layer at
-    the readout's columns only, and hands the block to path_features, which
+    the read column t* only, and hands the block to path_features, which
     bounds the intermediate storage by the block's (L, H, T, T) attention
     matrices.  Each worker allocates its GEMM operand and output, 2 width T
     FEATURE_BLOCK doubles, once and reuses them for every block it takes.  A

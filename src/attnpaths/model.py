@@ -13,8 +13,8 @@ Values are linear: layer l maps
     x_{l+1}[:, t] = (NH)^(-1/2) sum_h V_lh @ x_l @ Omega_lh[:, t]
 
 from the width-N hidden sequence, after the input projection
-x_1 = V_0 @ x0 / sqrt(width).  The scalar output reads one token (or the
-token average) through the readout vector a:  f = a @ x_{L+1}[:, t*] / sqrt(N).
+x_1 = V_0 @ x0 / sqrt(width).  The scalar output reads one token t* through
+the readout vector a:  f = a @ x_{L+1}[:, t*] / sqrt(N).
 
 The same output decomposes over attention paths pi = (h_1, ..., h_L):
 
@@ -34,11 +34,10 @@ attention_stack_batch runs a full layer of a P-example batch as two matmuls:
 one (w x w) @ (w x P T) GEMM, M^T times the tokens laid out as (w, P T), and
 one batched (T x w) @ (w x T) product per example; the einsum
 "pws,wv,pvc->psc" makes the same two products, bit for bit, but allocates
-their operand and output anew.  Since xi_pi reads Omega_{L,h_L} only through
-the readout's column weights, attention_stack_batch given a readout builds
-the last layer at the columns those weights read, one column for a token
-readout: at L = 2 that halves the stack.  That layer is again one GEMM, the
-read columns laid out as (P R, w) times M^T, and one batched product: the
+their operand and output anew.  Since xi_pi reads Omega_{L,h_L} only at
+column t*, attention_stack_batch builds the last layer at that column
+alone: at L = 2 that halves the stack.  That layer is again one GEMM, the
+examples' read columns as (P, w) times M^T, and one batched product: the
 einsum's bits at half its time, except in the last bit at w = 1, and at
 T <= 3 for tokens read through work's layout (compute_features).
 Earlier layers are needed in full.
@@ -53,34 +52,17 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Readout:
-    """Which token the scalar output reads: a single position or the average."""
+    """The token t_star that the scalar output reads."""
 
-    kind: str
-    t_star: int = 0
+    t_star: int
 
     def __post_init__(self):
-        if self.kind not in ("token", "average"):
-            raise ValueError(f"readout kind must be 'token' or 'average', got {self.kind!r}")
-        if self.kind == "token" and self.t_star < 0:
+        if self.t_star < 0:
             raise ValueError(f"t_star must be nonnegative, got {self.t_star}")
 
     @classmethod
     def token(cls, t_star: int) -> "Readout":
-        return cls(kind="token", t_star=t_star)
-
-    @classmethod
-    def average(cls) -> "Readout":
-        return cls(kind="average")
-
-    def column_weights(self, n_tokens: int) -> np.ndarray:
-        """Weights w_t with sum 1 such that the readout column is x @ w."""
-        if self.kind == "token":
-            if self.t_star >= n_tokens:
-                raise ValueError(f"t_star={self.t_star} out of range for {n_tokens} tokens")
-            w = np.zeros(n_tokens)
-            w[self.t_star] = 1.0
-            return w
-        return np.full(n_tokens, 1.0 / n_tokens)
+        return cls(t_star=t_star)
 
 
 def weight_count(n_hidden: int, width: int, depth: int, n_heads: int) -> int:
@@ -122,22 +104,21 @@ def check_logits(logits: np.ndarray, width: int | None = None) -> None:
         raise ValueError("attention logits must be finite")
 
 
-def attention_stack_batch(tokens: np.ndarray, logits: np.ndarray,
-                          readout: Readout | None = None,
+def attention_stack_batch(tokens: np.ndarray, logits: np.ndarray, readout: Readout,
                           work: np.ndarray | None = None) -> np.ndarray:
     """Attention matrices for a batch, tokens (P, width, T) -> (P, L, H, T, T).
 
     Scores are batched as x^T M x per example, M = logits[l, h]; heads are
-    independent.  A full layer is two GEMMs: M^T times the tokens laid out as
-    (width, P T), then each example's (T, width) slice of that product times
-    its tokens.  work, of shape (2, width, >= P T), holds that layout and that
-    product; without it one is allocated here, and a caller that builds many
-    batches passes one array to all of them.  Tokens are copied into that
-    layout unless they are already its (P, width, T) view, as
-    compute_features passes them.  With a readout, the last layer is
-    built only at the query columns the readout reads; the softmax normalizes
-    each column on its own, so those columns are the full stack's, and the
-    other columns are 0.  Tokens and logits may come from files, so they are
+    independent.  Layers 0 ... L-2 are built in full, each as two GEMMs: M^T
+    times the tokens laid out as (width, P T), then each example's
+    (T, width) slice of that product times its tokens.  work, of shape
+    (2, width, >= P T), holds that layout and that product; without it one is
+    allocated here, and a caller that builds many batches passes one array to
+    all of them.  Tokens are copied into that layout unless they are already
+    its (P, width, T) view, as compute_features passes them.  The last layer
+    is built only at the readout's column t*: the softmax normalizes each
+    column on its own, so that column is the full stack's, and the other
+    columns are 0.  Tokens and logits may come from files, so they are
     checked here.
     """
     tokens = np.asarray(tokens, dtype=float)
@@ -147,8 +128,9 @@ def attention_stack_batch(tokens: np.ndarray, logits: np.ndarray,
     logits = np.asarray(logits, dtype=float)
     check_logits(logits, width)
     depth, n_heads = logits.shape[:2]
-    read = np.arange(n_tokens) if readout is None else np.flatnonzero(readout.column_weights(n_tokens))
-    n_full = depth if len(read) == n_tokens else depth - 1  # layers built at every column
+    t_star = readout.t_star
+    if t_star >= n_tokens:
+        raise ValueError(f"t_star={t_star} out of range for {n_tokens} tokens")
     cols = n_ex * n_tokens
     if work is None:
         work = np.empty((2, width, cols))
@@ -161,17 +143,15 @@ def attention_stack_batch(tokens: np.ndarray, logits: np.ndarray,
             tokens = tokens.copy()
         np.copyto(layout, tokens)
     omegas = np.zeros((n_ex, depth, n_heads, n_tokens, n_tokens))
-    for layer in range(depth):
+    for layer in range(depth - 1):
         for head in range(n_heads):
-            if layer < n_full:
-                np.matmul(logits[layer, head].T, xw, out=prod)
-                scores = np.matmul(prod.reshape(width, n_ex, n_tokens).transpose(1, 2, 0), tokens)
-                _softmax_columns(scores, out=omegas[:, layer, head])
-            else:
-                # (P R, width) read columns times M^T, then one product per example
-                queries = np.ascontiguousarray(tokens[:, :, read].transpose(0, 2, 1))
-                lifted = queries.reshape(-1, width) @ logits[layer, head].T
-                scores = np.matmul(lifted.reshape(queries.shape), tokens).transpose(0, 2, 1)
-                _softmax_columns(scores, out=scores)
-                omegas[:, layer, head][..., read] = scores
+            np.matmul(logits[layer, head].T, xw, out=prod)
+            scores = np.matmul(prod.reshape(width, n_ex, n_tokens).transpose(1, 2, 0), tokens)
+            _softmax_columns(scores, out=omegas[:, layer, head])
+    for head in range(n_heads):
+        # the examples' (P, width) read columns times M^T, then one product per example
+        lifted = np.ascontiguousarray(tokens[:, :, t_star]) @ logits[-1, head].T
+        scores = np.matmul(lifted.reshape(n_ex, 1, width), tokens).transpose(0, 2, 1)
+        _softmax_columns(scores, out=scores)
+        omegas[:, -1, head, :, t_star] = scores[..., 0]
     return omegas

@@ -6,7 +6,8 @@ it, or its per-path pieces, by direct matrix products; shipped_output is the
 package's own route on one example, the side the references are checked
 against.  attention_stack_einsum is the attention stack with each head's
 scores as one three-operand einsum and an out-of-place column softmax, the
-reference for model's two-GEMM form and in-place softmax.
+reference for model's two-GEMM form and in-place softmax; path_features_onehot
+is the one-hot contraction that kernel.path_features matches bit for bit.
 """
 
 import numpy as np
@@ -26,8 +27,7 @@ def forward_layerwise(x0: np.ndarray, weights: tuple, omegas: np.ndarray, readou
         for head in range(n_heads):
             nxt += values[layer, head] @ (x @ omegas[layer, head])
         x = nxt / np.sqrt(n * n_heads)
-    z = x @ readout.column_weights(x.shape[1])
-    return float(a @ z / np.sqrt(n))
+    return float(a @ x[:, readout.t_star] / np.sqrt(n))
 
 
 def softmax_columns(scores: np.ndarray) -> np.ndarray:
@@ -39,14 +39,13 @@ def softmax_columns(scores: np.ndarray) -> np.ndarray:
 def attention_stack_einsum(tokens: np.ndarray, logits: np.ndarray,
                            readout=None) -> np.ndarray:
     """model.attention_stack_batch with scores einsum("pws,wv,pvc->psc", x, M, x)
-    per head; under a readout the last layer is built at the read columns only."""
+    per head; under a readout the last layer is built at column t_star only,
+    without one every layer is built in full."""
     n_ex, _, n_tokens = tokens.shape
     depth, n_heads = logits.shape[:2]
-    read = np.arange(n_tokens) if readout is None else np.flatnonzero(readout.column_weights(n_tokens))
-    last_cols = slice(None) if len(read) == n_tokens else read
     omegas = np.zeros((n_ex, depth, n_heads, n_tokens, n_tokens))
     for layer in range(depth):
-        cols = last_cols if layer == depth - 1 else slice(None)
+        cols = [readout.t_star] if readout is not None and layer == depth - 1 else slice(None)
         queries = tokens[:, :, cols]
         for head in range(n_heads):
             scores = np.einsum("pws,wv,pvc->psc", tokens, logits[layer, head], queries,
@@ -56,11 +55,24 @@ def attention_stack_einsum(tokens: np.ndarray, logits: np.ndarray,
 
 
 def path_input(x0: np.ndarray, omegas: np.ndarray, path, readout) -> np.ndarray:
-    """xi_pi = x0 @ Omega_{1,h1} @ ... @ Omega_{L,hL} @ w for readout column weights w."""
+    """xi_pi = x0 @ Omega_{1,h1} @ ... @ Omega_{L,hL} read at column t_star."""
     mat = x0
     for layer, head in enumerate(path):
         mat = mat @ omegas[layer, head]
-    return mat @ readout.column_weights(mat.shape[1])
+    return mat[:, readout.t_star]
+
+
+def path_features_onehot(tokens: np.ndarray, omegas: np.ndarray, readout) -> np.ndarray:
+    """kernel.path_features as a right-to-left contraction that starts from the
+    one-hot vector of column t_star and goes through every layer, last first."""
+    n_ex, width, n_tokens = tokens.shape
+    onehot = np.zeros(n_tokens)
+    onehot[readout.t_star] = 1.0
+    vecs = np.broadcast_to(onehot[None, :, None], (n_ex, n_tokens, 1))
+    for layer in reversed(range(omegas.shape[1])):
+        vecs = np.matmul(omegas[:, layer], vecs[:, None])   # (P, H, T, suffixes)
+        vecs = vecs.transpose(0, 2, 1, 3).reshape(n_ex, n_tokens, -1)
+    return np.matmul(tokens, vecs).transpose(2, 1, 0) / np.sqrt(width)
 
 
 def path_row(weights: tuple, path) -> np.ndarray:

@@ -17,7 +17,6 @@ from attnpaths.data import HmcTaskConfig, build_hmc_attention, gen_hmc_dataset
 from attnpaths.kernel import PathFeatureMatrix, compute_features, kernel_task_alignment, total_kernel
 from attnpaths.model import (
     Readout,
-    attention_stack_batch,
     weight_count,
     weight_parts,
 )
@@ -36,7 +35,7 @@ from attnpaths.solver import (
     action_gradient,
     solve_saddle,
 )
-from oracles import forward_layerwise, shipped_output
+from oracles import attention_stack_einsum, forward_layerwise, shipped_output
 
 READOUT = Readout.token(1)
 TEMPERATURE = 0.01
@@ -143,7 +142,7 @@ def test_criterion_03_path_layer_equivalence():
         n_tokens = int(rng.integers(2, 5))
         logits = rng.standard_normal((depth, n_heads, width, width))
         x0 = rng.standard_normal((width, n_tokens))
-        omegas = attention_stack_batch(x0[None], logits)[0]
+        omegas = attention_stack_einsum(x0[None], logits)[0]
         shape = (n_hidden, width, depth, n_heads)
         q = rng.standard_normal(weight_count(*shape))
         readout = Readout.token(int(rng.integers(0, n_tokens)))

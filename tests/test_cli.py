@@ -105,11 +105,18 @@ def test_wrong_typed_config_value_exits_2_before_writing(tmp_path, capsys, comma
 
 
 def test_unknown_readout_kind_is_a_config_error(tmp_path, capsys):
+    # every kind but "token", "average" too, exits 2 before anything is
+    # written, even under --force
     _, out = _gen(tmp_path)
-    cfg = _write_config(tmp_path, model={"readout": "averge"})
-    for command, run in (("gen-data", tmp_path / "other"), ("pipeline", out)):
-        assert main([command, "--config", str(cfg), "--out", str(run)]) == 2
-        assert "readout kind must be 'token' or 'average', got 'averge'" in capsys.readouterr().err
+    run_files = {p.name: p.read_bytes() for p in out.iterdir()}
+    for kind in ("averge", "average"):
+        cfg = _write_config(tmp_path, model={"readout": kind})
+        for command, run in (("gen-data", tmp_path / "other"), ("pipeline", out),
+                             ("sweep", out), ("sample", out)):
+            assert main([command, "--config", str(cfg), "--out", str(run), "--force"]) == 2
+            assert f"readout kind must be 'token', got {kind!r}" in capsys.readouterr().err
+            assert not (tmp_path / "other").exists()
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == run_files
 
 
 def test_gen_data_writes_nothing_when_attention_is_rejected(tmp_path, capsys):
@@ -120,7 +127,8 @@ def test_gen_data_writes_nothing_when_attention_is_rejected(tmp_path, capsys):
          "token width 18 does not match the width 16"),
         ({"model": {"n_heads": 3}, "attention": {"path": str(two_heads / "attention.apkw")}},
          "attention file has 2 layers x 2 heads, config wants 2 x 3"),
-        ({"model": {"readout": "averge"}}, "readout kind must be 'token' or 'average'"),
+        ({"model": {"readout": "averge"}}, "readout kind must be 'token', got 'averge'"),
+        ({"model": {"readout": "average"}}, "readout kind must be 'token', got 'average'"),
         ({"model": {"t_star": 40}}, "t_star=40 out of range for 6 tokens"),
     ]
     for i, (overrides, message) in enumerate(cases):

@@ -14,7 +14,7 @@ from attnpaths.data import (
     sample_hidden_chain,
     state_vectors,
 )
-from attnpaths.model import attention_stack_batch
+from oracles import attention_stack_einsum
 
 
 def _small_config(**overrides):
@@ -258,7 +258,7 @@ def test_good_layer2_attends_uniformly():
     cfg = _small_config()
     ds = gen_hmc_dataset(cfg, seed=10)
     _, layer2 = build_good_heads(cfg.feature_width, cfg.chain_length, cfg.beta)
-    omega = attention_stack_batch(ds.tokens[:1], layer2[None, None])[0, 0, 0]
+    omega = attention_stack_einsum(ds.tokens[:1], layer2[None, None])[0, 0, 0]
     assert np.allclose(omega, 1.0 / cfg.n_tokens, atol=1e-12)
 
 
@@ -270,7 +270,7 @@ def test_good_layer1_noiseless_attention():
     layer1, _ = build_good_heads(cfg.feature_width, cfg.chain_length, cfg.beta)
     v_plus, _ = state_vectors(cfg.feature_width)
     n0, t = cfg.feature_width, cfg.chain_length
-    omega = attention_stack_batch(ds.tokens[:1], layer1[None, None])[0, 0, 0]
+    omega = attention_stack_einsum(ds.tokens[:1], layer1[None, None])[0, 0, 0]
     states = (ds.tokens[0, :n0, 1:].T @ v_plus / n0 < 1.0).astype(int)
     for q in range(1, t):  # query position q holds chain step q-1
         same = states[q - 1] == states[q]

@@ -18,12 +18,13 @@ from attnpaths.kernel import (
     compute_features,
     kernel_blocks,
     kernel_task_alignment,
+    path_features,
     path_pair_gram,
     total_kernel,
 )
 from attnpaths.model import Readout, attention_stack_batch
 from attnpaths.paths import path_heads
-from oracles import path_input
+from oracles import attention_stack_einsum, path_features_onehot, path_input
 
 
 def _random_logits(rng, depth, n_heads, width):
@@ -49,7 +50,7 @@ def test_compute_features_matches_per_example_chains():
     assert feats.n_paths == n_heads**depth
     paths = path_heads(n_heads, depth).T
     for mu in range(n_ex):
-        omegas = attention_stack_batch(tokens[mu][None], logits)[0]
+        omegas = attention_stack_einsum(tokens[mu][None], logits)[0]
         for i, path in enumerate(paths):
             xi = path_input(tokens[mu], omegas, path, readout)
             assert np.allclose(feats.values[i, :, mu], xi / np.sqrt(width), atol=1e-12)
@@ -58,18 +59,18 @@ def test_compute_features_matches_per_example_chains():
 @settings(max_examples=40, deadline=None)
 @given(n_heads=st.integers(1, 3), depth=st.integers(1, 3), width=st.integers(1, 6),
        n_tokens=st.integers(1, 5), n_ex=st.integers(1, 6), chunk=st.integers(1, 4),
-       t_star=st.integers(0, 4) | st.none(), seed=st.integers(0, 2**32 - 1))
+       t_star=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
 def test_compute_features_matches_attentioned_input_property(
         n_heads, depth, width, n_tokens, n_ex, chunk, t_star, seed):
     rng = np.random.default_rng(seed)
     logits = _random_logits(rng, depth, n_heads, width)
     tokens = rng.standard_normal((n_ex, width, n_tokens))
-    readout = Readout.average() if t_star is None else Readout.token(t_star % n_tokens)
+    readout = Readout.token(t_star % n_tokens)
     with mock.patch.object(kernel, "FEATURE_BLOCK", chunk):
         feats = compute_features(tokens, logits, readout, n_train=n_ex)
     assert feats.values.shape == (n_heads**depth, width, n_ex)
     for mu in range(n_ex):
-        omegas = attention_stack_batch(tokens[mu][None], logits)[0]
+        omegas = attention_stack_einsum(tokens[mu][None], logits)[0]
         for i, path in enumerate(path_heads(n_heads, depth).T):
             xi = path_input(tokens[mu], omegas, path, readout)
             scale = 1e-12 * (1 + np.max(np.abs(xi)))
@@ -77,19 +78,37 @@ def test_compute_features_matches_attentioned_input_property(
 
 
 def test_compute_features_chunking_invariance():
+    # a block's features do not depend on the rows around it: calls on rows
+    # split at multiples of FEATURE_BLOCK give the bits of one call (the last
+    # bits do depend on the block's size, through the read column's GEMM)
     rng = np.random.default_rng(1)
     logits = _random_logits(rng, 2, 2, 3)
     tokens = rng.standard_normal((9, 3, 4))
-    readout = Readout.average()
-    with mock.patch.object(kernel, "FEATURE_BLOCK", 256):
-        a = compute_features(tokens, logits, readout, n_train=5)
+    readout = Readout.token(3)
     with mock.patch.object(kernel, "FEATURE_BLOCK", 2):
-        b = compute_features(tokens, logits, readout, n_train=5)
-    assert np.array_equal(a.values, b.values)
+        whole = compute_features(tokens, logits, readout, n_train=5)
+        parts = [compute_features(tokens[lo:hi], logits, readout, n_train=0).values
+                 for lo, hi in ((0, 4), (4, 6), (6, 9))]
+    assert np.array_equal(whole.values, np.concatenate(parts, axis=-1))
 
 
-@pytest.mark.parametrize("readout", [Readout.token(1), Readout.average()],
-                         ids=["token", "average"])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_path_features_equal_the_one_hot_contraction_bit_for_bit(depth):
+    # at the default width 231 and T = 31, in the sampler's 12 and 50 training
+    # rows, a 32-row feature block and one row: starting from the last layer's
+    # read column gives the bits of the contraction from the one-hot vector
+    cfg = HmcTaskConfig(n_train=50, n_test=0)
+    tokens = gen_hmc_dataset(cfg, seed=0).tokens
+    logits = build_hmc_attention(cfg, n_heads=2, depth=depth, seed=0)
+    readout = Readout.token(1)
+    for n_ex in (1, 12, 32, 50):
+        omegas = attention_stack_batch(tokens[:n_ex], logits, readout)
+        want = path_features_onehot(tokens[:n_ex], omegas, readout)
+        assert path_features(tokens[:n_ex], omegas, readout).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("readout", [Readout.token(1), Readout.token(6)],
+                         ids=["token", "last-token"])
 def test_streamed_features_match_in_memory_bit_for_bit(tmp_path, readout):
     # 22 examples in blocks of 5: four full blocks and a short last one
     cfg = HmcTaskConfig(chain_length=6, feature_width=20, n_train=10, n_test=12)
@@ -178,7 +197,7 @@ def test_file_backed_features_hold_no_token_block(tmp_path):
 @settings(max_examples=40, deadline=None)
 @given(n_heads=st.integers(1, 3), depth=st.integers(1, 3), width=st.integers(1, 6),
        n_tokens=st.integers(1, 5), n_ex=st.integers(1, 40), block=st.integers(1, 17),
-       t_star=st.integers(0, 4) | st.none(), seed=st.integers(0, 2**32 - 1))
+       t_star=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
 def test_tokens_read_into_the_gemm_operand_property(tmp_path_factory, n_heads, depth, width,
                                                      n_tokens, n_ex, block, t_star, seed):
     # features from tokens in their file equal those from tokens in memory, bit
@@ -187,7 +206,7 @@ def test_tokens_read_into_the_gemm_operand_property(tmp_path_factory, n_heads, d
     rng = np.random.default_rng(seed)
     logits = _random_logits(rng, depth, n_heads, width)
     tokens = rng.standard_normal((n_ex, width, n_tokens))
-    readout = Readout.average() if t_star is None else Readout.token(t_star % n_tokens)
+    readout = Readout.token(t_star % n_tokens)
     d = tmp_path_factory.mktemp("tokens")
     tokens.tofile(d / "t.bin")
     in_file = TokenRows(d / "t.bin", 0, tokens.shape)

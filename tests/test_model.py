@@ -50,30 +50,33 @@ def test_two_token_logit_gap():
     # zero W gives uniform columns; a logit gap of ln 3 gives (0.75, 0.25)
     width = 2
     x0 = np.eye(2)
-    uniform = attention_stack_batch(x0[None], np.zeros((1, 1, width, width)))
-    assert np.allclose(uniform, 0.5)
     w = np.diag([np.log(3.0), 0.0])
-    omega = attention_stack_batch(x0[None], w[None, None])[0, 0, 0]
+    for t in range(2):
+        uniform = attention_stack_batch(x0[None], np.zeros((1, 1, width, width)), Readout.token(t))
+        assert np.allclose(uniform[..., t], 0.5)
+    column = [attention_stack_batch(x0[None], w[None, None], Readout.token(t))[0, 0, 0, :, t]
+              for t in range(2)]
     # column 0: logits (ln 3, 0) over the attended index
-    assert np.allclose(omega[:, 0], [0.75, 0.25], atol=1e-12)
-    assert np.allclose(omega[:, 1], [0.5, 0.5], atol=1e-12)
+    assert np.allclose(column[0], [0.75, 0.25], atol=1e-12)
+    assert np.allclose(column[1], [0.5, 0.5], atol=1e-12)
 
 
 def test_attention_matrix_validation():
     logits = np.eye(3)[None, None]
+    first = Readout.token(0)
     with pytest.raises(ValueError, match="token width 4 does not match the width 3"):
-        attention_stack_batch(np.zeros((1, 4, 2)), logits)
+        attention_stack_batch(np.zeros((1, 4, 2)), logits, first)
     with pytest.raises(ValueError, match="tokens must be"):
-        attention_stack_batch(np.zeros((3, 2)), logits)
+        attention_stack_batch(np.zeros((3, 2)), logits, first)
     for bad in (np.eye(3), np.zeros((2, 3, 3)), np.zeros((1, 1, 1, 3, 3)),
                 np.zeros((1, 1, 3, 4)), np.zeros((0, 1, 3, 3)), np.zeros((1, 0, 3, 3))):
         with pytest.raises(ValueError, match="must have shape"):
-            attention_stack_batch(np.zeros((1, 3, 2)), bad)
+            attention_stack_batch(np.zeros((1, 3, 2)), bad, first)
     for value in (np.inf, -np.inf, np.nan):
         heads = np.zeros((2, 2, 3, 3))
         heads[1, 0, 2, 1] = value
         with pytest.raises(ValueError, match="must be finite"):
-            attention_stack_batch(np.zeros((1, 3, 2)), heads)
+            attention_stack_batch(np.zeros((1, 3, 2)), heads, first)
     # without a width the check is of shape and values only
     check_logits(np.zeros((2, 3, 5, 5)))
     with pytest.raises(ValueError, match="token width 4 does not match the width 5"):
@@ -82,37 +85,43 @@ def test_attention_matrix_validation():
 
 @settings(max_examples=40, deadline=None)
 @given(depth=st.integers(1, 3), n_heads=st.integers(1, 3), width=st.integers(1, 5),
-       n_tokens=st.integers(1, 5), n_ex=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
-def test_attention_stack_batch_matches_single(depth, n_heads, width, n_tokens, n_ex, seed):
+       n_tokens=st.integers(1, 5), n_ex=st.integers(1, 4), t_star=st.integers(0, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_attention_stack_batch_matches_single(depth, n_heads, width, n_tokens, n_ex, t_star,
+                                              seed):
     # each example's matrices follow the definition: logit[s, t] = x_s @ M @ x_t,
-    # softmax over the attended index s
+    # softmax over the attended index s; the last layer is built at t_star only
     rng = np.random.default_rng(seed)
     logits = rng.standard_normal((depth, n_heads, width, width))
     tokens = rng.standard_normal((n_ex, width, n_tokens))
-    batch = attention_stack_batch(tokens, logits)
+    t_star %= n_tokens
+    batch = attention_stack_batch(tokens, logits, Readout.token(t_star))
     assert batch.shape == (n_ex, depth, n_heads, n_tokens, n_tokens)
     for p in range(n_ex):
         x0 = tokens[p]
         for layer in range(depth):
             for head in range(n_heads):
-                for t in range(n_tokens):
+                for t in range(n_tokens) if layer < depth - 1 else [t_star]:
                     scores = [x0[:, s] @ logits[layer, head] @ x0[:, t] for s in range(n_tokens)]
                     e = np.exp(np.array(scores) - max(scores))
                     assert np.allclose(batch[p, layer, head, :, t], e / e.sum(),
                                        rtol=1e-12, atol=1e-12)
-    # every column of every attention matrix is a distribution
-    assert np.allclose(batch.sum(axis=-2), 1.0, atol=1e-12)
+    # every built column of every attention matrix is a distribution
+    sums = batch.sum(axis=-2)
+    assert np.allclose(sums[:, :-1], 1.0, atol=1e-12)
+    assert np.allclose(sums[:, -1, :, t_star], 1.0, atol=1e-12)
     assert np.all(batch >= 0)
 
 
-@pytest.mark.parametrize("readout", [Readout.token(1), None], ids=["token", "full"])
-def test_two_gemm_stack_equals_the_einsum_bit_for_bit(readout):
+@pytest.mark.parametrize("t_star", [1, 30], ids=["token", "last-token"])
+def test_two_gemm_stack_equals_the_einsum_bit_for_bit(t_star):
     # the benchmark shapes: width 231, T = 31, the sampler's 12 and 50 training
     # rows, a 32-row feature block, 64 rows, one row and 100 rows; a reused work array
     # larger than needed gives the same bits as a fresh one, and the in-place
     # softmax the same bits as the oracle's out-of-place one
     cfg = HmcTaskConfig()
     logits = build_hmc_attention(cfg, n_heads=2, depth=2, seed=0)
+    readout = Readout.token(t_star)
     rng = np.random.default_rng(0)
     work = np.full((2, cfg.token_width, 100 * cfg.n_tokens), np.nan)
     for n_ex in (1, 12, 32, 50, 64, 100):
@@ -125,13 +134,13 @@ def test_two_gemm_stack_equals_the_einsum_bit_for_bit(readout):
 @settings(max_examples=40, deadline=None)
 @given(depth=st.integers(1, 3), n_heads=st.integers(1, 3), width=st.integers(1, 6),
        n_tokens=st.integers(1, 5), n_ex=st.integers(0, 5), spare=st.integers(0, 7),
-       t_star=st.integers(0, 4) | st.none(), seed=st.integers(0, 2**32 - 1))
+       t_star=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
 def test_two_gemm_stack_matches_the_einsum_property(depth, n_heads, width, n_tokens, n_ex,
                                                      spare, t_star, seed):
     rng = np.random.default_rng(seed)
     logits = _random_logits(rng, depth, n_heads, width)
     tokens = rng.standard_normal((n_ex, width, n_tokens))
-    readout = None if t_star is None else Readout.token(t_star % n_tokens)
+    readout = Readout.token(t_star % n_tokens)
     want = attention_stack_einsum(tokens, logits, readout)
     work = rng.standard_normal((2, width, n_ex * n_tokens + spare))
     for got in (attention_stack_batch(tokens, logits, readout),
@@ -149,34 +158,30 @@ def test_two_gemm_stack_matches_the_einsum_property(depth, n_heads, width, n_tok
        n_tokens=st.integers(1, 5), n_ex=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
 def test_stack_under_a_readout_builds_only_the_read_columns(depth, n_heads, width, n_tokens,
                                                              n_ex, seed):
-    # the last layer is built at the columns the readout reads and is 0 elsewhere;
-    # every earlier layer, and the whole stack under the average readout, is the full stack
+    # the last layer is built at column t_star and is 0 elsewhere; every earlier
+    # layer is the full stack, the same bits under every t_star
     rng = np.random.default_rng(seed)
     logits = 2.0 * rng.standard_normal((depth, n_heads, width, width))
     tokens = rng.standard_normal((n_ex, width, n_tokens))
-    full = attention_stack_batch(tokens, logits)
-    for readout in [Readout.token(t) for t in range(n_tokens)] + [Readout.average()]:
-        got = attention_stack_batch(tokens, logits, readout)
+    full = attention_stack_einsum(tokens, logits)
+    first = attention_stack_batch(tokens, logits, Readout.token(0))
+    assert np.allclose(first[:, :-1], full[:, :-1], rtol=1e-12, atol=1e-12)
+    for t in range(n_tokens):
+        got = attention_stack_batch(tokens, logits, Readout.token(t))
         assert got.shape == full.shape
-        assert np.array_equal(got[:, :-1], full[:, :-1])
-        read = readout.column_weights(n_tokens) != 0
-        assert np.allclose(got[:, -1][..., read], full[:, -1][..., read], rtol=1e-12, atol=1e-12)
-        assert np.all(got[:, -1][..., ~read] == 0.0)
-        if readout.kind == "average":
-            assert np.array_equal(got, full)
+        assert np.array_equal(got[:, :-1], first[:, :-1])
+        assert np.allclose(got[:, -1, ..., t], full[:, -1, ..., t], rtol=1e-12, atol=1e-12)
+        assert np.all(np.delete(got[:, -1], t, axis=-1) == 0.0)
 
 
-def test_readout_column_weights():
-    r = Readout.token(2)
-    assert np.array_equal(r.column_weights(4), [0.0, 0.0, 1.0, 0.0])
-    avg = Readout.average()
-    assert np.allclose(avg.column_weights(5), 0.2)
-    with pytest.raises(ValueError):
-        r.column_weights(2)
-    with pytest.raises(ValueError):
+def test_readout_t_star_is_checked():
+    assert Readout.token(2).t_star == 2
+    with pytest.raises(ValueError, match="t_star must be nonnegative"):
         Readout.token(-1)
-    with pytest.raises(ValueError):
-        Readout(kind="mean")
+    tokens, logits = np.zeros((1, 3, 2)), np.zeros((2, 1, 3, 3))
+    attention_stack_batch(tokens, logits, Readout.token(1))
+    with pytest.raises(ValueError, match="t_star=2 out of range for 2 tokens"):
+        attention_stack_batch(tokens, logits, Readout.token(2))
 
 
 def test_path_sum_equals_layerwise():
@@ -190,7 +195,7 @@ def test_path_sum_equals_layerwise():
         n_tokens = int(rng.integers(2, 5))
         logits = _random_logits(rng, depth, n_heads, width)
         x0 = rng.standard_normal((width, n_tokens))
-        omegas = attention_stack_batch(x0[None], logits)[0]
+        omegas = attention_stack_einsum(x0[None], logits)[0]
         shape = (n_hidden, width, depth, n_heads)
         q = rng.standard_normal(weight_count(*shape))
         readout = Readout.token(int(rng.integers(0, n_tokens)))
@@ -205,7 +210,7 @@ def test_network_output_explicit_two_layer():
     width, n_hidden, n_tokens = 3, 2, 4
     logits = _random_logits(rng, 2, 2, width)
     x0 = rng.standard_normal((width, n_tokens))
-    omegas = attention_stack_batch(x0[None], logits)[0]
+    omegas = attention_stack_einsum(x0[None], logits)[0]
     shape = (n_hidden, width, 2, 2)
     q = rng.standard_normal(weight_count(*shape))
     v0, values, a = weight_parts(q, *shape)

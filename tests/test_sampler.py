@@ -1,4 +1,3 @@
-import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -28,22 +27,20 @@ from attnpaths.sampler import (
     log_posterior,
     run_hmc,
 )
-from oracles import forward_layerwise, path_row
+from oracles import attention_stack_einsum, forward_layerwise, path_row
 
 
 def _setup(rng, n_ex=3, width=4, n_tokens=3, depth=2, n_heads=2, n_hidden=2,
            readout=Readout.token(1)):
     tokens = rng.standard_normal((n_ex, width, n_tokens))
     logits = rng.standard_normal((depth, n_heads, width, width))
-    omegas = attention_stack_batch(tokens, logits)
+    omegas = attention_stack_einsum(tokens, logits)  # the oracle's full stacks
     labels = rng.choice([-1.0, 1.0], size=n_ex)
     shape = (n_hidden, width, depth, n_heads)
     q = rng.standard_normal(weight_count(*shape))
-    phi = path_features(tokens, omegas, readout).reshape(-1, n_ex)
+    shipped = attention_stack_batch(tokens, logits, readout)
+    phi = path_features(tokens, shipped, readout).reshape(-1, n_ex)
     return tokens, omegas, labels, q, phi, shape
-
-
-READOUTS = (Readout.token(1), Readout.average())
 
 
 def test_log_posterior_value():
@@ -51,24 +48,22 @@ def test_log_posterior_value():
     # against the layerwise recursion on its own
     rng = np.random.default_rng(1)
     t, sigma2 = 0.1, 1.5
-    for readout in READOUTS:
-        tokens, omegas, labels, q, phi, shape = _setup(rng, n_ex=5, readout=readout)
-        for mu in range(5):
-            logp, _ = log_posterior(q, shape, phi[:, mu:mu + 1],
-                                    labels[mu:mu + 1], t, sigma2)
-            f = forward_layerwise(tokens[mu], weight_parts(q, *shape), omegas[mu], readout)
-            want = -0.5 * (f - labels[mu]) ** 2 / t - 0.5 * float(np.sum(q**2)) / sigma2
-            assert abs(logp - want) <= 1e-10 * (1 + abs(want))
+    readout = Readout.token(1)
+    tokens, omegas, labels, q, phi, shape = _setup(rng, n_ex=5, readout=readout)
+    for mu in range(5):
+        logp, _ = log_posterior(q, shape, phi[:, mu:mu + 1], labels[mu:mu + 1], t, sigma2)
+        f = forward_layerwise(tokens[mu], weight_parts(q, *shape), omegas[mu], readout)
+        want = -0.5 * (f - labels[mu]) ** 2 / t - 0.5 * float(np.sum(q**2)) / sigma2
+        assert abs(logp - want) <= 1e-10 * (1 + abs(want))
 
 
 def test_log_posterior_gradient_finite_differences():
     # two chains in one batch; a coordinate is moved in both rows at once
     rng = np.random.default_rng(2)
     t, sigma2, eps = 0.2, 0.8, 1e-6
-    for (n_heads, depth), readout in itertools.product(
-            [(1, 1), (2, 2), (3, 2), (2, 3)], READOUTS):
+    for n_heads, depth in [(1, 1), (2, 2), (3, 2), (2, 3)]:
         _, _, labels, q, phi, shape = _setup(
-            rng, n_ex=4, n_heads=n_heads, depth=depth, n_hidden=3, readout=readout)
+            rng, n_ex=4, n_heads=n_heads, depth=depth, n_hidden=3)
         qs = np.stack([q, rng.standard_normal(q.shape)])
         _, g = log_posterior(qs, shape, phi, labels, t, sigma2)
         assert g.shape == qs.shape
@@ -80,7 +75,7 @@ def test_log_posterior_gradient_finite_differences():
                   - log_posterior(dn, shape, phi, labels, t, sigma2)[0]) / (2 * eps)
             for c in range(2):
                 assert abs(fd[c] - g[c, i]) <= 1e-5 * (1 + abs(g[c, i])), (
-                    n_heads, depth, readout, c, i)
+                    n_heads, depth, c, i)
 
 
 @settings(max_examples=40, deadline=None)
@@ -505,7 +500,7 @@ def test_empirical_predictor_oracle():
     logits = rng.standard_normal((2, 2, 4, 4))
     readout = Readout.token(0)
     means, variances = empirical_predictor(post, tokens, logits, readout)
-    omegas = attention_stack_batch(tokens, logits)
+    omegas = attention_stack_einsum(tokens, logits)
     outs = np.array([[forward_layerwise(tokens[mu], w, omegas[mu], readout)
                       for mu in range(5)] for w in draws])
     assert np.allclose(means, outs.mean(axis=0), atol=1e-10)

@@ -1,32 +1,72 @@
-"""The benchmark tracer's view of the package still holds.
+"""The benchmark's view of the package still holds.
 
 perfbench/tracing.py wraps functions at (module, attribute) lookup sites and
-reads some of their arguments by name.  A renamed lookup site or argument
-would otherwise show up only as an error inside a traced benchmark run.
+reads some of their arguments by name; perfbench/run.py passes its workload
+configs to the CLI, and perfbench/library.py reads keys of a run's resolved
+config.  A renamed lookup site, argument or config key would otherwise show
+up only as an error inside a benchmark run.
 """
 
+import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from attnpaths import fileio
+from attnpaths.cli import DEFAULT_CONFIG, _merge_config
 from attnpaths.kernel import compute_features, kernel_blocks, total_kernel
 from attnpaths.model import Readout
 
-TRACING_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING_FILE)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+def _load(name):
+    """perfbench/<name>.py as a module of its own, its perfbench imports resolved."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    with mock.patch.object(sys, "path", [str(PERFBENCH), *sys.path]):
+        spec.loader.exec_module(module)
     return module
 
 
-tracing = _load_tracing()
+tracing = _load("tracing")
+
+
+def _config_reads(source: str) -> set:
+    """Key paths of every config[...] subscript chain with string keys in source."""
+    reads = set()
+    for node in ast.walk(ast.parse(source)):
+        keys = []
+        while isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant):
+            keys.insert(0, node.slice.value)
+            node = node.value
+        if keys and isinstance(node, ast.Name) and node.id == "config":
+            reads.add(tuple(keys))
+    return reads
+
+
+def test_every_config_key_the_benchmark_reads_is_a_cli_key():
+    # library.py's quality check reads these keys of a run's resolved config;
+    # a key the CLI drops would fail that check, and so the benchmark run
+    reads = _config_reads((PERFBENCH / "library.py").read_text())
+    assert {("model", "readout"), ("model", "t_star"), ("sampler", "temperature")} <= reads
+    for path in reads:
+        section = DEFAULT_CONFIG
+        for key in path:
+            assert isinstance(section, dict) and key in section, path
+            section = section[key]
+
+
+def test_every_benchmark_workload_config_is_accepted():
+    workloads = _load("run").WORKLOADS
+    assert {"pinned-solve", "gp-wide", "posterior-sample"} <= set(workloads)
+    for workload in workloads.values():
+        _merge_config(workload.config)
 
 
 @pytest.mark.parametrize("module,attr,name", tracing.WRAPPED + tracing.COUNTED,
