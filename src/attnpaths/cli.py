@@ -312,7 +312,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_sample(args) -> int:
     config = _load_config(args)
-    outputs = ["u_est.csv", "chains.csv", "predictor_empirical.csv", "sample_summary.json"]
+    outputs = ["u_est.csv", "predictor_empirical.csv", "sample_summary.json"]
     dataset, logits, readout = _load_inputs(Path(args.out), config)
     hmc_config = HmcConfig(n_hidden=config["model"]["n_hidden"], sigma2=config["model"]["sigma2"],
                            seed=config["seed"], **config["sampler"])
@@ -324,11 +324,6 @@ def cmd_sample(args) -> int:
 
     u_est = empirical_order_parameter(samples)
     fileio.write_u1_csv(out / "u_est.csv", u_est, samples.n_heads, samples.depth, digest)
-    fileio.write_csv(out / "chains.csv", digest,
-                      ["chain", "acceptance", "divergences", "step_size"],
-                      [[i, float(a), int(d), float(e)] for i, (a, d, e) in
-                       enumerate(zip(samples.acceptance, samples.divergences,
-                                     samples.step_sizes))])
 
     means = variances = ()
     if dataset.n_examples > dataset.n_train:
@@ -341,6 +336,7 @@ def cmd_sample(args) -> int:
         hmc_config.n_chains * (hmc_config.n_warmup + hmc_config.n_samples))
     fileio.write_json(out / "sample_summary.json", {
         "n_kept": samples.n_kept, "acceptance": [float(a) for a in samples.acceptance],
+        "divergences": [int(d) for d in samples.divergences],
         "divergence_fraction": div_frac, "step_sizes": [float(e) for e in samples.step_sizes],
         "config_digest": digest,
     })

@@ -120,19 +120,19 @@ class PathFeatureMatrix:
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def path_features(tokens: np.ndarray, omegas: np.ndarray, readout: Readout) -> np.ndarray:
-    """Features (H^L, width, P) of tokens (P, width, T) under omegas (P, L, H, T, T).
+def path_features(tokens: np.ndarray, layers: np.ndarray, read: np.ndarray) -> np.ndarray:
+    """Features (H^L, width, P) of tokens (P, width, T) under an
+    attention_stack_batch stack (layers, read).
 
-    Chains are contracted right to left: the last layer's columns t*, one per
-    head, go through the earlier attention matrices as matrix-vector
-    products, so suffix products land in canonical flat order; one tokens
-    contraction ends them all.
+    Chains are contracted right to left: the read columns go through the
+    earlier layers as matrix-vector products, so suffix products land in
+    canonical flat order; one tokens contraction ends them all.
     """
     n_ex, width, n_tokens = tokens.shape
     # (P, T, suffixes); each earlier layer multiplies the suffix count by H
-    vecs = np.ascontiguousarray(omegas[:, -1, :, :, readout.t_star]).transpose(0, 2, 1)
-    for layer in reversed(range(omegas.shape[1] - 1)):
-        vecs = np.matmul(omegas[:, layer], vecs[:, None])   # (P, H, T, suffixes)
+    vecs = read.transpose(0, 2, 1)
+    for layer in reversed(range(layers.shape[1])):
+        vecs = np.matmul(layers[:, layer], vecs[:, None])   # (P, H, T, suffixes)
         vecs = vecs.transpose(0, 2, 1, 3).reshape(n_ex, n_tokens, -1)
     return np.matmul(tokens, vecs).transpose(2, 1, 0) / np.sqrt(width)
 
@@ -153,7 +153,7 @@ def compute_features(tokens: np.ndarray, logits: np.ndarray, readout: Readout,
     their file) into its stacks' GEMM operand, laid out as (width, block, T),
     builds the block's attention stack from that operand, its last layer at
     the read column t* only, and hands the block to path_features, which
-    bounds the intermediate storage by the block's (L, H, T, T) attention
+    bounds the intermediate storage by the block's (L-1, H, T, T) attention
     matrices.  Each worker allocates its GEMM operand and output, 2 width T
     FEATURE_BLOCK doubles, once and reuses them for every block it takes.  A
     block's features do not depend on the rows around it or on the worker
@@ -200,10 +200,10 @@ def compute_features(tokens: np.ndarray, logits: np.ndarray, readout: Readout,
                 block = operand.transpose(1, 0, 2)
                 for a in range(start, stop, TOKEN_READ):
                     block[a - start : a - start + TOKEN_READ] = tokens[a : min(a + TOKEN_READ, stop)]
-                omegas = attention_stack_batch(block, logits, readout, work)
-                feats = path_features(block, omegas, readout)
+                layers, read = attention_stack_batch(block, logits, readout, work)
+                feats = path_features(block, layers, read)
                 result.rows[start:stop] = feats.transpose(2, 0, 1)
-                del feats, omegas
+                del feats, layers, read
         except BaseException:
             with taking:
                 for _ in starts:  # the other workers take no new block

@@ -105,21 +105,21 @@ def check_logits(logits: np.ndarray, width: int | None = None) -> None:
 
 
 def attention_stack_batch(tokens: np.ndarray, logits: np.ndarray, readout: Readout,
-                          work: np.ndarray | None = None) -> np.ndarray:
-    """Attention matrices for a batch, tokens (P, width, T) -> (P, L, H, T, T).
+                          work: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Attention stack of a batch, tokens (P, width, T) -> (layers, read):
+    layers 0 ... L-2 in full, (P, L-1, H, T, T), and read, the last layer's
+    column t* for each head, (P, H, T).
 
     Scores are batched as x^T M x per example, M = logits[l, h]; heads are
-    independent.  Layers 0 ... L-2 are built in full, each as two GEMMs: M^T
-    times the tokens laid out as (width, P T), then each example's
-    (T, width) slice of that product times its tokens.  work, of shape
-    (2, width, >= P T), holds that layout and that product; without it one is
-    allocated here, and a caller that builds many batches passes one array to
-    all of them.  Tokens are copied into that layout unless they are already
-    its (P, width, T) view, as compute_features passes them.  The last layer
-    is built only at the readout's column t*: the softmax normalizes each
-    column on its own, so that column is the full stack's, and the other
-    columns are 0.  Tokens and logits may come from files, so they are
-    checked here.
+    independent.  Each full layer is two GEMMs: M^T times the tokens laid out
+    as (width, P T), then each example's (T, width) slice of that product
+    times its tokens.  work, of shape (2, width, >= P T), holds that layout
+    and that product; without it one is allocated here, and a caller that
+    builds many batches passes one array to all of them.  Tokens are copied
+    into that layout unless they are already its (P, width, T) view, as
+    compute_features passes them.  The softmax normalizes each column on its
+    own, so read is that column of the full last layer.  Tokens and logits
+    may come from files, so they are checked here.
     """
     tokens = np.asarray(tokens, dtype=float)
     if tokens.ndim != 3:
@@ -142,16 +142,16 @@ def attention_stack_batch(tokens: np.ndarray, logits: np.ndarray, readout: Reado
         if np.may_share_memory(tokens, work):  # else the layout copy would overwrite them
             tokens = tokens.copy()
         np.copyto(layout, tokens)
-    omegas = np.zeros((n_ex, depth, n_heads, n_tokens, n_tokens))
+    layers = np.empty((n_ex, depth - 1, n_heads, n_tokens, n_tokens))
     for layer in range(depth - 1):
         for head in range(n_heads):
             np.matmul(logits[layer, head].T, xw, out=prod)
             scores = np.matmul(prod.reshape(width, n_ex, n_tokens).transpose(1, 2, 0), tokens)
-            _softmax_columns(scores, out=omegas[:, layer, head])
+            _softmax_columns(scores, out=layers[:, layer, head])
+    read = np.empty((n_ex, n_heads, n_tokens))
     for head in range(n_heads):
         # the examples' (P, width) read columns times M^T, then one product per example
         lifted = np.ascontiguousarray(tokens[:, :, t_star]) @ logits[-1, head].T
         scores = np.matmul(lifted.reshape(n_ex, 1, width), tokens).transpose(0, 2, 1)
-        _softmax_columns(scores, out=scores)
-        omegas[:, -1, head, :, t_star] = scores[..., 0]
-    return omegas
+        _softmax_columns(scores, out=read[:, head, :, None])
+    return layers, read

@@ -269,8 +269,8 @@ def hmc_sample(tokens: np.ndarray, labels: np.ndarray, logits: np.ndarray,
     shape = (n, width, depth, n_heads)
     phi = None
     if not config.prior_only:
-        omegas = attention_stack_batch(tokens, logits, readout)
-        phi = path_features(tokens, omegas, readout).reshape(-1, len(tokens))
+        layers, read = attention_stack_batch(tokens, logits, readout)
+        phi = path_features(tokens, layers, read).reshape(-1, len(tokens))
 
     def logp_and_grad(q):
         return log_posterior(q, shape, phi, labels, config.temperature, config.sigma2)

@@ -145,8 +145,8 @@ def _block_trace(m: np.ndarray, n_blocks: int) -> np.ndarray:
 
 
 def _action_pieces(mats: list, features: PathFeatureMatrix, y: np.ndarray,
-                   config: SolverConfig, want_grad: bool, gram: np.ndarray | None = None):
-    """Action, entropy, energy and (optionally) per-level gradients.
+                   config: SolverConfig, gram: np.ndarray | None = None):
+    """Action, entropy, energy and per-level gradients.
 
     Each level is read through its symmetric part, so the action is invariant
     under U -> (U + U^T)/2 and the gradients (symmetric by construction) match
@@ -157,16 +157,15 @@ def _action_pieces(mats: list, features: PathFeatureMatrix, y: np.ndarray,
     s2inv = 1.0 / config.sigma2
     depth = len(mats) - 1
     mats = [0.5 * (m + m.T) for m in mats]
-    grads = [np.zeros_like(m) for m in mats] if want_grad else None
+    grads = [np.zeros_like(m) for m in mats]
     # each level factored and inverted once; np.linalg.LinAlgError on non-PD
     # input is the domain error.  Level 0's inverse serves only the gradient.
     chols = [np.linalg.cholesky(m) for m in mats]
-    invs = [_chol_inv(c) if i or want_grad else None for i, c in enumerate(chols)]
+    invs = [_chol_inv(c) for c in chols]
 
     top = mats[-1]
     entropy = s2inv * float(np.trace(top)) - _chol_logdet(chols[-1])
-    if want_grad:
-        grads[-1] += s2inv * np.eye(top.shape[0]) - invs[-1]
+    grads[-1] += s2inv * np.eye(top.shape[0]) - invs[-1]
 
     for i in range(depth):
         u = mats[i]
@@ -174,10 +173,9 @@ def _action_pieces(mats: list, features: PathFeatureMatrix, y: np.ndarray,
         e_inv = np.kron(np.eye(n_heads_lift), invs[i + 1])
         entropy += (s2inv * float(np.sum(u * e_inv)) - _chol_logdet(chols[i])
                     + n_heads_lift * _chol_logdet(chols[i + 1]))
-        if want_grad:
-            grads[i] += s2inv * e_inv - invs[i]
-            full = -s2inv * (e_inv @ u @ e_inv) + e_inv
-            grads[i + 1] += _block_trace(full, n_heads_lift)
+        grads[i] += s2inv * e_inv - invs[i]
+        full = -s2inv * (e_inv @ u @ e_inv) + e_inv
+        grads[i + 1] += _block_trace(full, n_heads_lift)
 
     p = features.n_examples
     if gram is None:
@@ -188,7 +186,7 @@ def _action_pieces(mats: list, features: PathFeatureMatrix, y: np.ndarray,
     c_m = np.linalg.cholesky(k + config.temperature * np.eye(p))
     alpha_vec = _chol_solve(c_m, y)
     energy = (_chol_logdet(c_m) + float(y @ alpha_vec)) / p
-    if want_grad and config.alpha != 0.0:
+    if config.alpha != 0.0:
         m_inv = _chol_solve(c_m, np.eye(p))
         g_k = (0.5 * (m_inv + m_inv.T) - np.outer(alpha_vec, alpha_vec)) / p
         if gram is None:
@@ -206,7 +204,7 @@ def action(params: OrderParameterSet, features: PathFeatureMatrix, y: np.ndarray
            config: SolverConfig) -> float:
     """The order-parameter action over the examples in `features`."""
     y = np.asarray(y, dtype=float)
-    act, _, _, _ = _action_pieces(params.matrices, features, y, config, want_grad=False)
+    act, _, _, _ = _action_pieces(params.matrices, features, y, config)
     return act
 
 
@@ -214,7 +212,7 @@ def action_gradient(params: OrderParameterSet, features: PathFeatureMatrix, y: n
                     config: SolverConfig) -> list:
     """Entry-wise gradient of the action at each level, same shapes as params."""
     y = np.asarray(y, dtype=float)
-    _, _, _, grads = _action_pieces(params.matrices, features, y, config, want_grad=True)
+    _, _, _, grads = _action_pieces(params.matrices, features, y, config)
     return grads
 
 
@@ -283,7 +281,7 @@ def _evaluate(x: np.ndarray, sizes: list, features: PathFeatureMatrix, y: np.nda
     factors = _factors_from_raw(raws)
     mats = [f @ f.T for f in factors]
     try:
-        act, ent, ene, grads = _action_pieces(mats, features, y, config, True, gram)
+        act, ent, ene, grads = _action_pieces(mats, features, y, config, gram)
     except np.linalg.LinAlgError:
         # factors blew up or collapsed past float precision
         return None

@@ -38,9 +38,11 @@ def softmax_columns(scores: np.ndarray) -> np.ndarray:
 
 def attention_stack_einsum(tokens: np.ndarray, logits: np.ndarray,
                            readout=None) -> np.ndarray:
-    """model.attention_stack_batch with scores einsum("pws,wv,pvc->psc", x, M, x)
-    per head; under a readout the last layer is built at column t_star only,
-    without one every layer is built in full."""
+    """The attention stack as one (P, L, H, T, T) array, with scores
+    einsum("pws,wv,pvc->psc", x, M, x) per head; under a readout the last
+    layer is built at column t_star only (0 elsewhere), without one every
+    layer is built in full.  model.attention_stack_batch's (layers, read) are
+    its [:, :-1] and [:, -1, :, :, t_star]."""
     n_ex, _, n_tokens = tokens.shape
     depth, n_heads = logits.shape[:2]
     omegas = np.zeros((n_ex, depth, n_heads, n_tokens, n_tokens))
@@ -62,10 +64,16 @@ def path_input(x0: np.ndarray, omegas: np.ndarray, path, readout) -> np.ndarray:
     return mat[:, readout.t_star]
 
 
-def path_features_onehot(tokens: np.ndarray, omegas: np.ndarray, readout) -> np.ndarray:
+def path_features_onehot(tokens: np.ndarray, layers: np.ndarray, read: np.ndarray,
+                         readout) -> np.ndarray:
     """kernel.path_features as a right-to-left contraction that starts from the
-    one-hot vector of column t_star and goes through every layer, last first."""
+    one-hot vector of column t_star and goes through every layer, last first:
+    the earlier layers, then a T x T last layer that holds read at column
+    t_star and 0 elsewhere."""
     n_ex, width, n_tokens = tokens.shape
+    omegas = np.zeros((n_ex, layers.shape[1] + 1, read.shape[1], n_tokens, n_tokens))
+    omegas[:, :-1] = layers
+    omegas[:, -1, :, :, readout.t_star] = read
     onehot = np.zeros(n_tokens)
     onehot[readout.t_star] = 1.0
     vecs = np.broadcast_to(onehot[None, :, None], (n_ex, n_tokens, 1))

@@ -513,11 +513,12 @@ def test_sample_end_to_end(tmp_path):
     })
     rc = main(["sample", "--config", str(cfg), "--out", str(out)])
     assert rc == 0
-    for name in ["u_est.csv", "chains.csv", "predictor_empirical.csv", "sample_summary.json"]:
+    for name in ["u_est.csv", "predictor_empirical.csv", "sample_summary.json"]:
         assert (out / name).exists(), name
+    assert not (out / "chains.csv").exists()
     summary = json.loads((out / "sample_summary.json").read_text())
     assert summary["n_kept"] == 2 * 4
-    assert len(summary["acceptance"]) == 2
+    assert [len(summary[key]) for key in ("acceptance", "divergences", "step_sizes")] == [2, 2, 2]
     with open(out / "u_est.csv") as fh:
         rows = list(csv.reader(fh))[2:]  # after the digest line and the header
     assert [len(row) - 1 for row in rows] == [4, 4, 4, 4]
@@ -621,7 +622,7 @@ def test_reruns_write_identical_files(tmp_path):
             assert main([command, "--config", str(cfg), "--out", str(out), "--force"]) == 0
         assert main(["verify", "--out", str(out)]) == 0
     names = sorted(p.name for p in runs[0].iterdir())
-    assert len(names) == 17
+    assert len(names) == 16
     assert sorted(p.name for p in runs[1].iterdir()) == names
     match, mismatch, errors = filecmp.cmpfiles(*runs, names, shallow=False)
     assert (mismatch, errors) == ([], [])

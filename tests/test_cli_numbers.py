@@ -153,12 +153,13 @@ def test_sample_numbers_are_the_library_numbers(run):
     assert np.array_equal(_column(csv_path, "example", int), dataset.test_indices)
     assert np.array_equal(_column(csv_path, "mean"), means)
 
-    divergences = _column(out / "chains.csv", "divergences", int)
-    steps = config.n_chains * (config.n_warmup + config.n_samples)
-    assert np.array_equal(divergences, samples.divergences)
-    assert 0 < divergences.sum() < steps
     summary = json.loads((out / "sample_summary.json").read_text())
-    assert summary["divergence_fraction"] == divergences.sum() / steps
+    steps = config.n_chains * (config.n_warmup + config.n_samples)
+    assert summary["acceptance"] == samples.acceptance.tolist()
+    assert summary["divergences"] == samples.divergences.tolist()
+    assert summary["step_sizes"] == samples.step_sizes.tolist()
+    assert 0 < sum(summary["divergences"]) < steps
+    assert summary["divergence_fraction"] == sum(summary["divergences"]) / steps
     assert summary["n_kept"] == samples.n_kept
 
 
@@ -178,7 +179,7 @@ def test_a_rerun_writes_identical_files_and_verifies(run, tmp_path_factory):
     again = _run(tmp_path_factory, run["config"], "again")
     assert main(["verify", "--out", str(again)]) == 0
     names = sorted(p.name for p in run["out"].iterdir())
-    assert len(names) == 17
+    assert len(names) == 16
     assert sorted(p.name for p in again.iterdir()) == names
     match, mismatch, errors = filecmp.cmpfiles(run["out"], again, names, shallow=False)
     assert (mismatch, errors) == ([], [])

@@ -102,9 +102,9 @@ def test_path_features_equal_the_one_hot_contraction_bit_for_bit(depth):
     logits = build_hmc_attention(cfg, n_heads=2, depth=depth, seed=0)
     readout = Readout.token(1)
     for n_ex in (1, 12, 32, 50):
-        omegas = attention_stack_batch(tokens[:n_ex], logits, readout)
-        want = path_features_onehot(tokens[:n_ex], omegas, readout)
-        assert path_features(tokens[:n_ex], omegas, readout).tobytes() == want.tobytes()
+        layers, read = attention_stack_batch(tokens[:n_ex], logits, readout)
+        want = path_features_onehot(tokens[:n_ex], layers, read, readout)
+        assert path_features(tokens[:n_ex], layers, read).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("readout", [Readout.token(1), Readout.token(6)],
@@ -222,12 +222,14 @@ def test_tokens_read_into_the_gemm_operand_property(tmp_path_factory, n_heads, d
             assert np.asarray(rows).tobytes() == want.transpose(2, 0, 1).tobytes()
     # the stack skips its layout copy only for the operand's own view: given
     # a work array, tokens elsewhere, or in work[0] in another layout, are copied
-    want = attention_stack_batch(tokens, logits, readout)
+    want = [part.tobytes() for part in attention_stack_batch(tokens, logits, readout)]
     work = rng.standard_normal((2, width, n_ex * n_tokens))
-    assert attention_stack_batch(tokens, logits, readout, work).tobytes() == want.tobytes()
+    got = attention_stack_batch(tokens, logits, readout, work)
+    assert [part.tobytes() for part in got] == want
     work[0] = tokens.reshape(width, -1)
     in_work = work[0].reshape(tokens.shape)  # the tokens, row-major in work[0]
-    assert attention_stack_batch(in_work, logits, readout, work).tobytes() == want.tobytes()
+    got = attention_stack_batch(in_work, logits, readout, work)
+    assert [part.tobytes() for part in got] == want
 
 
 def test_workers_take_every_block_once_under_fast_thread_switching(tmp_path):

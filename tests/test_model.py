@@ -39,7 +39,7 @@ def test_softmax_columns_oracle():
 def test_softmax_extreme_logits_stable():
     logits = np.array([[1000.0, -1000.0], [0.0, 0.0]])
     got = logits.copy()
-    _softmax_columns(got, out=got)  # in place, as the stack's readout layer calls it
+    _softmax_columns(got, out=got)  # in place: out may be scores
     assert np.all(np.isfinite(got))
     assert np.allclose(got.sum(axis=0), 1.0)
     assert got[0, 0] > 0.999
@@ -52,9 +52,10 @@ def test_two_token_logit_gap():
     x0 = np.eye(2)
     w = np.diag([np.log(3.0), 0.0])
     for t in range(2):
-        uniform = attention_stack_batch(x0[None], np.zeros((1, 1, width, width)), Readout.token(t))
-        assert np.allclose(uniform[..., t], 0.5)
-    column = [attention_stack_batch(x0[None], w[None, None], Readout.token(t))[0, 0, 0, :, t]
+        _, uniform = attention_stack_batch(x0[None], np.zeros((1, 1, width, width)),
+                                           Readout.token(t))
+        assert np.allclose(uniform, 0.5)
+    column = [attention_stack_batch(x0[None], w[None, None], Readout.token(t))[1][0, 0]
               for t in range(2)]
     # column 0: logits (ln 3, 0) over the attended index
     assert np.allclose(column[0], [0.75, 0.25], atol=1e-12)
@@ -95,8 +96,9 @@ def test_attention_stack_batch_matches_single(depth, n_heads, width, n_tokens, n
     logits = rng.standard_normal((depth, n_heads, width, width))
     tokens = rng.standard_normal((n_ex, width, n_tokens))
     t_star %= n_tokens
-    batch = attention_stack_batch(tokens, logits, Readout.token(t_star))
-    assert batch.shape == (n_ex, depth, n_heads, n_tokens, n_tokens)
+    layers, read = attention_stack_batch(tokens, logits, Readout.token(t_star))
+    assert layers.shape == (n_ex, depth - 1, n_heads, n_tokens, n_tokens)
+    assert read.shape == (n_ex, n_heads, n_tokens)
     for p in range(n_ex):
         x0 = tokens[p]
         for layer in range(depth):
@@ -104,13 +106,12 @@ def test_attention_stack_batch_matches_single(depth, n_heads, width, n_tokens, n
                 for t in range(n_tokens) if layer < depth - 1 else [t_star]:
                     scores = [x0[:, s] @ logits[layer, head] @ x0[:, t] for s in range(n_tokens)]
                     e = np.exp(np.array(scores) - max(scores))
-                    assert np.allclose(batch[p, layer, head, :, t], e / e.sum(),
-                                       rtol=1e-12, atol=1e-12)
-    # every built column of every attention matrix is a distribution
-    sums = batch.sum(axis=-2)
-    assert np.allclose(sums[:, :-1], 1.0, atol=1e-12)
-    assert np.allclose(sums[:, -1, :, t_star], 1.0, atol=1e-12)
-    assert np.all(batch >= 0)
+                    got = layers[p, layer, head, :, t] if layer < depth - 1 else read[p, head]
+                    assert np.allclose(got, e / e.sum(), rtol=1e-12, atol=1e-12)
+    # every column of every attention matrix is a distribution
+    assert np.allclose(layers.sum(axis=-2), 1.0, atol=1e-12)
+    assert np.allclose(read.sum(axis=-1), 1.0, atol=1e-12)
+    assert np.all(layers >= 0) and np.all(read >= 0)
 
 
 @pytest.mark.parametrize("t_star", [1, 30], ids=["token", "last-token"])
@@ -127,8 +128,10 @@ def test_two_gemm_stack_equals_the_einsum_bit_for_bit(t_star):
     for n_ex in (1, 12, 32, 50, 64, 100):
         tokens = rng.standard_normal((n_ex, cfg.token_width, cfg.n_tokens))
         want = attention_stack_einsum(tokens, logits, readout)
-        assert np.array_equal(attention_stack_batch(tokens, logits, readout), want)
-        assert np.array_equal(attention_stack_batch(tokens, logits, readout, work), want)
+        for layers, read in (attention_stack_batch(tokens, logits, readout),
+                             attention_stack_batch(tokens, logits, readout, work)):
+            assert np.array_equal(layers, want[:, :-1])
+            assert np.array_equal(read, want[:, -1, :, :, t_star])
 
 
 @settings(max_examples=40, deadline=None)
@@ -143,9 +146,10 @@ def test_two_gemm_stack_matches_the_einsum_property(depth, n_heads, width, n_tok
     readout = Readout.token(t_star % n_tokens)
     want = attention_stack_einsum(tokens, logits, readout)
     work = rng.standard_normal((2, width, n_ex * n_tokens + spare))
-    for got in (attention_stack_batch(tokens, logits, readout),
-                attention_stack_batch(tokens, logits, readout, work)):
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+    for layers, read in (attention_stack_batch(tokens, logits, readout),
+                         attention_stack_batch(tokens, logits, readout, work)):
+        assert np.allclose(layers, want[:, :-1], rtol=1e-12, atol=1e-12)
+        assert np.allclose(read, want[:, -1, :, :, readout.t_star], rtol=1e-12, atol=1e-12)
     with pytest.raises(ValueError, match="work must be"):
         attention_stack_batch(tokens, logits, readout, work[:, :-1])
     if n_ex:
@@ -158,20 +162,20 @@ def test_two_gemm_stack_matches_the_einsum_property(depth, n_heads, width, n_tok
        n_tokens=st.integers(1, 5), n_ex=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
 def test_stack_under_a_readout_builds_only_the_read_columns(depth, n_heads, width, n_tokens,
                                                              n_ex, seed):
-    # the last layer is built at column t_star and is 0 elsewhere; every earlier
-    # layer is the full stack, the same bits under every t_star
+    # the last layer is built at column t_star alone, one (T,) column per head;
+    # every earlier layer is the full stack, the same bits under every t_star
     rng = np.random.default_rng(seed)
     logits = 2.0 * rng.standard_normal((depth, n_heads, width, width))
     tokens = rng.standard_normal((n_ex, width, n_tokens))
     full = attention_stack_einsum(tokens, logits)
-    first = attention_stack_batch(tokens, logits, Readout.token(0))
-    assert np.allclose(first[:, :-1], full[:, :-1], rtol=1e-12, atol=1e-12)
+    first, _ = attention_stack_batch(tokens, logits, Readout.token(0))
+    assert np.allclose(first, full[:, :-1], rtol=1e-12, atol=1e-12)
     for t in range(n_tokens):
-        got = attention_stack_batch(tokens, logits, Readout.token(t))
-        assert got.shape == full.shape
-        assert np.array_equal(got[:, :-1], first[:, :-1])
-        assert np.allclose(got[:, -1, ..., t], full[:, -1, ..., t], rtol=1e-12, atol=1e-12)
-        assert np.all(np.delete(got[:, -1], t, axis=-1) == 0.0)
+        layers, read = attention_stack_batch(tokens, logits, Readout.token(t))
+        assert layers.shape == (n_ex, depth - 1, n_heads, n_tokens, n_tokens)
+        assert read.shape == (n_ex, n_heads, n_tokens)
+        assert np.array_equal(layers, first)
+        assert np.allclose(read, full[:, -1, ..., t], rtol=1e-12, atol=1e-12)
 
 
 def test_readout_t_star_is_checked():

@@ -38,8 +38,8 @@ def _setup(rng, n_ex=3, width=4, n_tokens=3, depth=2, n_heads=2, n_hidden=2,
     labels = rng.choice([-1.0, 1.0], size=n_ex)
     shape = (n_hidden, width, depth, n_heads)
     q = rng.standard_normal(weight_count(*shape))
-    shipped = attention_stack_batch(tokens, logits, readout)
-    phi = path_features(tokens, shipped, readout).reshape(-1, n_ex)
+    layers, read = attention_stack_batch(tokens, logits, readout)
+    phi = path_features(tokens, layers, read).reshape(-1, n_ex)
     return tokens, omegas, labels, q, phi, shape
 
 
@@ -399,8 +399,8 @@ def test_hmc_sample_matches_per_chain_oracle(prior_only):
     shape = (3, 4, 2, 2)
     phi = None
     if not prior_only:
-        omegas = attention_stack_batch(tokens, logits, readout)
-        phi = path_features(tokens, omegas, readout).reshape(-1, len(tokens))
+        layers, read = attention_stack_batch(tokens, logits, readout)
+        phi = path_features(tokens, layers, read).reshape(-1, len(tokens))
     root = np.random.default_rng(config.seed)
     root.spawn(3)
     q0s = [r.standard_normal(weight_count(*shape)) for r in root.spawn(3)]

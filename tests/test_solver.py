@@ -41,7 +41,7 @@ def _energy(u1, features, y, temperature):
     levels at their GP values, which the energy does not read."""
     mats = OrderParameterSet.gp_solution(features.n_heads, features.depth).matrices
     config = SolverConfig(alpha=1.0, temperature=temperature)
-    return solver_mod._action_pieces([u1] + mats[1:], features, y, config, want_grad=False)[2]
+    return solver_mod._action_pieces([u1] + mats[1:], features, y, config)[2]
 
 
 def test_energy_term_explicit_inverse_oracle():
@@ -347,8 +347,8 @@ def test_gram_route_matches_feature_contraction_property(n_heads, depth, p, widt
     config = SolverConfig(alpha=1.7, temperature=0.3, sigma2=1.2)
     mats = [_spd(rng, n_heads ** (depth - i)) for i in range(depth + 1)]
     mats[0] = mats[0] + 0.3 * rng.standard_normal(mats[0].shape)
-    direct = solver_mod._action_pieces(mats, train, y, config, True)
-    via_gram = solver_mod._action_pieces(mats, train, y, config, True, path_pair_gram(feats))
+    direct = solver_mod._action_pieces(mats, train, y, config)
+    via_gram = solver_mod._action_pieces(mats, train, y, config, path_pair_gram(feats))
     assert via_gram[0] == pytest.approx(direct[0], rel=1e-12, abs=1e-12)
     for got, want in zip(via_gram[3], direct[3]):
         assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
