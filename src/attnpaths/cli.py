@@ -317,7 +317,10 @@ def cmd_sample(args) -> int:
     hmc_config = HmcConfig(n_hidden=config["model"]["n_hidden"], sigma2=config["model"]["sigma2"],
                            seed=config["seed"], **config["sampler"])
     out, digest = _prepare_out(args, config, outputs)
-    train = dataset.tokens[: dataset.n_train]
+    train = np.asarray(dataset.tokens[: dataset.n_train])
+    test = None
+    if dataset.n_examples > dataset.n_train:
+        test = compute_features(dataset.tokens[dataset.n_train :], logits, readout, 0)
     log.info("sampling %d chains x (%d warmup + %d samples)",
              hmc_config.n_chains, hmc_config.n_warmup, hmc_config.n_samples)
     samples = hmc_sample(train, dataset.train_labels.astype(float), logits, readout, hmc_config)
@@ -326,9 +329,8 @@ def cmd_sample(args) -> int:
     fileio.write_u1_csv(out / "u_est.csv", u_est, samples.n_heads, samples.depth, digest)
 
     means = variances = ()
-    if dataset.n_examples > dataset.n_train:
-        test = dataset.tokens[dataset.n_train :]
-        means, variances = empirical_predictor(samples, test, logits, readout)
+    if test is not None:
+        means, variances = empirical_predictor(samples, test)
     fileio.write_predictor_csv(out / "predictor_empirical.csv", dataset.test_indices, means,
                                variances, dataset.test_labels, digest)
 

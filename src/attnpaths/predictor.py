@@ -6,6 +6,7 @@ posterior over the scalar output has
     mean      = k (K + T I)^-1 Y
     variance  = K_test - k (K + T I)^-1 k^T   (diagonal entries)
 
+with (K + T I)^-1 from one Cholesky factor (solver.pd_inverse), read by both.
 Classification accuracy is the fraction of test examples whose predicted sign
 matches the label, with sign(0) counted as +1.
 """
@@ -17,35 +18,33 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .kernel import PathFeatureMatrix, kernel_blocks
-from .solver import SolverConfig, SolverFailure, _chol_solve, solve_or_gp, solve_saddle
+from .solver import SolverConfig, SolverFailure, pd_inverse, solve_or_gp, solve_saddle
 
 # Grid from the temperature selection protocol: {a 10^-b} for a in
 # {1, 2.5, 5, 7.5}, b in {1, 2}, plus 1.0 and 1.5.
 DEFAULT_TEMPERATURE_GRID = (0.01, 0.025, 0.05, 0.075, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5)
 
 
-def _train_solve(k_train: np.ndarray, temperature: float):
-    p = k_train.shape[0]
+def _train_inverse(k_train: np.ndarray, temperature: float) -> np.ndarray:
     if temperature <= 0:
         raise ValueError(f"temperature must be > 0, got {temperature}")
-    return np.linalg.cholesky(k_train + temperature * np.eye(p))
+    k_train = np.asarray(k_train, dtype=float)
+    return pd_inverse(k_train + temperature * np.eye(k_train.shape[0]))[0]
 
 
 def predictor_mean(k_train: np.ndarray, k_cross: np.ndarray, y: np.ndarray,
                    temperature: float) -> np.ndarray:
     """Posterior mean outputs; k_cross has shape (n_eval, P)."""
     y = np.asarray(y, dtype=float)
-    c = _train_solve(np.asarray(k_train, dtype=float), temperature)
-    return np.asarray(k_cross, dtype=float) @ _chol_solve(c, y)
+    return np.asarray(k_cross, dtype=float) @ (_train_inverse(k_train, temperature) @ y)
 
 
 def predictor_variance(k_train: np.ndarray, k_cross: np.ndarray, k_eval_diag: np.ndarray,
                        temperature: float) -> np.ndarray:
     """Posterior variances K_test - k (K + T I)^-1 k^T, elementwise over eval points."""
     k_cross = np.asarray(k_cross, dtype=float)
-    c = _train_solve(np.asarray(k_train, dtype=float), temperature)
-    half = np.linalg.solve(c, k_cross.T)   # k (K + T I)^-1 k^T = |c^-1 k^T|^2 per column
-    return np.asarray(k_eval_diag, dtype=float) - np.einsum("pm,pm->m", half, half)
+    inv = _train_inverse(k_train, temperature)
+    return np.asarray(k_eval_diag, dtype=float) - np.vecdot(k_cross @ inv, k_cross)
 
 
 def classification_accuracy(means: np.ndarray, labels: np.ndarray) -> float:

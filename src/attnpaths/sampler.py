@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import compute_features, path_features
+from .kernel import PathFeatureMatrix, path_features
 from .model import Readout, attention_stack_batch, weight_count, weight_parts
 
 TARGET_ACCEPT = 0.8
@@ -300,10 +300,10 @@ def empirical_order_parameter(samples: PosteriorSamples, return_samples: bool = 
     return u_est
 
 
-def empirical_predictor(samples: PosteriorSamples, tokens: np.ndarray,
-                        logits: np.ndarray, readout: Readout):
-    """Posterior mean and variance of the output on new examples, all draws at once."""
-    phi = compute_features(tokens, logits, readout, 0).values.reshape(-1, len(tokens))
+def empirical_predictor(samples: PosteriorSamples, features: PathFeatureMatrix):
+    """Posterior mean and variance of the output on new examples, all draws at
+    once; features are the examples' in-memory path features (compute_features)."""
+    phi = features.values.reshape(-1, features.n_examples)
     v0, values, a = samples.parts()
     m = _row_tree(a, values)[-1] @ v0
     scale = (samples.n_heads**samples.depth * samples.n_hidden ** (samples.depth + 1)) ** -0.5

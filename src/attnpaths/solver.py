@@ -19,7 +19,9 @@ definite.  The factors of all levels are flattened into one vector and
 minimized by limited-memory BFGS (Nocedal & Wright, Numerical Optimization,
 2nd ed., Alg. 7.4-7.5) with a backtracking Armijo line search (Alg. 3.1); the
 action is smooth in these parameters and has no bounds.  Gradients are
-analytic; ln det and solves go through Cholesky factorizations.
+analytic.  Each positive-definite matrix an evaluation reads (every level,
+and K + T I) is factored once by Cholesky and inverted once from that factor
+(pd_inverse); every solve is a product with that inverse.
 
 solve_saddle builds the path-pair Gram once, with one GEMM; each evaluation
 then forms the training kernel and dE/dU1 as matrix-vector products with it.
@@ -121,18 +123,14 @@ class SolveTrace:
     n_eval: int
 
 
-def _chol_logdet(c: np.ndarray) -> float:
-    return 2.0 * float(np.sum(np.log(np.diag(c))))
-
-
-def _chol_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(c c^T)^-1 b for a lower Cholesky factor c, in numpy."""
-    return np.linalg.solve(c.T, np.linalg.solve(c, b))
-
-
-def _chol_inv(c: np.ndarray) -> np.ndarray:
-    inv = _chol_solve(c, np.eye(c.shape[0]))
-    return 0.5 * (inv + inv.T)
+def pd_inverse(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """(m^-1, ln det m) of a symmetric positive-definite m from one Cholesky
+    factor c: ln det from its diagonal, and c^-T c^-1 symmetrized, so the
+    inverse is exactly symmetric.  np.linalg.LinAlgError if m is not PD."""
+    c = np.linalg.cholesky(m)
+    c_inv = np.linalg.inv(c)
+    inv = c_inv.T @ c_inv
+    return 0.5 * (inv + inv.T), 2.0 * float(np.sum(np.log(np.diag(c))))
 
 
 def _block_trace(m: np.ndarray, n_blocks: int) -> np.ndarray:
@@ -160,19 +158,18 @@ def _action_pieces(mats: list, features: PathFeatureMatrix, y: np.ndarray,
     grads = [np.zeros_like(m) for m in mats]
     # each level factored and inverted once; np.linalg.LinAlgError on non-PD
     # input is the domain error.  Level 0's inverse serves only the gradient.
-    chols = [np.linalg.cholesky(m) for m in mats]
-    invs = [_chol_inv(c) for c in chols]
+    invs, logdets = zip(*(pd_inverse(m) for m in mats))
 
     top = mats[-1]
-    entropy = s2inv * float(np.trace(top)) - _chol_logdet(chols[-1])
+    entropy = s2inv * float(np.trace(top)) - logdets[-1]
     grads[-1] += s2inv * np.eye(top.shape[0]) - invs[-1]
 
     for i in range(depth):
         u = mats[i]
         n_heads_lift = u.shape[0] // mats[i + 1].shape[0]
         e_inv = np.kron(np.eye(n_heads_lift), invs[i + 1])
-        entropy += (s2inv * float(np.sum(u * e_inv)) - _chol_logdet(chols[i])
-                    + n_heads_lift * _chol_logdet(chols[i + 1]))
+        entropy += (s2inv * float(np.sum(u * e_inv)) - logdets[i]
+                    + n_heads_lift * logdets[i + 1])
         grads[i] += s2inv * e_inv - invs[i]
         full = -s2inv * (e_inv @ u @ e_inv) + e_inv
         grads[i + 1] += _block_trace(full, n_heads_lift)
@@ -183,12 +180,11 @@ def _action_pieces(mats: list, features: PathFeatureMatrix, y: np.ndarray,
     else:
         k = (mats[0].ravel() @ gram.reshape(-1, p * p)).reshape(p, p)
         k = 0.5 * (k + k.T)
-    c_m = np.linalg.cholesky(k + config.temperature * np.eye(p))
-    alpha_vec = _chol_solve(c_m, y)
-    energy = (_chol_logdet(c_m) + float(y @ alpha_vec)) / p
+    m_inv, logdet_m = pd_inverse(k + config.temperature * np.eye(p))
+    alpha_vec = m_inv @ y
+    energy = (logdet_m + float(y @ alpha_vec)) / p
     if config.alpha != 0.0:
-        m_inv = _chol_solve(c_m, np.eye(p))
-        g_k = (0.5 * (m_inv + m_inv.T) - np.outer(alpha_vec, alpha_vec)) / p
+        g_k = (m_inv - np.outer(alpha_vec, alpha_vec)) / p
         if gram is None:
             lifted = np.einsum("mn,bin->bim", g_k, features.values, optimize=True)
             g_u = np.einsum("aim,bim->ab", features.values, lifted, optimize=True) / features.n_paths

@@ -12,6 +12,7 @@ is the one-hot contraction that kernel.path_features matches bit for bit.
 
 import numpy as np
 
+from attnpaths.kernel import compute_features
 from attnpaths.model import weight_parts
 from attnpaths.sampler import PosteriorSamples, empirical_predictor
 
@@ -95,11 +96,11 @@ def path_row(weights: tuple, path) -> np.ndarray:
 def shipped_output(x0: np.ndarray, q: np.ndarray, shape: tuple, logits: np.ndarray,
                    readout) -> float:
     """The output of flat weights q on x0 through the package's path sum:
-    empirical_predictor on one kept draw, which runs compute_features and
+    compute_features, then empirical_predictor on one kept draw, which runs
     sampler._row_tree.  shape is (n_hidden, width, depth, n_heads)."""
     post = PosteriorSamples(
         samples=q[None], n_hidden=shape[0], width=shape[1], depth=shape[2], n_heads=shape[3],
         acceptance=np.ones(1), divergences=np.zeros(1, dtype=int),
         step_sizes=np.ones(1), potentials=np.zeros(1))
-    mean, _ = empirical_predictor(post, x0[None], logits, readout)
+    mean, _ = empirical_predictor(post, compute_features(x0[None], logits, readout, 0))
     return float(mean[0])

@@ -238,7 +238,7 @@ def test_criterion_08_sampler_theory_agreement():
 
     theory = evaluate_predictor(params.u1, feats, y, ds.test_indices,
                                 ds.test_labels, TEMPERATURE).means
-    sampled, _ = empirical_predictor(post, ds.tokens[50:], logits, READOUT)
+    sampled, _ = empirical_predictor(post, compute_features(ds.tokens[50:], logits, READOUT, 0))
     corr = float(np.corrcoef(theory, sampled)[0, 1])
     ok = signs_ok and corr >= 0.95
     _report(8, "sampler vs theory", ok,

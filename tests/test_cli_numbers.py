@@ -148,7 +148,8 @@ def test_sample_numbers_are_the_library_numbers(run):
     u_est = np.array([[float(v) for v in row[1:]] for row in rows])
     assert np.array_equal(u_est, empirical_order_parameter(samples))
 
-    means, _ = empirical_predictor(samples, dataset.tokens[dataset.n_train :], logits, readout)
+    test = compute_features(dataset.tokens[dataset.n_train :], logits, readout, 0)
+    means, _ = empirical_predictor(samples, test)
     csv_path = out / "predictor_empirical.csv"
     assert np.array_equal(_column(csv_path, "example", int), dataset.test_indices)
     assert np.array_equal(_column(csv_path, "mean"), means)

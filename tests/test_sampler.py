@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attnpaths.kernel import path_features
+from attnpaths.kernel import compute_features, path_features
 from attnpaths.model import (
     Readout,
     attention_stack_batch,
@@ -499,7 +499,7 @@ def test_empirical_predictor_oracle():
     tokens = rng.standard_normal((5, 4, 3))
     logits = rng.standard_normal((2, 2, 4, 4))
     readout = Readout.token(0)
-    means, variances = empirical_predictor(post, tokens, logits, readout)
+    means, variances = empirical_predictor(post, compute_features(tokens, logits, readout, 0))
     omegas = attention_stack_einsum(tokens, logits)
     outs = np.array([[forward_layerwise(tokens[mu], w, omegas[mu], readout)
                       for mu in range(5)] for w in draws])

@@ -48,6 +48,27 @@ def _scipy_imports(source: str) -> list[int]:
     return sorted(lines)
 
 
+def _private_imports(source: str) -> list[str]:
+    """Underscore names the module takes from another attnpaths module: names
+    imported from it, and attributes read off a module imported as a whole."""
+    tree = ast.parse(source)
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.split(".")[0] == "attnpaths"):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.append(f"{alias.name} (line {node.lineno})")
+                elif node.module in (None, "attnpaths"):
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")
+                and not node.attr.endswith("__")):
+            found.append(f"{node.value.id}.{node.attr} (line {node.lineno})")
+    return found
+
+
 def _public_definitions(source: str) -> list[str]:
     """Names of the module's public top-level functions and classes."""
     return [node.name for node in ast.parse(source).body
@@ -117,6 +138,14 @@ def test_detector_flags_a_scipy_import():
     assert _scipy_imports(source) == [1, 4, 5]
 
 
+def test_detector_flags_a_private_cross_module_import():
+    source = ("from __future__ import annotations\nfrom os import _exit\n"
+              "from .solver import _x, pd_inverse\nfrom . import fileio\n"
+              "def f():\n    from attnpaths.model import _y as y\n"
+              "    return fileio._write, fileio.write_json, fileio.__name__\n")
+    assert _private_imports(source) == ["_x (line 3)", "_y (line 6)", "fileio._write (line 7)"]
+
+
 def test_detector_flags_an_unread_public_definition():
     source = ("class A:\n    pass\ndef f():\n    return A\ndef g():\n    pass\n"
               "def _h():\n    pass\ndef k():\n    pass\nk = 1\n")
@@ -161,6 +190,13 @@ def test_no_unused_top_level_imports(path):
 def test_no_scipy_imports(path):
     # the package runs on numpy alone; scipy is a test-only oracle
     assert _scipy_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_names_from_another_module(path):
+    # a helper that a second module needs is public, like solver.pd_inverse,
+    # which the predictor calls
+    assert _private_imports(path.read_text()) == []
 
 
 def test_public_names_are_listed():
