@@ -156,8 +156,9 @@ def _readout(config: dict, n_tokens: int) -> Readout:
 
 
 def _solver_config(config: dict, n_train: int) -> SolverConfig:
+    """The solver's settings; solver.gp_limit means alpha = 0, the GP closed form."""
     s = config["solver"]
-    alpha = s["alpha"]
+    alpha = 0.0 if s["gp_limit"] else s["alpha"]
     if alpha is None:
         alpha = n_train / config["model"]["n_hidden"]
     return SolverConfig(
@@ -238,8 +239,7 @@ def cmd_pipeline(args) -> int:
     train = features.train()
     y_train = dataset.train_labels.astype(float)
 
-    params, trace = solve_or_gp(train, y_train, solver_config, solve=solve_saddle,
-                                gp_limit=config["solver"]["gp_limit"])
+    params, trace = solve_or_gp(train, y_train, solver_config, solve=solve_saddle)
     if trace is None:
         log.info("GP limit; using the closed-form order parameters")
     else:
@@ -256,10 +256,10 @@ def cmd_pipeline(args) -> int:
         solver_config.temperature, train=train,
     )
     fileio.write_predictor_csv(out / "predictor.csv", dataset.test_indices, report.means,
-                               report.variances, report.eval_labels, digest)
+                               report.variances, dataset.test_labels, digest)
     fileio.write_json(out / "predictor_summary.json", {
-        "accuracy": report.accuracy, "temperature": report.temperature,
-        "n_train": report.n_train, "n_eval": int(len(report.means)),
+        "accuracy": report.accuracy, "temperature": solver_config.temperature,
+        "n_train": dataset.n_train, "n_eval": int(len(report.means)),
         "alpha": solver_config.alpha, "solver_used": trace is not None,
         "converged": None if trace is None else bool(trace.converged),
         "solver_iters": None if trace is None else trace.n_iter,
@@ -295,7 +295,7 @@ def cmd_sweep(args) -> int:
     del logits  # not read again; the solve below is where memory peaks
     result = temperature_sweep(
         features, dataset.train_labels.astype(float), dataset.test_indices,
-        dataset.test_labels, solver_config, grid=grid, gp_limit=config["solver"]["gp_limit"])
+        dataset.test_labels, solver_config, grid=grid)
     fileio.write_sweep_csv(out / "sweep.csv", result, digest)
     fileio.write_json(out / "sweep_summary.json", {
         "best_temperature": result.best_temperature, "best_accuracy": result.best_accuracy,

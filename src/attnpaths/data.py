@@ -137,17 +137,19 @@ class SequenceDataset:
     def __post_init__(self):
         if not isinstance(self.tokens, TokenRows):
             self.tokens = np.asarray(self.tokens, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=np.int8)
+        labels = np.asarray(self.labels)
         shape = np.shape(self.tokens)
         if len(shape) != 3:
             raise ValueError(f"tokens must be (P, width, T), got {shape}")
-        if self.labels.shape != shape[:1]:
+        if labels.shape != shape[:1]:
             raise ValueError("labels length must match the example count")
-        # a Python scan: a first int8 ufunc call here pages in about 0.2 MB more of
+        # the given values, before the int8 cast would truncate them; a Python
+        # scan: a first int8 ufunc call here pages in about 0.2 MB more of
         # numpy's code, which every command's peak RSS would show
-        bad = next((i for i, y in enumerate(self.labels.tolist()) if y not in (-1, 1)), None)
+        bad = next((i for i, y in enumerate(labels.tolist()) if y not in (-1, 1)), None)
         if bad is not None:
-            raise ValueError(f"labels must be -1 or +1, got {self.labels[bad]} at example {bad}")
+            raise ValueError(f"labels must be -1 or +1, got {labels[bad]} at example {bad}")
+        self.labels = labels.astype(np.int8, copy=False)
         if not 0 <= self.n_train <= shape[0]:
             raise ValueError(f"n_train={self.n_train} out of range")
 

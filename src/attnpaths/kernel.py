@@ -200,7 +200,7 @@ def compute_features(tokens: np.ndarray, logits: np.ndarray, readout: Readout,
                 block = operand.transpose(1, 0, 2)
                 for a in range(start, stop, TOKEN_READ):
                     block[a - start : a - start + TOKEN_READ] = tokens[a : min(a + TOKEN_READ, stop)]
-                layers, read = attention_stack_batch(block, logits, readout, work)
+                layers, read = attention_stack_batch(block, logits, readout, work[1])
                 feats = path_features(block, layers, read)
                 result.rows[start:stop] = feats.transpose(2, 0, 1)
                 del feats, layers, read
@@ -251,21 +251,29 @@ def kernel_blocks(u1: np.ndarray, features: PathFeatureMatrix, eval_idx: np.ndar
     """(train x train, eval x train, eval diagonal) blocks of the total kernel.
 
     Only these blocks are computed, never the full kernel.  U is read through
-    its symmetric part, as total_kernel's symmetrized result reads it.  The
-    training block is features.train(), read here unless the caller already
-    holds it and passes it as train; the eval examples are walked in
-    FEATURE_BLOCK chunks, so besides the returned blocks only one chunk's
-    features are held (or read from the features file) at a time.
+    its symmetric part, as total_kernel's symmetrized result reads it, and it
+    lifts the training features once: the training block is one GEMM of the
+    flat training features with that lift, symmetrized, and each eval block's
+    cross kernel one more.  The training block is features.train(), read here
+    unless the caller already holds it and passes it as train; eval_idx holds
+    integer indices (a boolean mask raises ValueError), and the eval examples
+    are walked in FEATURE_BLOCK chunks, so besides the returned blocks only one
+    chunk's features are held (or read from the features file) at a time.
     """
     if features.n_train == 0:
         raise ValueError("feature matrix has an empty training block")
+    u = np.asarray(u1, dtype=float)
+    if u.shape != (features.n_paths, features.n_paths):
+        raise ValueError(f"order parameter shape {u.shape} does not match {features.n_paths} paths")
+    eval_idx = np.asarray(eval_idx)
+    if eval_idx.size and not np.issubdtype(eval_idx.dtype, np.integer):
+        raise ValueError(f"eval_idx must hold integer indices, got dtype {eval_idx.dtype}")
     if train is None:
         train = features.train()
-    k_train = total_kernel(u1, train)
-    u = np.asarray(u1, dtype=float)
     u = 0.5 * (u + u.T)
-    eval_idx = np.asarray(eval_idx, dtype=np.int64)
     lifted = np.tensordot(u, train.values, axes=(1, 0)).reshape(-1, features.n_train)
+    k_train = train.values.reshape(lifted.shape).T @ lifted / features.n_paths
+    k_train = 0.5 * (k_train + k_train.T)
     k_cross = np.empty((len(eval_idx), features.n_train))
     k_diag = np.empty(len(eval_idx))
     for start in range(0, len(eval_idx), FEATURE_BLOCK):

@@ -39,7 +39,7 @@ column t*, attention_stack_batch builds the last layer at that column
 alone: at L = 2 that halves the stack.  That layer is again one GEMM, the
 examples' read columns as (P, w) times M^T, and one batched product: the
 einsum's bits at half its time, except in the last bit at w = 1, and at
-T <= 3 for tokens read through work's layout (compute_features).
+T <= 3 for tokens that are a view of a (w, P T) operand (compute_features).
 Earlier layers are needed in full.
 """
 
@@ -113,13 +113,13 @@ def attention_stack_batch(tokens: np.ndarray, logits: np.ndarray, readout: Reado
     Scores are batched as x^T M x per example, M = logits[l, h]; heads are
     independent.  Each full layer is two GEMMs: M^T times the tokens laid out
     as (width, P T), then each example's (T, width) slice of that product
-    times its tokens.  work, of shape (2, width, >= P T), holds that layout
-    and that product; without it one is allocated here, and a caller that
-    builds many batches passes one array to all of them.  Tokens are copied
-    into that layout unless they are already its (P, width, T) view, as
-    compute_features passes them.  The softmax normalizes each column on its
-    own, so read is that column of the full last layer.  Tokens and logits
-    may come from files, so they are checked here.
+    times its tokens.  work, of shape (width, >= P T), holds that product;
+    without it one is allocated here, and a caller that builds many batches
+    passes one array to all of them.  The layout is a view of tokens that are
+    the (P, width, T) view of a (width, P T) operand, as compute_features
+    passes them, and a copy of any others.  The softmax normalizes each
+    column on its own, so read is that column of the full last layer.
+    Tokens and logits may come from files, so they are checked here.
     """
     tokens = np.asarray(tokens, dtype=float)
     if tokens.ndim != 3:
@@ -133,15 +133,14 @@ def attention_stack_batch(tokens: np.ndarray, logits: np.ndarray, readout: Reado
         raise ValueError(f"t_star={t_star} out of range for {n_tokens} tokens")
     cols = n_ex * n_tokens
     if work is None:
-        work = np.empty((2, width, cols))
-    if work.dtype != float or work.shape[:2] != (2, width) or work.shape[2] < cols:
-        raise ValueError(f"work must be a float (2, {width}, >= {cols}) array, got {work.shape}")
-    xw, prod = work[0, :, :cols], work[1, :, :cols]
-    layout = xw.reshape(width, n_ex, n_tokens).transpose(1, 0, 2)
-    if (tokens.ctypes.data, tokens.strides) != (layout.ctypes.data, layout.strides):
-        if np.may_share_memory(tokens, work):  # else the layout copy would overwrite them
-            tokens = tokens.copy()
-        np.copyto(layout, tokens)
+        work = np.empty((width, cols))
+    if work.dtype != float or work.ndim != 2 or work.shape[0] != width or work.shape[1] < cols:
+        raise ValueError(f"work must be a float ({width}, >= {cols}) array, got {work.shape}")
+    prod = work[:, :cols]
+    if np.may_share_memory(tokens, prod):  # else the first product would overwrite them
+        tokens = tokens.copy()
+    # a view of compute_features' operand, a C-order copy of other tokens
+    xw = tokens.transpose(1, 0, 2).reshape(width, cols)
     layers = np.empty((n_ex, depth - 1, n_heads, n_tokens, n_tokens))
     for layer in range(depth - 1):
         for head in range(n_heads):

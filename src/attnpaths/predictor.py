@@ -6,9 +6,10 @@ posterior over the scalar output has
     mean      = k (K + T I)^-1 Y
     variance  = K_test - k (K + T I)^-1 k^T   (diagonal entries)
 
-with (K + T I)^-1 from one Cholesky factor (solver.pd_inverse), read by both.
-Classification accuracy is the fraction of test examples whose predicted sign
-matches the label, with sign(0) counted as +1.
+evaluate_predictor factors K + T I once (solver.pd_inverse) and hands that
+inverse to both predictor_mean and predictor_variance.  Classification
+accuracy is the fraction of test examples whose predicted sign matches the
+label, with sign(0) counted as +1.
 """
 
 from __future__ import annotations
@@ -25,26 +26,18 @@ from .solver import SolverConfig, SolverFailure, pd_inverse, solve_or_gp, solve_
 DEFAULT_TEMPERATURE_GRID = (0.01, 0.025, 0.05, 0.075, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5)
 
 
-def _train_inverse(k_train: np.ndarray, temperature: float) -> np.ndarray:
-    if temperature <= 0:
-        raise ValueError(f"temperature must be > 0, got {temperature}")
-    k_train = np.asarray(k_train, dtype=float)
-    return pd_inverse(k_train + temperature * np.eye(k_train.shape[0]))[0]
+def predictor_mean(inverse: np.ndarray, k_cross: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Posterior mean outputs k (K + T I)^-1 Y; inverse is (K + T I)^-1 and
+    k_cross has shape (n_eval, P)."""
+    return np.asarray(k_cross, dtype=float) @ (inverse @ np.asarray(y, dtype=float))
 
 
-def predictor_mean(k_train: np.ndarray, k_cross: np.ndarray, y: np.ndarray,
-                   temperature: float) -> np.ndarray:
-    """Posterior mean outputs; k_cross has shape (n_eval, P)."""
-    y = np.asarray(y, dtype=float)
-    return np.asarray(k_cross, dtype=float) @ (_train_inverse(k_train, temperature) @ y)
-
-
-def predictor_variance(k_train: np.ndarray, k_cross: np.ndarray, k_eval_diag: np.ndarray,
-                       temperature: float) -> np.ndarray:
-    """Posterior variances K_test - k (K + T I)^-1 k^T, elementwise over eval points."""
+def predictor_variance(inverse: np.ndarray, k_cross: np.ndarray,
+                       k_eval_diag: np.ndarray) -> np.ndarray:
+    """Posterior variances K_test - k (K + T I)^-1 k^T, elementwise over eval
+    points; inverse is (K + T I)^-1."""
     k_cross = np.asarray(k_cross, dtype=float)
-    inv = _train_inverse(k_train, temperature)
-    return np.asarray(k_eval_diag, dtype=float) - np.vecdot(k_cross @ inv, k_cross)
+    return np.asarray(k_eval_diag, dtype=float) - np.vecdot(k_cross @ inverse, k_cross)
 
 
 def classification_accuracy(means: np.ndarray, labels: np.ndarray) -> float:
@@ -66,28 +59,25 @@ class PredictorReport:
     means: np.ndarray
     variances: np.ndarray
     accuracy: float
-    temperature: float
-    n_train: int
-    eval_labels: np.ndarray
 
 
 def evaluate_predictor(u1: np.ndarray, features: PathFeatureMatrix, y_train: np.ndarray,
                        eval_idx: np.ndarray, eval_labels: np.ndarray, temperature: float,
                        train: PathFeatureMatrix | None = None) -> PredictorReport:
-    """Assemble kernel blocks under u1 and score the evaluation examples;
-    train, the caller's features.train() if it holds one, is not read again."""
+    """Assemble kernel blocks under u1 and score the evaluation examples, with
+    K + T I factored once; train, the caller's features.train() if it holds
+    one, is not read again."""
+    if temperature <= 0:
+        raise ValueError(f"temperature must be > 0, got {temperature}")
     y_train = np.asarray(y_train, dtype=float)
-    eval_labels = np.asarray(eval_labels)
     k_train, k_cross, k_diag = kernel_blocks(u1, features, eval_idx, train)
     if y_train.shape != (k_train.shape[0],):
         raise ValueError(f"y_train must have shape ({k_train.shape[0]},), got {y_train.shape}")
-    means = predictor_mean(k_train, k_cross, y_train, temperature)
-    variances = predictor_variance(k_train, k_cross, k_diag, temperature)
-    acc = classification_accuracy(means, eval_labels)
-    return PredictorReport(
-        means=means, variances=variances, accuracy=acc, temperature=temperature,
-        n_train=k_train.shape[0], eval_labels=eval_labels.copy(),
-    )
+    inverse = pd_inverse(k_train + temperature * np.eye(len(y_train)))[0]
+    means = predictor_mean(inverse, k_cross, y_train)
+    variances = predictor_variance(inverse, k_cross, k_diag)
+    return PredictorReport(means=means, variances=variances,
+                           accuracy=classification_accuracy(means, eval_labels))
 
 
 @dataclass
@@ -100,13 +90,12 @@ class SweepResult:
 def temperature_sweep(features: PathFeatureMatrix, y_train: np.ndarray,
                       val_idx: np.ndarray, val_labels: np.ndarray,
                       config: SolverConfig,
-                      grid: tuple = DEFAULT_TEMPERATURE_GRID,
-                      gp_limit: bool = False) -> SweepResult:
+                      grid: tuple = DEFAULT_TEMPERATURE_GRID) -> SweepResult:
     """Solve the saddle at every temperature on the grid and score validation accuracy.
 
     Ties break toward the larger temperature.  Grid points where the solver
-    fails are recorded with the error and skipped.  At alpha = 0, or with
-    gp_limit, the GP closed form is used and no solver runs.
+    fails are recorded with the error and skipped.  At alpha = 0 the GP closed
+    form is used and no solver runs.
     """
     if len(grid) == 0:
         raise ValueError("temperature grid is empty")
@@ -116,7 +105,7 @@ def temperature_sweep(features: PathFeatureMatrix, y_train: np.ndarray,
     for t in grid:
         try:
             params, trace = solve_or_gp(features, y_train, replace(config, temperature=float(t)),
-                                        solve=solve_saddle, gp_limit=gp_limit)
+                                        solve=solve_saddle)
             report = evaluate_predictor(params.u1, features, y_train, val_idx, val_labels, float(t))
         except (SolverFailure, np.linalg.LinAlgError) as err:
             rows.append({"temperature": float(t), "accuracy": None, "converged": False,

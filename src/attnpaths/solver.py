@@ -343,9 +343,9 @@ def solve_saddle(features: PathFeatureMatrix, y: np.ndarray,
         act, _, _, gmax = point[0]
         return gmax <= TOLERANCE * (1.0 + abs(act))
 
-    accepted = [point]
+    rows = [point[0]]  # the trace scalars of each accepted iterate, all a solve keeps of it
     pairs = []
-    while not converged(point) and len(accepted) < config.max_iter:
+    while not converged(point) and len(rows) < config.max_iter:
         grad = point[2]
         direction = _lbfgs_direction(grad, pairs)
         if grad @ direction >= 0:
@@ -372,9 +372,9 @@ def solve_saddle(features: PathFeatureMatrix, y: np.ndarray,
         if sy > 0:
             pairs = (pairs + [(s, dy, 1.0 / sy)])[-LBFGS_MEMORY:]
         x = x_new
-        accepted.append(point)
+        rows.append(point[0])
 
-    rows = np.array([point[0] for point in accepted])
+    rows = np.array(rows)
     params = OrderParameterSet(matrices=point[1], n_heads=features.n_heads, depth=features.depth)
     trace = SolveTrace(
         actions=rows[:, 0], entropies=rows[:, 1], energies=rows[:, 2], grad_norms=rows[:, 3],
@@ -383,15 +383,14 @@ def solve_saddle(features: PathFeatureMatrix, y: np.ndarray,
     return params, trace
 
 
-def solve_or_gp(features: PathFeatureMatrix, y: np.ndarray, config: SolverConfig, *,
-                solve, gp_limit: bool = False):
+def solve_or_gp(features: PathFeatureMatrix, y: np.ndarray, config: SolverConfig, *, solve):
     """The order parameters a predictor reads, and the solve's trace.
 
-    At alpha = 0, or when gp_limit is set, the GP closed form stands in for the
-    solve and the trace is None.  Otherwise solve(features, y, config) runs;
-    callers pass the solve_saddle they import, so a patched or wrapped
-    solve_saddle in their module is the one that runs.
+    alpha alone picks the route: at alpha = 0 the GP closed form is the
+    minimum, it stands in for the solve and the trace is None.  Otherwise
+    solve(features, y, config) runs; callers pass the solve_saddle they import,
+    so a patched or wrapped solve_saddle in their module is the one that runs.
     """
-    if gp_limit or config.alpha == 0.0:
+    if config.alpha == 0.0:
         return OrderParameterSet.gp_solution(features.n_heads, features.depth, config.sigma2), None
     return solve(features, y, config)

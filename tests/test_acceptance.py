@@ -21,7 +21,7 @@ from attnpaths.model import (
     weight_parts,
 )
 from attnpaths.analysis import head_scores, prune_heads
-from attnpaths.predictor import evaluate_predictor, predictor_mean
+from attnpaths.predictor import evaluate_predictor
 from attnpaths.sampler import (
     HmcConfig,
     empirical_order_parameter,
@@ -205,7 +205,7 @@ def test_criterion_07_kernel_ridge_oracle():
         y = rng.choice([-1.0, 1.0], size=20)
         t = 0.1
         k = total_kernel(u1, feats)
-        means = predictor_mean(k[:20, :20], k[20:, :20], y, t)
+        means = evaluate_predictor(u1, feats, y, np.arange(20, 26), np.ones(6), t).means
         ridge = k[20:, :20] @ np.linalg.solve(k[:20, :20] + t * np.eye(20), y)
         worst = max(worst, float(np.max(np.abs(means - ridge))
                                  / max(1e-30, np.max(np.abs(ridge)))))

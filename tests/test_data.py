@@ -150,6 +150,15 @@ def test_dataset_rejects_labels_other_than_plus_minus_one(labels):
     SequenceDataset(tokens=np.zeros((3, 4, 5)), labels=[1, -1, 1], n_train=2)
 
 
+def test_dataset_checks_labels_before_the_int8_cast():
+    # float labels are checked as given, not as their truncation to int8
+    for labels in ([1.7, -1.2, 1.0], [1, -1, 257]):
+        with pytest.raises(ValueError, match="labels must be -1 or \\+1"):
+            SequenceDataset(tokens=np.zeros((3, 4, 5)), labels=labels, n_train=2)
+    ds = SequenceDataset(tokens=np.zeros((3, 4, 5)), labels=[1.0, -1.0, 1.0], n_train=2)
+    assert ds.labels.dtype == np.int8 and ds.labels.tolist() == [1, -1, 1]
+
+
 def _oracle_noise(shape, v_plus, v_minus, sigma_par, sigma_perp, rng):
     g = rng.standard_normal(shape)
     u1 = v_plus / np.linalg.norm(v_plus)

@@ -220,14 +220,14 @@ def test_tokens_read_into_the_gemm_operand_property(tmp_path_factory, n_heads, d
             rows = fileio.create_features(d / f"f{workers}.apkf", n_heads, depth, width, n_ex, 0)
             compute_features(in_file, logits, readout, 0, out=rows, workers=workers)
             assert np.asarray(rows).tobytes() == want.transpose(2, 0, 1).tobytes()
-    # the stack skips its layout copy only for the operand's own view: given
-    # a work array, tokens elsewhere, or in work[0] in another layout, are copied
+    # given a product buffer, tokens elsewhere give the same bits, and so do
+    # tokens in the buffer itself, which the first product would overwrite
     want = [part.tobytes() for part in attention_stack_batch(tokens, logits, readout)]
-    work = rng.standard_normal((2, width, n_ex * n_tokens))
+    work = rng.standard_normal((width, n_ex * n_tokens))
     got = attention_stack_batch(tokens, logits, readout, work)
     assert [part.tobytes() for part in got] == want
-    work[0] = tokens.reshape(width, -1)
-    in_work = work[0].reshape(tokens.shape)  # the tokens, row-major in work[0]
+    work[:] = tokens.reshape(width, -1)
+    in_work = work.reshape(tokens.shape)  # the tokens, row-major in the product buffer
     got = attention_stack_batch(in_work, logits, readout, work)
     assert [part.tobytes() for part in got] == want
 
@@ -421,6 +421,19 @@ def test_kernel_blocks_match_total_kernel_for_nonsymmetric_u():
     assert np.max(np.abs(k_diag - k[eval_idx, eval_idx])) <= 1e-13 * scale
     with pytest.raises(ValueError):
         kernel_blocks(np.eye(3), feats, eval_idx)
+
+
+def test_kernel_blocks_rejects_a_boolean_eval_mask():
+    # a mask would be read as indices 0 and 1; it is refused, and so are
+    # float indices, while an empty index list gives empty blocks
+    rng = np.random.default_rng(18)
+    feats = _random_features(rng, n_ex=10, n_train=6)
+    mask = np.arange(10) >= 6
+    for eval_idx in (mask, np.arange(6.0, 10.0)):
+        with pytest.raises(ValueError, match="eval_idx must hold integer indices"):
+            kernel_blocks(np.eye(4), feats, eval_idx)
+    _, k_cross, k_diag = kernel_blocks(np.eye(4), feats, [])
+    assert k_cross.shape == (0, 6) and k_diag.shape == (0,)
 
 
 def test_train_and_select_examples_views():

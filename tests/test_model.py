@@ -124,7 +124,7 @@ def test_two_gemm_stack_equals_the_einsum_bit_for_bit(t_star):
     logits = build_hmc_attention(cfg, n_heads=2, depth=2, seed=0)
     readout = Readout.token(t_star)
     rng = np.random.default_rng(0)
-    work = np.full((2, cfg.token_width, 100 * cfg.n_tokens), np.nan)
+    work = np.full((cfg.token_width, 100 * cfg.n_tokens), np.nan)
     for n_ex in (1, 12, 32, 50, 64, 100):
         tokens = rng.standard_normal((n_ex, cfg.token_width, cfg.n_tokens))
         want = attention_stack_einsum(tokens, logits, readout)
@@ -145,16 +145,16 @@ def test_two_gemm_stack_matches_the_einsum_property(depth, n_heads, width, n_tok
     tokens = rng.standard_normal((n_ex, width, n_tokens))
     readout = Readout.token(t_star % n_tokens)
     want = attention_stack_einsum(tokens, logits, readout)
-    work = rng.standard_normal((2, width, n_ex * n_tokens + spare))
+    work = rng.standard_normal((width, n_ex * n_tokens + spare))
     for layers, read in (attention_stack_batch(tokens, logits, readout),
                          attention_stack_batch(tokens, logits, readout, work)):
         assert np.allclose(layers, want[:, :-1], rtol=1e-12, atol=1e-12)
         assert np.allclose(read, want[:, -1, :, :, readout.t_star], rtol=1e-12, atol=1e-12)
     with pytest.raises(ValueError, match="work must be"):
-        attention_stack_batch(tokens, logits, readout, work[:, :-1])
+        attention_stack_batch(tokens, logits, readout, work[:-1])
     if n_ex:
         with pytest.raises(ValueError, match="work must be"):
-            attention_stack_batch(tokens, logits, readout, work[:, :, : n_ex * n_tokens - 1])
+            attention_stack_batch(tokens, logits, readout, work[:, : n_ex * n_tokens - 1])
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,3 +1,6 @@
+from dataclasses import fields
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,7 @@ from attnpaths.predictor import (
     predictor_variance,
     temperature_sweep,
 )
-from attnpaths.solver import SolverConfig, SolverFailure
+from attnpaths.solver import SolverConfig, SolverFailure, pd_inverse
 
 
 def _features(rng, n_heads=2, depth=2, width=5, n_ex=10, n_train=6):
@@ -26,13 +29,18 @@ def _kernel_setup(rng, p=6, m=3):
     return k[:p, :p], k[p:, :p], np.diag(k)[p:]
 
 
+def _inverse(k_train, t):
+    """(K + T I)^-1 as evaluate_predictor forms it."""
+    return pd_inverse(k_train + t * np.eye(len(k_train)))[0]
+
+
 def test_predictor_mean_explicit_inverse_oracle():
     rng = np.random.default_rng(0)
     k_train, k_cross, _ = _kernel_setup(rng)
     y = rng.standard_normal(6)
     t = 0.2
     want = k_cross @ np.linalg.inv(k_train + t * np.eye(6)) @ y
-    got = predictor_mean(k_train, k_cross, y, t)
+    got = predictor_mean(_inverse(k_train, t), k_cross, y)
     assert np.max(np.abs(got - want)) <= 1e-8 * (1 + np.max(np.abs(want)))
 
 
@@ -42,7 +50,7 @@ def test_predictor_variance_explicit_inverse_oracle():
     t = 0.3
     inv = np.linalg.inv(k_train + t * np.eye(6))
     want = k_diag - np.einsum("mp,pq,mq->m", k_cross, inv, k_cross)
-    got = predictor_variance(k_train, k_cross, k_diag, t)
+    got = predictor_variance(_inverse(k_train, t), k_cross, k_diag)
     assert np.max(np.abs(got - want)) <= 1e-8 * (1 + np.max(np.abs(want)))
 
 
@@ -51,7 +59,7 @@ def test_predictor_interpolates_at_small_temperature():
     rng = np.random.default_rng(2)
     k_train, _, _ = _kernel_setup(rng)
     y = rng.choice([-1.0, 1.0], size=6)
-    means = predictor_mean(k_train, k_train, y, 1e-10)
+    means = predictor_mean(_inverse(k_train, 1e-10), k_train, y)
     assert np.max(np.abs(means - y)) <= 1e-6
 
 
@@ -60,7 +68,7 @@ def test_predictor_variance_bounds():
     rng = np.random.default_rng(3)
     for _ in range(5):
         k_train, k_cross, k_diag = _kernel_setup(rng)
-        var = predictor_variance(k_train, k_cross, k_diag, 0.5)
+        var = predictor_variance(_inverse(k_train, 0.5), k_cross, k_diag)
         assert np.all(var >= -1e-10)
         assert np.all(var <= k_diag + 1e-10)
 
@@ -70,19 +78,19 @@ def test_predictor_mean_linear_in_labels():
     k_train, k_cross, _ = _kernel_setup(rng)
     y1 = rng.standard_normal(6)
     y2 = rng.standard_normal(6)
-    m1 = predictor_mean(k_train, k_cross, y1, 0.1)
-    m2 = predictor_mean(k_train, k_cross, y2, 0.1)
-    m12 = predictor_mean(k_train, k_cross, 2.0 * y1 - 0.5 * y2, 0.1)
+    inverse = _inverse(k_train, 0.1)
+    m1 = predictor_mean(inverse, k_cross, y1)
+    m2 = predictor_mean(inverse, k_cross, y2)
+    m12 = predictor_mean(inverse, k_cross, 2.0 * y1 - 0.5 * y2)
     assert np.allclose(m12, 2.0 * m1 - 0.5 * m2, atol=1e-10)
 
 
 def test_predictor_temperature_validation():
     rng = np.random.default_rng(5)
-    k_train, k_cross, k_diag = _kernel_setup(rng)
-    with pytest.raises(ValueError):
-        predictor_mean(k_train, k_cross, np.ones(6), 0.0)
-    with pytest.raises(ValueError):
-        predictor_variance(k_train, k_cross, k_diag, -0.1)
+    feats = _features(rng)
+    for t in (0.0, -0.1):
+        with pytest.raises(ValueError, match="temperature must be > 0"):
+            evaluate_predictor(np.eye(4), feats, np.ones(6), np.arange(6, 10), np.ones(4), t)
 
 
 def test_classification_accuracy_rules():
@@ -110,15 +118,32 @@ def test_evaluate_predictor_matches_manual_blocks():
     t = 0.1
     report = evaluate_predictor(u1, feats, y_train, eval_idx, eval_labels, t)
     k = total_kernel(u1, feats)
-    want_means = predictor_mean(k[:6, :6], k[6:, :6], y_train, t)
-    want_vars = predictor_variance(k[:6, :6], k[6:, :6], np.diag(k)[6:], t)
+    inverse = _inverse(k[:6, :6], t)
+    want_means = predictor_mean(inverse, k[6:, :6], y_train)
+    want_vars = predictor_variance(inverse, k[6:, :6], np.diag(k)[6:])
     assert np.allclose(report.means, want_means, atol=1e-12)
     assert np.allclose(report.variances, want_vars, atol=1e-12)
     assert report.accuracy == classification_accuracy(want_means, eval_labels)
-    assert report.n_train == 6 and report.temperature == t
-    assert np.array_equal(report.eval_labels, eval_labels)
+    assert [f.name for f in fields(report)] == ["means", "variances", "accuracy"]
     with pytest.raises(ValueError):
         evaluate_predictor(u1, feats, y_train[:5], eval_idx, eval_labels, t)
+
+
+def test_evaluate_predictor_factors_the_train_kernel_once():
+    # the mean and the variance read one inverse of K + T I
+    import attnpaths.predictor as predictor_mod
+    rng = np.random.default_rng(11)
+    feats = _features(rng)
+    calls = []
+
+    def counted(m):
+        calls.append(m.shape)
+        return pd_inverse(m)
+
+    with mock.patch.object(predictor_mod, "pd_inverse", counted):
+        evaluate_predictor(np.eye(4), feats, rng.choice([-1.0, 1.0], size=6), np.arange(6, 10),
+                           rng.choice([-1, 1], size=4), 0.1)
+    assert calls == [(6, 6)]
 
 
 def test_temperature_sweep_gp_limit_and_tie_break():
