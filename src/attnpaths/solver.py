@@ -13,15 +13,16 @@ level's order parameter, alpha = P/N, and the energy
 built from the training-block total kernel K.  At alpha = 0 the unique minimum
 is the Gaussian-process point U^(l) = sigma^(2(L+2-l)) I.
 
-Minimization works on Cholesky factors U = F F^T with a softplus
-reparameterized diagonal, which keeps every iterate strictly positive
-definite.  The factors of all levels are flattened into one vector and
-minimized by limited-memory BFGS (Nocedal & Wright, Numerical Optimization,
-2nd ed., Alg. 7.4-7.5) with a backtracking Armijo line search (Alg. 3.1); the
-action is smooth in these parameters and has no bounds.  Gradients are
-analytic.  Each positive-definite matrix an evaluation reads (every level,
-and K + T I) is factored once by Cholesky and inverted once from that factor
-(pd_inverse); every solve is a product with that inverse.
+Minimization works on square factors U = F F^T, every entry free (Burer &
+Monteiro, Math. Programming 95, 2003); a finite action needs every level
+positive definite, so every accepted iterate is.  The factors of all levels
+are flattened into one vector and minimized by limited-memory BFGS (Nocedal &
+Wright, Numerical Optimization, 2nd ed., Alg. 7.4-7.5) with a backtracking
+Armijo line search (Alg. 3.1); the action is smooth in these parameters and
+has no bounds.  Gradients are analytic.  Each positive-definite matrix an
+evaluation reads (every level, and K + T I) is factored once by Cholesky and
+inverted once from that factor (pd_inverse); every solve is a product with
+that inverse.
 
 solve_saddle builds the path-pair Gram once, with one GEMM; each evaluation
 then forms the training kernel and dE/dU1 as matrix-vector products with it.
@@ -43,7 +44,7 @@ from .kernel import PathFeatureMatrix, path_pair_gram, total_kernel
 GRAM_MAX_DOUBLES = 2**23
 
 # convergence threshold on the U-space gradient inf-norm, relative to
-# 1 + |action|, and the scale of the seeded noise on the starting raw factors
+# 1 + |action|, and the scale of the seeded noise on the starting factors
 TOLERANCE = 1e-7
 JITTER = 1e-3
 
@@ -212,48 +213,12 @@ def action_gradient(params: OrderParameterSet, features: PathFeatureMatrix, y: n
     return grads
 
 
-def _softplus(x: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, x)
-
-
-def _inv_softplus(y: float) -> float:
-    if y > 30.0:
-        return float(y)
-    return float(np.log(np.expm1(y)))
-
-
-def _factors_from_raw(raws: list) -> list:
-    out = []
-    for raw in raws:
-        f = np.tril(raw, -1)
-        np.fill_diagonal(f, _softplus(np.diag(raw)))
-        out.append(f)
-    return out
-
-
-def _raw_gradients(u_grads: list, raws: list, factors: list) -> list:
-    """Chain rule from dS/dU through U = F F^T and the softplus diagonal."""
-    out = []
-    for g, raw, f in zip(u_grads, raws, factors):
-        gf = (g + g.T) @ f
-        gr = np.tril(gf, -1)
-        diag = np.diag(gf) / (1.0 + np.exp(-np.diag(raw)))
-        np.fill_diagonal(gr, diag)
-        out.append(gr)
-    return out
-
-
-def _init_raws(n_heads: int, depth: int, config: SolverConfig,
-               rng: np.random.Generator) -> list:
-    raws = []
-    for i in range(depth + 1):
-        size = n_heads ** (depth - i)
-        target = config.sigma2 ** ((depth + 1 - i) / 2.0)
-        raw = np.full((size, size), 0.0)
-        np.fill_diagonal(raw, _inv_softplus(target))
-        raw += JITTER * rng.standard_normal((size, size))
-        raws.append(raw)
-    return raws
+def _start_factors(n_heads: int, depth: int, config: SolverConfig,
+                   rng: np.random.Generator) -> list:
+    """Square roots of the GP point's (diagonal) levels plus seeded noise of
+    scale JITTER, drawn level by level."""
+    gp = OrderParameterSet.gp_solution(n_heads, depth, config.sigma2)
+    return [np.sqrt(u) + JITTER * rng.standard_normal(u.shape) for u in gp.matrices]
 
 
 def _grad_inf_norm(grads: list) -> float:
@@ -261,20 +226,19 @@ def _grad_inf_norm(grads: list) -> float:
 
 
 def _split(x: np.ndarray, sizes: list) -> list:
-    """The square per-level raw factors packed one after another in x."""
+    """The square per-level factors packed one after another in x."""
     ends = np.cumsum([n * n for n in sizes])
     return [x[end - n * n : end].reshape(n, n) for end, n in zip(ends, sizes)]
 
 
 def _evaluate(x: np.ndarray, sizes: list, features: PathFeatureMatrix, y: np.ndarray,
               config: SolverConfig, gram: np.ndarray | None):
-    """The action at the flat raw factors x, or None where it is not finite.
+    """The action at the flat factors x, or None where it is not finite.
 
     Returns ((action, entropy, energy, U-space gradient inf-norm), U levels,
     gradient with respect to x).
     """
-    raws = _split(x, sizes)
-    factors = _factors_from_raw(raws)
+    factors = _split(x, sizes)
     mats = [f @ f.T for f in factors]
     try:
         act, ent, ene, grads = _action_pieces(mats, features, y, config, gram)
@@ -284,7 +248,8 @@ def _evaluate(x: np.ndarray, sizes: list, features: PathFeatureMatrix, y: np.nda
     gmax = _grad_inf_norm(grads)
     if not np.isfinite(act) or not np.isfinite(gmax):
         return None
-    flat = np.concatenate([g.ravel() for g in _raw_gradients(grads, raws, factors)])
+    # chain rule through U = F F^T: dS/dF = (g + g^T) F
+    flat = np.concatenate([((g + g.T) @ f).ravel() for g, f in zip(grads, factors)])
     return (act, ent, ene, gmax), mats, flat
 
 
@@ -311,7 +276,7 @@ def solve_saddle(features: PathFeatureMatrix, y: np.ndarray,
                  config: SolverConfig) -> tuple[OrderParameterSet, SolveTrace]:
     """Minimize the action; returns the order parameters and the full trace.
 
-    Starts at the GP fixed point plus seeded noise of scale JITTER on the raw
+    Starts at the GP fixed point plus seeded noise of scale JITTER on the
     factors and runs L-BFGS over the flattened factors.  It stops at the first
     iterate whose U-space action gradient infinity norm is at most
     TOLERANCE * (1 + |action|), after max_iter iterates, or when
@@ -331,9 +296,10 @@ def solve_saddle(features: PathFeatureMatrix, y: np.ndarray,
 
     fits = (feats.n_paths * feats.n_examples) ** 2 <= GRAM_MAX_DOUBLES
     gram = path_pair_gram(feats) if fits else None
-    raws = _init_raws(features.n_heads, features.depth, config, np.random.default_rng(config.seed))
-    sizes = [r.shape[0] for r in raws]
-    x = np.concatenate([r.ravel() for r in raws])
+    factors = _start_factors(features.n_heads, features.depth, config,
+                             np.random.default_rng(config.seed))
+    sizes = [f.shape[0] for f in factors]
+    x = np.concatenate([f.ravel() for f in factors])
     point = _evaluate(x, sizes, feats, y, config, gram)
     if point is None:
         raise SolverFailure("the action is not finite at the starting point")

@@ -229,6 +229,30 @@ def test_gradient_matches_finite_differences():
             assert worst <= 1e-5
 
 
+@pytest.mark.parametrize("route", ["gram", "contraction"])
+def test_factor_gradient_matches_finite_differences(route):
+    # the flat gradient _evaluate hands L-BFGS is dS/dF through U = F F^T, in
+    # every entry of each square factor, the upper triangle included
+    rng = np.random.default_rng(21)
+    config = SolverConfig(alpha=2.0, temperature=0.15, sigma2=0.8)
+    eps = 1e-5
+    for n_heads, depth in [(1, 1), (2, 1), (2, 2), (3, 2)]:
+        train = _features(rng, n_heads, depth, n_ex=5).train()
+        y = _labels(rng, 5)
+        gram = path_pair_gram(train) if route == "gram" else None
+        sizes = [n_heads ** (depth - i) for i in range(depth + 1)]
+        x = np.concatenate([(np.eye(n) + 0.3 * rng.standard_normal((n, n))).ravel()
+                            for n in sizes])
+        grad = solver_mod._evaluate(x, sizes, train, y, config, gram)[2]
+        for k in range(x.size):
+            step = np.zeros_like(x)
+            step[k] = eps
+            s_up = solver_mod._evaluate(x + step, sizes, train, y, config, gram)[0][0]
+            s_dn = solver_mod._evaluate(x - step, sizes, train, y, config, gram)[0][0]
+            fd = (s_up - s_dn) / (2 * eps)
+            assert abs(fd - grad[k]) <= 1e-5 * (1 + abs(grad[k]))
+
+
 def test_gradient_zero_at_gp_point_alpha_zero():
     rng = np.random.default_rng(9)
     for n_heads, depth, sigma2 in [(2, 2, 1.0), (3, 2, 1.0), (2, 2, 1.7)]:
@@ -453,10 +477,10 @@ def _scipy_solve(features, y, config):
 
     train = features.train()
     gram = path_pair_gram(train)
-    raws = solver_mod._init_raws(features.n_heads, features.depth, config,
-                                 np.random.default_rng(config.seed))
-    sizes = [r.shape[0] for r in raws]
-    x0 = np.concatenate([r.ravel() for r in raws])
+    factors = solver_mod._start_factors(features.n_heads, features.depth, config,
+                                        np.random.default_rng(config.seed))
+    sizes = [f.shape[0] for f in factors]
+    x0 = np.concatenate([f.ravel() for f in factors])
 
     def evaluate(x):
         return solver_mod._evaluate(x, sizes, train, y, config, gram)
