@@ -26,6 +26,10 @@ points, so no chain's momenta repeat its own starting point.
 The sampled order parameter is the empirical second moment of the per-path
 effective weights, U_est[pi, pi'] = (1/N) < Veff_pi . Veff_pi' >_samples,
 which converges to sigma^(2(L+1)) delta_{pi pi'} under the prior.
+
+The sampled predictor integrates V0 out exactly (Rao-Blackwellization): the
+output is linear in V0, whose prior is Gaussian, so its mean and variance
+given a draw's other weights are closed form, and they are averaged over draws.
 """
 
 from __future__ import annotations
@@ -34,11 +38,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import PathFeatureMatrix, path_features
+from .kernel import FEATURE_BLOCK, PathFeatureMatrix, path_features
 from .model import Readout, attention_stack_batch, weight_count, weight_parts
 
 TARGET_ACCEPT = 0.8
 MAX_ENERGY_ERROR = 1000.0
+DRAW_BLOCK = 12  # draws per batch of Cholesky factors in empirical_predictor
 
 
 @dataclass(frozen=True)
@@ -231,7 +236,11 @@ def run_hmc(logp_and_grad, q0: np.ndarray, config: HmcConfig) -> _Chains:
 
 @dataclass
 class PosteriorSamples:
-    """Kept posterior draws (flattened weights) with per-chain diagnostics."""
+    """Kept posterior draws (flattened weights) with per-chain diagnostics, and
+    the likelihood they were drawn under: the training path features phi,
+    flattened to (H^L * width, P), their labels, the temperature and the prior
+    variance.  Under prior_only the likelihood reads no example: phi has no
+    column and labels no entry."""
 
     samples: np.ndarray
     n_hidden: int
@@ -242,6 +251,10 @@ class PosteriorSamples:
     divergences: np.ndarray
     step_sizes: np.ndarray
     potentials: np.ndarray
+    phi: np.ndarray
+    labels: np.ndarray
+    temperature: float
+    sigma2: float
 
     @property
     def n_kept(self) -> int:
@@ -281,11 +294,14 @@ def hmc_sample(tokens: np.ndarray, labels: np.ndarray, logits: np.ndarray,
     for r, row in zip(root.spawn(config.n_chains), q0):
         row[:] = np.sqrt(config.sigma2) * r.standard_normal(len(row))
     chains = run_hmc(logp_and_grad, q0, config)
+    if phi is None:
+        phi, labels = np.empty((n_heads**depth * width, 0)), labels[:0]
     return PosteriorSamples(
         samples=chains.samples.reshape(-1, q0.shape[1]),
         n_hidden=n, width=width, depth=depth, n_heads=n_heads,
         acceptance=chains.acceptance, divergences=chains.divergences,
         step_sizes=chains.step_sizes, potentials=chains.potentials.ravel(),
+        phi=phi, labels=labels, temperature=config.temperature, sigma2=config.sigma2,
     )
 
 
@@ -300,12 +316,56 @@ def empirical_order_parameter(samples: PosteriorSamples, return_samples: bool = 
     return u_est
 
 
+def _pair_gram(rows: np.ndarray, phi_t: np.ndarray) -> np.ndarray:
+    """G[a, b, x, mu] = rows[x, a] . phi[b, :, mu] for feature rows (n, H^L, width)
+    and training features phi (H^L, width, P) laid out as phi_t = (width, H^L, P),
+    as one GEMM, flattened to (H^(2L), n * P): the total kernel between x and mu
+    under U is U.ravel() @ G / H^L."""
+    n, n_paths, width = rows.shape
+    p = phi_t.shape[-1]
+    gram = rows.reshape(n * n_paths, width) @ phi_t.reshape(width, n_paths * p)
+    return gram.reshape(n, n_paths, n_paths, p).transpose(1, 2, 0, 3).reshape(n_paths**2, n * p)
+
+
 def empirical_predictor(samples: PosteriorSamples, features: PathFeatureMatrix):
-    """Posterior mean and variance of the output on new examples, all draws at
-    once; features are the examples' in-memory path features (compute_features)."""
-    phi = features.values.reshape(-1, features.n_examples)
-    v0, values, a = samples.parts()
-    m = _row_tree(a, values)[-1] @ v0
-    scale = (samples.n_heads**samples.depth * samples.n_hidden ** (samples.depth + 1)) ** -0.5
-    outs = scale * (m.reshape(samples.n_kept, -1) @ phi)
-    return outs.mean(axis=0), outs.var(axis=0)
+    """Posterior mean and variance of the output on new examples, V0
+    integrated out; features are the examples' path features (compute_features),
+    in memory or in their file.
+
+    Given a draw, the output is a Gaussian process with the total kernel under
+    U = sigma^2 R R^T / N^(L+1) (R = _row_tree's last level; sigma^2 times the
+    draw's empirical_order_parameter term), so given the training labels it has
+    mean k_* (K + T I)^-1 y and variance k_** - k_* (K + T I)^-1 k_*^T.  Both
+    are averaged over the draws, and the variance of the means is added to the
+    variance.  Under prior_only the mean is 0 and the variance the mean k_**.
+
+    Each kernel is U contracted with a path-pair Gram against the training
+    features, which no draw changes; each block of FEATURE_BLOCK examples is
+    contracted once and kept.  Draws go DRAW_BLOCK at a time through batched
+    Cholesky factors c of K + T I: with w = c^-1 k_*^T, the mean is w . c^-1 y
+    and the variance k_** - w . w.
+    """
+    n_paths, p = samples.n_heads**samples.depth, samples.phi.shape[-1]
+    phi_t = np.ascontiguousarray(samples.phi.reshape(n_paths, samples.width, p).transpose(1, 0, 2))
+    _, per = empirical_order_parameter(samples, return_samples=True)
+    u = (samples.sigma2 / n_paths) * per.reshape(samples.n_kept, -1)  # U / H^L
+    train_gram = _pair_gram(phi_t.transpose(2, 1, 0), phi_t)
+    blocks = []
+    for start in range(0, features.n_examples, FEATURE_BLOCK):
+        rows = features.examples(np.arange(start, min(start + FEATURE_BLOCK, features.n_examples)))
+        diag = np.matmul(rows, rows.swapaxes(-1, -2)).reshape(len(rows), -1).T
+        blocks.append((start, _pair_gram(rows, phi_t), diag))
+    means = np.empty((samples.n_kept, features.n_examples))
+    variance_sum = np.zeros(features.n_examples)
+    for first in range(0, samples.n_kept, DRAW_BLOCK):
+        draws = slice(first, first + DRAW_BLOCK)
+        ud = u[draws]
+        k_train = (ud @ train_gram).reshape(len(ud), p, p) + samples.temperature * np.eye(p)
+        c_inv_t = np.linalg.inv(np.linalg.cholesky(k_train)).swapaxes(-1, -2)
+        z = samples.labels @ c_inv_t  # rows c^-1 y
+        for start, gram, diag in blocks:
+            cols = slice(start, start + diag.shape[1])
+            w = (ud @ gram).reshape(len(ud), diag.shape[1], p) @ c_inv_t
+            means[draws, cols] = np.vecdot(w, z[:, None, :])
+            variance_sum[cols] += np.sum(ud @ diag - np.vecdot(w, w), axis=0)
+    return means.mean(axis=0), variance_sum / samples.n_kept + means.var(axis=0)

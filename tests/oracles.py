@@ -3,18 +3,19 @@
 The package computes the output only through the path decomposition
 (kernel.path_features with sampler._row_tree).  The functions here recompute
 it, or its per-path pieces, by direct matrix products; shipped_output is the
-package's own route on one example, the side the references are checked
-against.  attention_stack_einsum is the attention stack with each head's
-scores as one three-operand einsum and an out-of-place column softmax, the
-reference for model's two-GEMM form and in-place softmax; path_features_onehot
-is the one-hot contraction that kernel.path_features matches bit for bit.
+package's own route on one example (compute_features, then the row tree), the
+side the references are checked against.  attention_stack_einsum is the
+attention stack with each head's scores as one three-operand einsum and an
+out-of-place column softmax, the reference for model's two-GEMM form and
+in-place softmax; path_features_onehot is the one-hot contraction that
+kernel.path_features matches bit for bit.
 """
 
 import numpy as np
 
 from attnpaths.kernel import compute_features
 from attnpaths.model import weight_parts
-from attnpaths.sampler import PosteriorSamples, empirical_predictor
+from attnpaths.sampler import _row_tree
 
 
 def forward_layerwise(x0: np.ndarray, weights: tuple, omegas: np.ndarray, readout) -> float:
@@ -95,12 +96,11 @@ def path_row(weights: tuple, path) -> np.ndarray:
 
 def shipped_output(x0: np.ndarray, q: np.ndarray, shape: tuple, logits: np.ndarray,
                    readout) -> float:
-    """The output of flat weights q on x0 through the package's path sum:
-    compute_features, then empirical_predictor on one kept draw, which runs
-    sampler._row_tree.  shape is (n_hidden, width, depth, n_heads)."""
-    post = PosteriorSamples(
-        samples=q[None], n_hidden=shape[0], width=shape[1], depth=shape[2], n_heads=shape[3],
-        acceptance=np.ones(1), divergences=np.zeros(1, dtype=int),
-        step_sizes=np.ones(1), potentials=np.zeros(1))
-    mean, _ = empirical_predictor(post, compute_features(x0[None], logits, readout, 0))
-    return float(mean[0])
+    """The output of flat weights q on x0 through the package's path sum: the
+    path features from compute_features, dotted with the effective rows of
+    sampler._row_tree times V0.  shape is (n_hidden, width, depth, n_heads)."""
+    n_hidden, _, depth, n_heads = shape
+    v0, values, a = weight_parts(q, *shape)
+    phi = compute_features(x0[None], logits, readout, 0).values[..., 0]  # (H^L, width)
+    rows = _row_tree(a, values)[-1]  # N^(L/2) Veff, (H^L, N)
+    return float(np.vdot(rows @ v0, phi)) / np.sqrt(n_heads**depth * n_hidden ** (depth + 1))

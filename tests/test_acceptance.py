@@ -237,13 +237,20 @@ def test_criterion_08_sampler_theory_agreement():
     signs_ok = all(np.sign(u_est[i, j]) == np.sign(params.u1[i, j]) for i, j in sig)
 
     theory = evaluate_predictor(params.u1, feats, y, ds.test_indices,
-                                ds.test_labels, TEMPERATURE).means
-    sampled, _ = empirical_predictor(post, compute_features(ds.tokens[50:], logits, READOUT, 0))
-    corr = float(np.corrcoef(theory, sampled)[0, 1])
-    ok = signs_ok and corr >= 0.95
+                                ds.test_labels, TEMPERATURE)
+    sampled, sampled_var = empirical_predictor(
+        post, compute_features(ds.tokens[50:], logits, READOUT, 0))
+    corr = float(np.corrcoef(theory.means, sampled)[0, 1])
+    # variance bounds from dataset/attention seeds 0-2, which read correlation
+    # 0.978-0.986 and median ratio 1.04-1.17; across HMC seeds 0-5 this
+    # instance reads 0.958-0.986 and 0.95-1.15
+    var_corr = float(np.corrcoef(theory.variances, sampled_var)[0, 1])
+    ratio = float(np.median(sampled_var / theory.variances))
+    ok = signs_ok and corr >= 0.95 and var_corr >= 0.9 and 0.8 <= ratio <= 1.25
     _report(8, "sampler vs theory", ok,
             f"sign match on {len(sig)} significant off-diagonals: {signs_ok}; "
-            f"predictor correlation {corr:.3f} over 100 test points")
+            f"predictor correlation {corr:.3f}, variance correlation {var_corr:.3f}, "
+            f"median variance ratio {ratio:.3f} over 100 test points")
 
 
 def test_criterion_09_prior_moment_sanity():

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from attnpaths.analysis import head_scores, head_shares, prune_heads
@@ -179,16 +179,30 @@ def test_prune_single_surviving_path():
     assert np.allclose(report.means, want, atol=1e-10)
 
 
+@st.composite
+def _pruned_instances(draw):
+    """(n_heads, depth, removed, rng seed), removed holding (one-based layer,
+    head) pairs, at most n_heads - 1 heads per layer."""
+    n_heads, depth = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    removed = [(layer, head) for layer in range(1, depth + 1)
+               for head in draw(st.lists(st.integers(0, n_heads - 1), unique=True,
+                                         max_size=n_heads - 1))]
+    return n_heads, depth, removed, draw(st.integers(0, 2**32 - 1))
+
+
 @settings(max_examples=40, deadline=None)
-@given(n_heads=st.integers(1, 3), depth=st.integers(1, 3), renormalize=st.booleans(),
-       data=st.data())
-def test_prune_heads_matches_kept_path_sum_property(n_heads, depth, renormalize, data):
+@given(instance=_pruned_instances(), renormalize=st.booleans())
+# one path of 27 kept: draws whose variances cancel from terms of about 250
+# and 66 to 1.2 and 0.15, and failed a bound scaled by the result
+@example(instance=(3, 3, [(layer, head) for layer in (1, 2, 3) for head in (0, 1)], 64),
+         renormalize=True)
+@example(instance=(3, 3, [(1, 0), (1, 1), (2, 0), (2, 2), (3, 0), (3, 2)], 1),
+         renormalize=True)
+def test_prune_heads_matches_kept_path_sum_property(instance, renormalize):
     # oracle: the kernel summed over kept path pairs only, divided by H^L, or
     # by the kept path count under renormalization
-    removed = [(layer, head) for layer in range(1, depth + 1)
-               for head in data.draw(st.lists(st.integers(0, n_heads - 1), unique=True,
-                                              max_size=n_heads - 1))]
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n_heads, depth, removed, seed = instance
+    rng = np.random.default_rng(seed)
     feats = _features(rng, n_heads, depth)
     n_paths = n_heads**depth
     y_train = rng.choice([-1.0, 1.0], size=6)
@@ -204,10 +218,15 @@ def test_prune_heads_matches_kept_path_sum_property(n_heads, depth, renormalize,
     k = k / (len(keep) if renormalize else n_paths)
     m = k[:6, :6] + 0.1 * np.eye(6)
     k_cross = k[6:, :6]
-    want_means = k_cross @ np.linalg.solve(m, y_train)
+    alpha = np.linalg.solve(m, y_train)
+    want_means = k_cross @ alpha
     want_vars = np.diag(k)[6:] - np.einsum("em,me->e", k_cross, np.linalg.solve(m, k_cross.T))
 
     got = prune_heads(u1, feats, y_train, _keep(n_heads, depth, removed), eval_idx,
                       eval_labels, 0.1, renormalize=renormalize)
-    for g, w in ((got.means, want_means), (got.variances, want_vars)):
-        assert np.max(np.abs(g - w)) <= 1e-12 * (1.0 + np.max(np.abs(w)))
+    # each bound scales with the terms that cancel: the products of the mean's
+    # sum, and k_** >= k_* (K + T I)^-1 k_*^T for the variance
+    mean_terms = np.abs(k_cross) @ np.abs(alpha)
+    for g, w, terms in ((got.means, want_means, mean_terms),
+                        (got.variances, want_vars, np.diag(k)[6:])):
+        assert np.max(np.abs(g - w)) <= 1e-12 * (1.0 + np.max(terms))

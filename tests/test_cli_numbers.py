@@ -149,10 +149,11 @@ def test_sample_numbers_are_the_library_numbers(run):
     assert np.array_equal(u_est, empirical_order_parameter(samples))
 
     test = compute_features(dataset.tokens[dataset.n_train :], logits, readout, 0)
-    means, _ = empirical_predictor(samples, test)
+    means, variances = empirical_predictor(samples, test)
     csv_path = out / "predictor_empirical.csv"
     assert np.array_equal(_column(csv_path, "example", int), dataset.test_indices)
     assert np.array_equal(_column(csv_path, "mean"), means)
+    assert np.array_equal(_column(csv_path, "variance"), variances)
 
     summary = json.loads((out / "sample_summary.json").read_text())
     steps = config.n_chains * (config.n_warmup + config.n_samples)

@@ -461,7 +461,9 @@ def _manual_samples(rng, n_draws=3, n_hidden=3, width=4, depth=2, n_heads=2):
         samples=samples,
         n_hidden=n_hidden, width=width, depth=depth, n_heads=n_heads,
         acceptance=np.ones(1), divergences=np.zeros(1, dtype=int),
-        step_sizes=np.full(1, 0.01), potentials=np.zeros(n_draws))
+        step_sizes=np.full(1, 0.01), potentials=np.zeros(n_draws),
+        phi=np.empty((n_heads**depth * width, 0)), labels=np.empty(0),
+        temperature=0.01, sigma2=1.0)
 
 
 def test_effective_rows_match_path_products():
@@ -493,18 +495,55 @@ def test_empirical_order_parameter_oracle():
     assert np.allclose(per.mean(axis=0), got, atol=1e-12)
 
 
-def test_empirical_predictor_oracle():
-    rng = np.random.default_rng(10)
-    draws, post = _manual_samples(rng)
-    tokens = rng.standard_normal((5, 4, 3))
-    logits = rng.standard_normal((2, 2, 4, 4))
-    readout = Readout.token(0)
-    means, variances = empirical_predictor(post, compute_features(tokens, logits, readout, 0))
+def _ridge_predictor(post, config, tokens, labels, logits, readout):
+    """Per-draw posterior means and variances of the output on tokens[len(labels):],
+    V0 integrated out by a ridge solve in N * width dimensions.  The output is
+    B v0, with B's columns the layerwise outputs of the unit V0 vectors, so given
+    the other weights V0 has precision I / sigma^2 + B_train^T B_train / T."""
     omegas = attention_stack_einsum(tokens, logits)
-    outs = np.array([[forward_layerwise(tokens[mu], w, omegas[mu], readout)
-                      for mu in range(5)] for w in draws])
-    assert np.allclose(means, outs.mean(axis=0), atol=1e-10)
-    assert np.allclose(variances, outs.var(axis=0), atol=1e-10)
+    eye = np.eye(config.n_hidden * tokens.shape[1])
+    t = config.temperature
+    draw_means, draw_vars = [], []
+    for _, values, a in zip(*post.parts()):
+        b = np.array([[forward_layerwise(x, (e.reshape(config.n_hidden, -1), values, a), om,
+                                         readout) for e in eye]
+                      for x, om in zip(tokens, omegas)])
+        b_train, b_test = b[: len(labels)], b[len(labels) :]
+        cov = np.linalg.inv(eye / config.sigma2 + b_train.T @ b_train / t)
+        draw_means.append(b_test @ cov @ b_train.T @ labels / t)
+        draw_vars.append(np.vecdot(b_test @ cov, b_test))
+    return np.array(draw_means), np.array(draw_vars)
+
+
+def test_empirical_predictor_oracle():
+    # V0 integrated out, against a ridge solve that reads no kernel code; 35
+    # test examples and 14 draws cross the example and the draw blocks.  Under
+    # prior_only no training example enters, and the mean is exactly 0.
+    rng = np.random.default_rng(10)
+    readout = Readout.token(0)
+    n_train, n_test = 4, 35
+    tokens = rng.standard_normal((n_train + n_test, 3, 3))
+    logits = rng.standard_normal((2, 2, 3, 3))
+    labels = rng.choice([-1.0, 1.0], size=n_train)
+    test = compute_features(tokens[n_train:], logits, readout, 0)
+    for prior_only in (False, True):
+        config = HmcConfig(n_hidden=2, temperature=0.3, sigma2=0.7, n_chains=2, n_warmup=3,
+                           n_samples=7, thin=1, n_leapfrog=3, prior_only=prior_only, seed=5)
+        post = hmc_sample(tokens[:n_train], labels, logits, readout, config)
+        assert post.n_kept == 14
+        means, variances = empirical_predictor(post, test)
+        n_seen = 0 if prior_only else n_train  # training rows the likelihood reads
+        draw_means, draw_vars = _ridge_predictor(
+            post, config, np.concatenate([tokens[:n_seen], tokens[n_train:]]), labels[:n_seen],
+            logits, readout)
+        want_means = draw_means.mean(axis=0)
+        want_vars = draw_vars.mean(axis=0) + draw_means.var(axis=0)
+        for got, want in ((means, want_means), (variances, want_vars)):
+            assert np.max(np.abs(got - want)) <= 1e-10 * (1.0 + np.max(np.abs(want)))
+        if prior_only:
+            assert np.all(means == 0.0)
+        else:
+            assert np.min(np.abs(want_means)) > 1e-3  # the labels do reach the mean
 
 
 def test_hmc_config_validation():
